@@ -2,8 +2,9 @@
 
 Features may each serve one component, components hold at most s features;
 the best assignment is a max-profit integer circulation.  Greedy assignment
-fails on coupled profits; cycle canceling does not, and optimality is
-certified by the absence of positive-profit residual circuits.
+fails on coupled profits; one rectangular assignment solve with s slots per
+component does not, and optimality is certified by the absence of
+positive-profit residual circuits.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ print("profits:\n", profits)
 print("greedy would grab 9 first and finish with 9.")
 
 flow = solve_max_profit(inst)
-print(f"cycle canceling: profit {flow.profit(inst):.1f}, "
+print(f"assignment solve: profit {flow.profit(inst):.1f}, "
       f"supports {supports_from_circulation(inst, flow)}")
 
 reference = brute_force_max_profit(inst)

@@ -35,6 +35,7 @@ from .circulation import (
 )
 from .errors import (
     AsymmetryTooLarge,
+    CertificateFailed,
     Degenerate,
     DimensionMismatch,
     ExactSpcaError,
@@ -42,6 +43,7 @@ from .errors import (
     InvalidCircuit,
     InvalidParameters,
     NoConvergence,
+    NonFiniteInput,
     NotPositiveSemidefinite,
     NotSquare,
     NotSymmetric,
@@ -93,6 +95,7 @@ __all__ = [
     "AsymmetryTooLarge",
     "CandidateSupports",
     "Cell",
+    "CertificateFailed",
     "Circulation",
     "CirculationInstance",
     "CircuitHyperplanes",
@@ -107,6 +110,7 @@ __all__ = [
     "InvalidParameters",
     "MonomialBasis",
     "NoConvergence",
+    "NonFiniteInput",
     "NotPositiveSemidefinite",
     "NotSquare",
     "NotSymmetric",

@@ -6,22 +6,24 @@ w_0..w_{n-1}.  Arcs run t -> u_i (capacity s, profit 0), u_i -> w_j
 integer circulations therefore pick pairwise-disjoint feature sets, one per
 component, each of size at most s.
 
-The solver is cycle canceling: while the residual graph contains a directed
-circuit of positive profit, push one unit around the best-mean such circuit
-(located with Karp's minimum-mean-cycle recurrence on negated profits).  The
-optimality condition "no residual circuit has positive profit" doubles as the
-certificate check.
+A feasible circulation is thus an assignment: each feature goes to one
+of the s slots of one component, or to none.  `solve_max_profit` solves it
+with one rectangular assignment (`scipy.optimize.linear_sum_assignment`,
+the Jonker-Volgenant method of Crouse, IEEE TAES 2016) and then certifies
+the result: a circulation is optimal exactly when its residual graph has no
+directed circuit of positive profit, which `is_optimal` checks with
+Bellman-Ford on negated profits and, on failure, returns the circuit found.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .errors import InfeasibleFlow, InvalidCircuit, InvalidParameters
+from .errors import CertificateFailed, InfeasibleFlow, InvalidCircuit, InvalidParameters
 
 MEAN_PROFIT_TOL = 1e-12
 
@@ -124,82 +126,8 @@ def _residual_arcs(instance: CirculationInstance, f: Circulation):
     return arcs
 
 
-def _karp_tables(num_v: int, arcs):
-    """Multi-source Karp recurrence; returns (min cycle mean, argmin vertex, D, P)."""
-    inf = math.inf
-    dist = [[inf] * num_v for _ in range(num_v + 1)]
-    parent = [[-1] * num_v for _ in range(num_v + 1)]
-    dist[0] = [0.0] * num_v
-    for k in range(1, num_v + 1):
-        dk = dist[k]
-        dk1 = dist[k - 1]
-        pk = parent[k]
-        for ai, (tail, head, cost, _cap, _key) in enumerate(arcs):
-            du = dk1[tail]
-            if du == inf:
-                continue
-            cand = du + cost
-            if cand < dk[head]:
-                dk[head] = cand
-                pk[head] = ai
-    best_mu = None
-    best_v = -1
-    dn = dist[num_v]
-    for vtx in range(num_v):
-        if dn[vtx] == inf:
-            continue
-        worst = None
-        for k in range(num_v):
-            if dist[k][vtx] == inf:
-                continue
-            mean = (dn[vtx] - dist[k][vtx]) / (num_v - k)
-            if worst is None or mean > worst:
-                worst = mean
-        if worst is None:
-            continue
-        if best_mu is None or worst < best_mu:
-            best_mu = worst
-            best_v = vtx
-    return best_mu, best_v, dist, parent
-
-
-def _cycles_in_walk(vertices, arc_indices):
-    """Arc-index slices of the cycles formed at repeated vertices of a walk."""
-    seen = {}
-    cycles = []
-    for pos, vtx in enumerate(vertices):
-        if vtx in seen:
-            cycles.append(arc_indices[seen[vtx] : pos])
-        seen[vtx] = pos
-    return cycles
-
-
 def _cycle_profit(arcs, cycle):
     return -sum(arcs[ai][2] for ai in cycle)
-
-
-def _positive_cycle_karp(num_v, arcs, tol):
-    mu, best_v, dist, parent = _karp_tables(num_v, arcs)
-    if mu is None or -mu <= tol:
-        return None
-    vertices = [best_v]
-    arc_indices = []
-    vtx = best_v
-    for k in range(num_v, 0, -1):
-        ai = parent[k][vtx]
-        if ai < 0:
-            return "retry"  # table walk broke down; caller falls back
-        arc_indices.append(ai)
-        vtx = arcs[ai][0]
-        vertices.append(vtx)
-    vertices.reverse()
-    arc_indices.reverse()
-    best = None
-    for cycle in _cycles_in_walk(vertices, arc_indices):
-        prof = _cycle_profit(arcs, cycle)
-        if prof > tol and (best is None or prof > best[0]):
-            best = (prof, cycle)
-    return best[1] if best else "retry"
 
 
 def _positive_cycle_bellman_ford(num_v, arcs, tol):
@@ -240,81 +168,6 @@ def _positive_cycle_bellman_ford(num_v, arcs, tol):
     return None
 
 
-def _positive_cycle_exhaustive(num_v, arcs, tol):
-    """Last-resort search over all simple directed cycles of the residual graph."""
-    out_arcs = [[] for _ in range(num_v)]
-    for ai, (tail, _head, _cost, _cap, _key) in enumerate(arcs):
-        out_arcs[tail].append(ai)
-    best = None
-
-    def extend(start, vtx, path, on_path, profit):
-        nonlocal best
-        for ai in out_arcs[vtx]:
-            head = arcs[ai][1]
-            gain = -arcs[ai][2]
-            if head == start:
-                total = profit + gain
-                if total > tol and (best is None or total > best[0]):
-                    best = (total, path + [ai])
-            elif head > start and head not in on_path:
-                on_path.add(head)
-                extend(start, head, path + [ai], on_path, profit + gain)
-                on_path.discard(head)
-
-    for start in range(num_v):
-        extend(start, start, [], set(), 0.0)
-    return best[1] if best else None
-
-
-def _find_positive_profit_cycle(num_v, arcs, tol):
-    got = _positive_cycle_karp(num_v, arcs, tol)
-    if got is None:
-        return None
-    if got != "retry":
-        return got
-    got = _positive_cycle_bellman_ford(num_v, arcs, tol)
-    if got is not None:
-        return got
-    return _positive_cycle_exhaustive(num_v, arcs, tol)
-
-
-def _apply_cycle(f: Circulation, arcs, cycle) -> Circulation:
-    theta = min(arcs[ai][3] for ai in cycle)
-    a0 = f.a0.copy()
-    au = f.au.copy()
-    aw = f.aw.copy()
-    for ai in cycle:
-        key = arcs[ai][4]
-        if key[0] == "a0":
-            _, i, j, direction = key
-            a0[i, j] += direction * theta
-        elif key[0] == "au":
-            _, i, direction = key
-            au[i] += direction * theta
-        else:
-            _, j, direction = key
-            aw[j] += direction * theta
-    return Circulation(a0=a0, au=au, aw=aw)
-
-
-def _greedy_circulation(instance: CirculationInstance) -> Circulation:
-    """Feasible warm start: scan arcs by decreasing profit, assign when free."""
-    f = zero_circulation(instance)
-    order = sorted(
-        ((float(instance.profits[i, j]), i, j)
-         for i in range(instance.d) for j in range(instance.n)),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
-    for p, i, j in order:
-        if p <= 0.0:
-            break
-        if f.aw[j] == 0 and f.au[i] < instance.s:
-            f.a0[i, j] = 1
-            f.au[i] += 1
-            f.aw[j] = 1
-    return f
-
-
 @dataclass(frozen=True)
 class ResidualCircuit:
     """A directed circuit of a residual graph, kept as arc keys plus profit."""
@@ -348,7 +201,7 @@ def is_optimal(
     """
     check_circulation(instance, f)
     arcs = _residual_arcs(instance, f)
-    cycle = _find_positive_profit_cycle(instance.num_vertices, arcs, tol)
+    cycle = _positive_cycle_bellman_ford(instance.num_vertices, arcs, tol)
     if cycle is None:
         return True, None
     return False, _certificate_from_cycle(arcs, cycle)
@@ -358,21 +211,26 @@ def solve_max_profit(
     instance: CirculationInstance,
     tol: float = MEAN_PROFIT_TOL,
 ) -> Circulation:
-    """Maximum-profit integer circulation by residual cycle canceling."""
-    f = _greedy_circulation(instance)
-    # Each cancellation strictly increases profit over a finite state space,
-    # so the loop terminates; the cap is a defensive guard.
-    for _ in range(10_000):
-        arcs = _residual_arcs(instance, f)
-        cycle = _find_positive_profit_cycle(instance.num_vertices, arcs, tol)
-        if cycle is None:
-            break
-        f = _apply_cycle(f, arcs, cycle)
-    else:
-        raise RuntimeError("cycle canceling failed to terminate")
-    optimal, _ = is_optimal(instance, f, tol)
+    """Maximum-profit integer circulation, solved as one assignment.
+
+    Feature j is a row; each component owns min(s, n) slot columns carrying
+    its profits, and n zero-profit columns leave a feature unassigned.  Only
+    positive-profit assignments to component slots become flow.  Raises
+    `CertificateFailed` if the result fails the `is_optimal` check.
+    """
+    d, n = instance.d, instance.n
+    slots = min(instance.s, n)
+    gain = np.hstack([np.repeat(instance.profits.T, slots, axis=1), np.zeros((n, n))])
+    rows, cols = linear_sum_assignment(gain, maximize=True)
+    a0 = np.zeros((d, n), dtype=int)
+    taken = (cols < d * slots) & (gain[rows, cols] > 0.0)
+    a0[cols[taken] // slots, rows[taken]] = 1
+    f = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+    optimal, certificate = is_optimal(instance, f, tol)
     if not optimal:
-        raise RuntimeError("cycle canceling stopped at a non-optimal circulation")
+        raise CertificateFailed(
+            f"assignment flow failed its optimality certificate: {certificate}"
+        )
     return f
 
 

@@ -51,6 +51,8 @@ def ingest(input_path: str, kind: str) -> np.ndarray:
         raise
     except Exception as exc:
         raise ParseError(f"could not parse {input_path!r} as numeric CSV: {exc}") from exc
+    if not np.all(np.isfinite(raw)):
+        raise ParseError(f"{input_path!r} holds NaN or infinite entries")
     if kind == "covariance":
         if raw.shape[0] != raw.shape[1]:
             raise NotSquare(f"covariance must be square, got shape {raw.shape}")

@@ -5,6 +5,10 @@ class ExactSpcaError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NonFiniteInput(ExactSpcaError):
+    """A matrix argument holds NaN or infinite entries."""
+
+
 class NotSymmetric(ExactSpcaError):
     """A matrix argument is not symmetric as stored."""
 
@@ -31,6 +35,10 @@ class Degenerate(ExactSpcaError):
 
 class InfeasibleFlow(ExactSpcaError):
     """A flow violates arc capacities or conservation."""
+
+
+class CertificateFailed(ExactSpcaError):
+    """A computed circulation failed its optimality certificate."""
 
 
 class InvalidParameters(ExactSpcaError):

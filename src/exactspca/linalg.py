@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     InvalidParameters,
     NoConvergence,
+    NonFiniteInput,
     NotPositiveSemidefinite,
     NotSymmetric,
 )
@@ -24,12 +25,15 @@ JACOBI_OFFDIAG_TOL = 1e-12
 
 
 def as_symmetric(a) -> np.ndarray:
-    """Return ``a`` as a float array, requiring exact stored symmetry."""
+    """Return ``a`` as a float array, requiring finite entries and exact
+    stored symmetry."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise NotSymmetric("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput("matrix holds NaN or infinite entries")
     if not np.array_equal(a, a.T):
         raise NotSymmetric("matrix is not symmetric as stored")
     return a

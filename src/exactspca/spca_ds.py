@@ -340,6 +340,7 @@ def _sinusoid_coefficients(normals, d):
 
 
 _SAFETY_LINES = 64
+_MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 
 
 def _torus_region_witnesses(normals, d):
@@ -351,26 +352,31 @@ def _torus_region_witnesses(normals, d):
     the first-angle coordinates of curve-pair crossings and of vertical
     tangents, where the root structure over the second angle can change.
     Regions are deduplicated by sign vector, which is exactly the information
-    the per-region circulation uses.
+    the per-region circulation uses.  A candidate point is kept only when it
+    is strictly interior: every curve value exceeds `_MIN_RELATIVE_MARGIN`
+    times a bound on that curve's magnitude over the torus.  A point on a
+    curve would otherwise be filed under a spurious sign vector, or shadow
+    the real region that owns it.
     """
     a, b, c = _sinusoid_coefficients(normals, d)
     p = a.shape[0]
+    reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
     witnesses: dict[bytes, np.ndarray] = {}
 
-    def record(phis):
-        values = (
-            a * np.cos(2.0 * phis)[None, :] + b * np.sin(2.0 * phis)[None, :]
-        ).sum(axis=1) + c
-        key = (values > 0.0).tobytes()
-        if key not in witnesses:
-            witnesses[key] = phis.copy()
+    def record(points, values):
+        """Keep the first interior point per sign vector (row k of
+        ``points`` has curve values ``values[k]``)."""
+        interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
+        signs = values > 0.0
+        for row in np.nonzero(interior)[0]:
+            witnesses.setdefault(signs[row].tobytes(), points[row])
 
     if d == 1:
         cuts = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
         for idx in range(p):
             cuts.append(_circle_roots(a[idx, 0], b[idx, 0], -c[idx]))
-        for phi in _circle_intervals(np.concatenate(cuts)):
-            record(np.array([phi]))
+        phis = _circle_intervals(np.concatenate(cuts))[:, None]
+        record(phis, np.cos(2.0 * phis) * a[:, 0] + np.sin(2.0 * phis) * b[:, 0] + c)
         return list(witnesses.values())
     if d != 2:
         raise InvalidParameters("torus regions are implemented for d <= 2")
@@ -465,11 +471,8 @@ def _torus_region_witnesses(normals, d):
             part1[line_idx][None, :] + c[None, :]
             + cos2[:, None] * a2_col + sin2[:, None] * b2_col
         )
-        sign_rows = values > 0.0
-        for row_idx, phi2 in enumerate(phi2_mids):
-            key = sign_rows[row_idx].tobytes()
-            if key not in witnesses:
-                witnesses[key] = np.array([phi1, phi2])
+        points = np.column_stack([np.full_like(phi2_mids, phi1), phi2_mids])
+        record(points, values)
     return list(witnesses.values())
 
 

@@ -13,7 +13,7 @@ from exactspca.circulation import (
     zero_circulation,
     _residual_arcs,
 )
-from exactspca.errors import InfeasibleFlow, InvalidParameters
+from exactspca.errors import CertificateFailed, InfeasibleFlow, InvalidParameters
 from exactspca.oracle import brute_force_max_profit
 
 from conftest import directed_simple_cycles, undirected_circuit_chis_bruteforce
@@ -62,6 +62,13 @@ class TestSolveMaxProfit:
             optimal, certificate = is_optimal(inst, flow)
             assert optimal and certificate is None
 
+    def test_failed_certificate_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(
+            "exactspca.circulation.is_optimal", lambda *args, **kwargs: (False, None)
+        )
+        with pytest.raises(CertificateFailed):
+            solve_max_profit(_instance(1, 2, 1, [[3.0, 5.0]]))
+
     def test_deterministic(self, rng):
         profits = rng.standard_normal((3, 4))
         inst = _instance(3, 4, 2, profits)
@@ -105,6 +112,37 @@ class TestIsOptimal:
                     )
                     check_circulation(inst, candidate)
                     assert candidate.profit(inst) <= base + 1e-9
+
+    @pytest.mark.parametrize("integer_profits", [False, True])
+    def test_agrees_with_bruteforce_on_random_flows(self, rng, integer_profits):
+        # Small integer profits make ties, hence zero-profit residual circuits.
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 6))
+            s = int(rng.integers(1, 4))
+            if integer_profits:
+                profits = rng.integers(-2, 4, size=(d, n)).astype(float)
+            else:
+                profits = rng.standard_normal((d, n))
+            inst = _instance(d, n, s, profits)
+            a0 = np.zeros((d, n), dtype=int)
+            for j in range(n):
+                i = int(rng.integers(-1, d))
+                if i >= 0 and a0[i].sum() < s:
+                    a0[i, j] = 1
+            flow = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+            best = brute_force_max_profit(inst).objective
+            optimal, certificate = is_optimal(inst, flow)
+            assert optimal == (flow.profit(inst) >= best - 1e-9)
+            if optimal:
+                assert certificate is None
+                continue
+            assert certificate.profit > 0.0
+            arc_profit = sum(
+                key[3] * profits[key[1], key[2]]
+                for key in certificate.arc_keys if key[0] == "a0"
+            )
+            assert certificate.profit == pytest.approx(arc_profit, abs=1e-12)
 
     def test_infeasible_flow_rejected(self):
         inst = _instance(1, 2, 1, [[1.0, 2.0]])

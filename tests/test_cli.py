@@ -48,6 +48,15 @@ class TestIngest:
             ingest(str(path), "covariance")
 
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = _write(tmp_path, "k.csv", np.diag([bad, 1.0]))
+        with pytest.raises(ParseError):
+            ingest(path, "covariance")
+        with pytest.raises(ParseError):
+            ingest(path, "samples")
+
+
 class TestCommands:
     def test_solve_spca_diagonal(self, tmp_path, capsys):
         path = _write(tmp_path, "k.csv", np.diag([3.0, 2.0, 1.0]))
@@ -128,6 +137,23 @@ class TestExitCodes:
     def test_solver_failure(self, tmp_path, capsys):
         indefinite = _write(tmp_path, "ind.csv", [[1.0, 2.0], [2.0, 1.0]])
         code = main(["solve-spca", "--input", indefinite, "--d", "1", "--s", "1"])
+        capsys.readouterr()
+        assert code == 4
+
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input(self, tmp_path, capsys, bad):
+        path = _write(tmp_path, "k.csv", np.diag([bad, 1.0]))
+        code = main(["solve-spca", "--input", path, "--d", "1", "--s", "1"])
+        capsys.readouterr()
+        assert code == 3
+
+    def test_certificate_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "exactspca.circulation.is_optimal", lambda *args, **kwargs: (False, None)
+        )
+        path = _write(tmp_path, "k.csv", np.outer([2.0, 1.0, 1.0], [2.0, 1.0, 1.0]))
+        code = main(["solve-spca-ds", "--input", path, "--d", "1", "--s", "1"])
         capsys.readouterr()
         assert code == 4
 

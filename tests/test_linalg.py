@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from exactspca.errors import NoConvergence, NotPositiveSemidefinite, NotSymmetric
+from exactspca.errors import (
+    NoConvergence,
+    NonFiniteInput,
+    NotPositiveSemidefinite,
+    NotSymmetric,
+)
 from exactspca.linalg import (
     EigenResult,
+    as_symmetric,
     pivoted_cholesky,
     solve_pca,
     symmetric_eig,
     symmetrize,
 )
+from exactspca.spca import SpcaInstance
+from exactspca.spca_ds import SpcaDsInstance
 
 from conftest import minor_rank, random_low_rank_psd
 
@@ -41,6 +49,19 @@ class TestPivotedCholesky:
         bad = np.array([[1.0, 2.0], [2.0 + 1e-7, 1.0]])
         with pytest.raises(NotSymmetric):
             pivoted_cholesky(bad)
+
+    @pytest.mark.parametrize("kmatrix", [
+        np.diag([np.inf, 1.0]),
+        np.diag([1.0, -np.inf]),
+        np.full((2, 2), np.nan),
+    ])
+    def test_non_finite_rejected(self, kmatrix):
+        with pytest.raises(NonFiniteInput):
+            as_symmetric(kmatrix)
+        with pytest.raises(NonFiniteInput):
+            SpcaInstance.build(kmatrix, 1, 1)
+        with pytest.raises(NonFiniteInput):
+            SpcaDsInstance.build(kmatrix, 1, 1)
 
     def test_reconstruction_and_rank_random(self, rng):
         for _ in range(40):

@@ -7,6 +7,8 @@ from exactspca.oracle import brute_force_spca_ds
 from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
+    _sinusoid_coefficients,
+    _torus_region_witnesses,
     build_circuit_hyperplanes,
     candidate_supports_from_cell,
     solve_spca_ds,
@@ -259,3 +261,24 @@ class TestSolveSpcaDs:
         assert diag.cells_enumerated >= 1
         assert diag.circulation_solves == diag.cells_enumerated
         assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
+
+
+class TestTorusWitnesses:
+    @pytest.mark.parametrize("d,n", [(1, 3), (1, 5), (2, 2), (2, 3)])
+    def test_witnesses_strictly_interior_with_distinct_keys(self, rng, d, n):
+        for _ in range(3):
+            inst = _instance(random_low_rank_psd(rng, n, 2), d, 1)
+            normals = np.array(
+                [h.normal for h in build_circuit_hyperplanes(inst).hyperplanes]
+            )
+            a, b, c = _sinusoid_coefficients(normals, d)
+            scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
+            keys = set()
+            witnesses = _torus_region_witnesses(normals, d)
+            for phis in witnesses:
+                cos, sin = np.cos(phis), np.sin(phis)
+                lifted = np.column_stack([cos * cos, cos * sin, sin * sin]).ravel()
+                values = normals @ lifted
+                assert np.min(np.abs(values) / scale) > 1e-12
+                keys.add((values > 0.0).tobytes())
+            assert len(keys) == len(witnesses)
