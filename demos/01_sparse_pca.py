@@ -2,7 +2,9 @@
 
 Builds a random covariance of rank two, asks for two components supported on
 at most three shared features, and compares the exact solver with the
-enumeration oracle.
+enumeration oracle.  With as many components as the rank, every support
+scores trace(K_SS), so the solver takes the closed form and cuts no
+arrangement; one component at the same rank cuts the rank-two spannogram.
 """
 
 import numpy as np
@@ -24,11 +26,21 @@ print(f"optimal support (0-based): {solution.support}")
 print("loadings (rows outside the support are exactly zero):")
 print(np.array_str(solution.x, precision=4, suppress_small=True))
 
-diag = solution.diagnostics
-print(
-    f"\ncandidate construction: {diag.hyperplanes} hyperplanes, "
-    f"{diag.cells_enumerated} cells, {diag.candidates_evaluated} distinct candidates"
-)
+SPACES = {0: "closed form, no arrangement", r: f"spannogram in R^{r}"}
+
+
+def describe(diag):
+    space = SPACES.get(diag.extended_dim, f"lifted space of dimension {diag.extended_dim}")
+    return (
+        f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} cells "
+        f"(predicted at most {diag.predicted_cells}), "
+        f"{diag.candidates_evaluated} distinct candidates"
+    )
+
+
+print(f"\ncandidate construction, d={d}: {describe(solution.diagnostics)}")
+one = solve_spca(SpcaInstance.build(kmatrix, 1, s))
+print(f"candidate construction, d=1: {describe(one.diagnostics)}")
 
 report = brute_force_spca(kmatrix, d, s)
 print(f"\nbrute force over {report.instances_enumerated} supports: "

@@ -1,7 +1,8 @@
 """End-to-end command-line workflow on a temporary CSV file.
 
-Writes a covariance to disk, runs the solver and the oracle through the CLI
-entry point, and checks the JSON documents agree.
+Writes a covariance to a temporary directory (removed on exit), runs the
+solver and the oracle through the CLI entry point, and checks the JSON
+documents agree.
 """
 
 import json
@@ -12,38 +13,39 @@ from pathlib import Path
 
 import numpy as np
 
-workdir = Path(tempfile.mkdtemp())
-rng = np.random.default_rng(13)
-factor = rng.standard_normal((4, 2))
-kmatrix = (factor @ factor.T + (factor @ factor.T).T) / 2.0  # rank two
-csv_path = workdir / "covariance.csv"
-np.savetxt(csv_path, kmatrix, delimiter=",")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    rng = np.random.default_rng(13)
+    factor = rng.standard_normal((4, 2))
+    kmatrix = (factor @ factor.T + (factor @ factor.T).T) / 2.0  # rank two
+    csv_path = workdir / "covariance.csv"
+    np.savetxt(csv_path, kmatrix, delimiter=",")
 
-base = [sys.executable, "-m", "exactspca"]
-common = ["--input", str(csv_path), "--d", "2", "--s", "2"]
+    base = [sys.executable, "-m", "exactspca"]
+    common = ["--input", str(csv_path), "--d", "2", "--s", "2"]
 
-solved = json.loads(
-    subprocess.run(base + ["solve-spca"] + common, check=True,
-                   capture_output=True, text=True).stdout
-)
-oracle = json.loads(
-    subprocess.run(base + ["oracle-spca"] + common, check=True,
-                   capture_output=True, text=True).stdout
-)
-print(f"solve-spca objective: {solved['objective']}")
-print(f"oracle-spca objective: {oracle['objective']}")
-print(f"support (1-based): {solved['supports']}")
-assert abs(solved["objective"] - oracle["objective"]) < 1e-8
+    solved = json.loads(
+        subprocess.run(base + ["solve-spca"] + common, check=True,
+                       capture_output=True, text=True).stdout
+    )
+    oracle = json.loads(
+        subprocess.run(base + ["oracle-spca"] + common, check=True,
+                       capture_output=True, text=True).stdout
+    )
+    print(f"solve-spca objective: {solved['objective']}")
+    print(f"oracle-spca objective: {oracle['objective']}")
+    print(f"support (1-based): {solved['supports']}")
+    assert abs(solved["objective"] - oracle["objective"]) < 1e-8
 
-factored = json.loads(
-    subprocess.run(base + ["factor", "--input", str(csv_path)], check=True,
-                   capture_output=True, text=True).stdout
-)
-print(f"factor rank: {factored['problem']['rank']}")
+    factored = json.loads(
+        subprocess.run(base + ["factor", "--input", str(csv_path)], check=True,
+                       capture_output=True, text=True).stdout
+    )
+    print(f"factor rank: {factored['problem']['rank']}")
 
-bench = json.loads(
-    subprocess.run(base + ["bench", "--solver", "spca-ds"] + common, check=True,
-                   capture_output=True, text=True).stdout
-)
-print(f"bench (spca-ds): objective {bench['objective']:.4f}, "
-      f"stage timings (ms): { {k: round(v, 1) for k, v in bench['diagnostics']['stage_ms'].items()} }")
+    bench = json.loads(
+        subprocess.run(base + ["bench", "--solver", "spca-ds"] + common, check=True,
+                       capture_output=True, text=True).stdout
+    )
+    print(f"bench (spca-ds): objective {bench['objective']:.4f}, "
+          f"stage timings (ms): { {k: round(v, 1) for k, v in bench['diagnostics']['stage_ms'].items()} }")

@@ -17,7 +17,6 @@ from .arrangement import (
     enumerate_affine_cells,
     enumerate_cells,
     expected_generic_cell_count,
-    sample_cells,
     witness_for_signs,
 )
 from .circulation import (
@@ -144,7 +143,6 @@ __all__ = [
     "expected_generic_cell_count",
     "is_optimal",
     "pivoted_cholesky",
-    "sample_cells",
     "solve_max_profit",
     "solve_pca",
     "solve_spca",

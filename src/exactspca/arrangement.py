@@ -85,7 +85,13 @@ def dedup_hyperplanes(hyperplanes, dim: int, tol: float = 1e-9) -> list[Hyperpla
 
 
 def expected_generic_cell_count(p: int, q: int) -> int:
-    """Cells of p central hyperplanes in general position in dimension q."""
+    """Cells of p central hyperplanes in general position in dimension q.
+
+    No arrangement of p central hyperplanes in dimension q has more cells.
+    The empty arrangement has one cell, the whole space.
+    """
+    if p == 0:
+        return 1
     return 2 * sum(comb(p - 1, k) for k in range(q))
 
 
@@ -529,31 +535,3 @@ def enumerate_affine_cells(planes, region, dim: int,
     cells.sort(key=lambda c: c.signs)
     return cells
 
-
-def sample_cells(hyperplanes, dim: int, num_samples: int = 20_000,
-                 seed: int | None = None) -> list[Cell]:
-    """Randomized approximation of `enumerate_cells` for benchmarking only.
-
-    Sign vectors are collected from random sphere points, so thin cells can
-    be missed; never use this mode where exactness matters.
-    """
-    unit = _unit_normals(hyperplanes, dim)
-    p = unit.shape[0]
-    if p == 0:
-        return [Cell(signs=(), witness=np.zeros(dim), margin=np.inf)]
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((num_samples, dim))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    values = points @ unit.T
-    keep = np.min(np.abs(values), axis=1) > 0.0
-    points = points[keep]
-    values = values[keep]
-    sign_matrix = np.where(values > 0.0, 1, -1).astype(np.int8)
-    cells: dict[tuple[int, ...], Cell] = {}
-    for row, point, vals in zip(sign_matrix, points, values):
-        key = tuple(int(x) for x in row)
-        margin = float(np.min(np.abs(vals)))
-        known = cells.get(key)
-        if known is None or margin > known.margin:
-            cells[key] = Cell(signs=key, witness=point.copy(), margin=margin)
-    return [cells[key] for key in sorted(cells)]

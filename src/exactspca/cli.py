@@ -87,6 +87,7 @@ def _spca_document(solution, n: int, d: int, s: int) -> dict:
         "components": _components(solution.x),
         "diagnostics": {
             "cells": diag.cells_enumerated,
+            "predicted_cells": diag.predicted_cells,
             "candidates": diag.candidates_evaluated,
             "circuits": None,
             "circulation_solves": None,
@@ -146,7 +147,6 @@ def run(args: argparse.Namespace) -> dict:
     kmatrix = ingest(args.input, args.kind)
     ingest_ms = (time.perf_counter() - started) * 1000.0
     n = kmatrix.shape[0]
-    cell_mode = "randomized" if args.mode == "randomized-cells" else "exact"
 
     command = args.command
     if command == "bench":
@@ -164,12 +164,12 @@ def run(args: argparse.Namespace) -> dict:
         }
     elif command == "solve-spca":
         instance = SpcaInstance.build(kmatrix, args.d, args.s, args.tol_rank)
-        solution = solve_spca(instance, cell_mode=cell_mode, seed=args.seed)
+        solution = solve_spca(instance)
         document = _spca_document(solution, n, args.d, args.s)
         document["diagnostics"]["stage_ms"]["ingest"] = ingest_ms
     elif command == "solve-spca-ds":
         instance = SpcaDsInstance.build(kmatrix, args.d, args.s, args.tol_rank)
-        solution = solve_spca_ds(instance, cell_mode=cell_mode, seed=args.seed)
+        solution = solve_spca_ds(instance)
         document = _spca_ds_document(solution, n, args.d, args.s)
         document["diagnostics"]["stage_ms"]["ingest"] = ingest_ms
     elif command == "oracle-spca":
@@ -186,7 +186,7 @@ def run(args: argparse.Namespace) -> dict:
         "name": "exactspca",
         "version": __version__,
         "command": args.command,
-        "mode": args.mode,
+        "mode": "exact",
     }
     if args.command == "bench":
         document["solver"]["bench_solver"] = args.solver
@@ -212,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--s", type=int, default=1, help="support size bound")
     common.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
                         dest="tol_rank", help="numerical rank threshold")
-    common.add_argument(
-        "--mode", choices=("exact", "randomized-cells"), default="exact",
-        help="randomized-cells samples regions and is for benchmarking only",
-    )
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized-cells mode")
     common.add_argument("--out", default=None, help="output JSON path (default stdout)")
     for name in ("solve-spca", "solve-spca-ds", "oracle-spca", "oracle-spca-ds", "factor"):
         sub.add_parser(name, parents=[common])

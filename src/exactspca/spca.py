@@ -1,22 +1,39 @@
 """Exact sparse PCA for covariance matrices of low rank.
 
-The solver factors K = R @ R.T, lifts the per-feature quadratics
-``norm(R_j @ Y)**2`` to linear functionals on the monomial space, and
-enumerates the cells of the central arrangement cut by all pairwise
-difference hyperplanes.  Inside a cell the ordering of the functionals is
-fixed, so its top-s features form the one candidate support the cell can
-contribute; the best candidate under a small PCA evaluation is globally
-optimal.
+The solver factors K = R @ R.T (r = numerical rank) and looks for the
+orderings of the per-feature quadratics ``norm(R_j @ Y)**2``: inside a
+region where that ordering is fixed, the top-s features form the one
+candidate support the region can contribute, and the best candidate under a
+small PCA evaluation is globally optimal.  The regions are cut in the
+smallest exact space the instance's shape allows:
+
+- **d >= r (or s = n): closed form.**  Every support S then scores
+  trace(K_SS), so the s features with the largest squared row norms are the
+  one candidate and no arrangement is cut.
+- **d = 1: the spannogram in R^r.**  (R_j @ y)**2 - (R_k @ y)**2 factors as
+  ((R_j - R_k) @ y) * ((R_j + R_k) @ y), so the n(n-1) planes R_j -+ R_k
+  fix the ordering on each cell (Asteris, Papailiopoulos and Karystinos,
+  "The sparse principal component of a constant-rank matrix", 2014).
+- **Otherwise: one lifted block.**  The quadratics become linear functionals
+  of the r(r+1)/2 pairwise products of one column, cut by their pairwise
+  difference hyperplanes.  The functional of d columns repeats that block d
+  times, so one block has the same cells.
+
+For d = 1 both arrangements are exact and the one with the smaller predicted
+cell count is cut: the generic bound of the spannogram against the smaller
+of n! and the generic bound of the lift (each cell of a difference
+arrangement fixes a strict order of the n functionals).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
-from .arrangement import Hyperplane, dedup_hyperplanes, enumerate_cells, sample_cells
+from .arrangement import dedup_hyperplanes, enumerate_cells, expected_generic_cell_count
 from .errors import InvalidParameters
 from .extension import MonomialBasis, build_row_functional
 from .linalg import DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca, symmetrize
@@ -74,65 +91,89 @@ def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CandidateSupports:
-    """Deduplicated candidate supports plus enumeration bookkeeping."""
+    """Deduplicated candidate supports plus enumeration bookkeeping.
+
+    ``extended_dim`` is the dimension of the space actually cut (0 for the
+    closed form) and ``predicted_cells`` bounds ``cells_enumerated`` before
+    enumeration starts.
+    """
 
     supports: tuple[tuple[int, ...], ...]
     cells_enumerated: int
     hyperplane_count: int
     extended_dim: int
+    predicted_cells: int
     duplicate_feature_pairs: tuple[tuple[int, int], ...]
     cell_signs: dict = field(hash=False, default_factory=dict)  # support -> signs
 
 
-def enumerate_candidate_supports(
-    instance: SpcaInstance,
-    cell_mode: str = "exact",
-    num_samples: int = 20_000,
-    seed: int | None = None,
-) -> CandidateSupports:
-    """Candidate supports, one per arrangement cell, deduplicated.
+def _top_supports(values: np.ndarray, s: int) -> np.ndarray:
+    """Sorted indices of the s largest entries per row, ties to the smaller."""
+    order = np.argsort(-values, axis=1, kind="stable")
+    return np.sort(order[:, :s], axis=1)
+
+
+def _prefers_spannogram(n: int, r: int) -> bool:
+    """Whether the d = 1 spannogram predicts fewer cells than the lift."""
+    pairs = n * (n - 1) // 2
+    lifted = min(factorial(n), expected_generic_cell_count(pairs, r * (r + 1) // 2))
+    return expected_generic_cell_count(2 * pairs, r) < lifted
+
+
+def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
+    """Candidate supports, one per cell of the chosen space, deduplicated.
 
     The candidate family is guaranteed to contain an optimal support; many
     cells collapse onto the same top-s set, hence the deduplication.
     """
-    n, s = instance.n, instance.s
-    r = instance.rank
-    if r == 0 or s == n:
-        # No hyperplanes cut the space: a single trivial cell.
-        support = tuple(range(s))
+    n, d, s, r = instance.n, instance.d, instance.s, instance.rank
+    rows = instance.factor.factor  # (n, r)
+    if r <= d or s == n:
+        # At most d columns span every R_S, so each support scores trace(K_SS).
+        norms = np.sum(rows * rows, axis=1)
+        support = tuple(int(j) for j in _top_supports(norms[None, :], s)[0])
         return CandidateSupports(
             supports=(support,),
             cells_enumerated=1,
             hyperplane_count=0,
             extended_dim=0,
+            predicted_cells=1,
             duplicate_feature_pairs=(),
             cell_signs={support: ()},
         )
-    basis = MonomialBasis(r, instance.num_components_reduced)
-    coeffs = np.vstack(
-        [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
-         for j in range(n)]
-    )
-    normals = []
-    duplicates = []
-    for j in range(n):
-        for jp in range(j + 1, n):
-            delta = coeffs[j] - coeffs[jp]
-            if not np.any(delta):
-                duplicates.append((j, jp))
-                continue
-            normals.append(Hyperplane(normal=delta))
-    hyperplanes = dedup_hyperplanes(normals, basis.dim)
-    if cell_mode == "exact":
-        cells = enumerate_cells(hyperplanes, basis.dim)
-    elif cell_mode == "randomized":
-        cells = sample_cells(hyperplanes, basis.dim, num_samples=num_samples, seed=seed)
+    first, second = np.triu_indices(n, 1)
+    spannogram = d == 1 and _prefers_spannogram(n, r)
+    if spannogram:
+        dim = r
+        minus = rows[first] - rows[second]
+        plus = rows[first] + rows[second]
+        # R_j = +-R_k: the two features share one functional, so no plane.
+        same = ~np.any(minus, axis=1) | ~np.any(plus, axis=1)
+        offered = np.stack([minus[~same], plus[~same]], axis=1).reshape(-1, dim)
+
+        def score(witnesses):
+            return (witnesses @ rows.T) ** 2
+
     else:
-        raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
-    witness_matrix = np.vstack([c.witness for c in cells])
-    values = witness_matrix @ coeffs.T  # (cells, n)
-    order = np.argsort(-values, axis=1, kind="stable")
-    tops = np.sort(order[:, :s], axis=1)
+        basis = MonomialBasis(r, 1)
+        dim = basis.dim
+        coeffs = np.vstack(
+            [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
+             for j in range(n)]
+        )
+        delta = coeffs[first] - coeffs[second]
+        same = ~np.any(delta, axis=1)
+        offered = delta[~same]
+
+        def score(witnesses):
+            return witnesses @ coeffs.T
+
+    hyperplanes = dedup_hyperplanes(offered, dim)
+    predicted = expected_generic_cell_count(len(hyperplanes), dim)
+    if not spannogram:
+        predicted = min(predicted, factorial(n))
+    cells = enumerate_cells(hyperplanes, dim)
+    tops = _top_supports(score(np.vstack([c.witness for c in cells])), s)
     supports: list[tuple[int, ...]] = []
     cell_signs: dict = {}
     for row, cell in zip(tops, cells):
@@ -145,8 +186,9 @@ def enumerate_candidate_supports(
         supports=tuple(supports),
         cells_enumerated=len(cells),
         hyperplane_count=len(hyperplanes),
-        extended_dim=basis.dim,
-        duplicate_feature_pairs=tuple(duplicates),
+        extended_dim=dim,
+        predicted_cells=predicted,
+        duplicate_feature_pairs=tuple(zip(first[same].tolist(), second[same].tolist())),
         cell_signs=cell_signs,
     )
 
@@ -156,6 +198,7 @@ class SpcaDiagnostics:
     rank: int
     extended_dim: int
     hyperplanes: int
+    predicted_cells: int
     cells_enumerated: int
     candidates_evaluated: int
     best_cell_signs: tuple[int, ...] | None
@@ -174,12 +217,7 @@ class SpcaSolution:
     diagnostics: SpcaDiagnostics
 
 
-def solve_spca(
-    instance: SpcaInstance,
-    cell_mode: str = "exact",
-    num_samples: int = 20_000,
-    seed: int | None = None,
-) -> SpcaSolution:
+def solve_spca(instance: SpcaInstance) -> SpcaSolution:
     """Globally optimal sparse PCA solution for the given instance."""
     n, d, s = instance.n, instance.d, instance.s
     stage_ms: dict = {}
@@ -190,16 +228,14 @@ def solve_spca(
         for col, j in enumerate(support[:d]):
             x[j, col] = 1.0
         diagnostics = SpcaDiagnostics(
-            rank=0, extended_dim=0, hyperplanes=0, cells_enumerated=1,
+            rank=0, extended_dim=0, hyperplanes=0, predicted_cells=1, cells_enumerated=1,
             candidates_evaluated=1, best_cell_signs=(), nonzero_rows=d,
             duplicate_feature_pairs=(), stage_ms=stage_ms,
         )
         return SpcaSolution(support=support, x=x, objective=0.0, diagnostics=diagnostics)
 
     tick = time.perf_counter()
-    candidates = enumerate_candidate_supports(
-        instance, cell_mode=cell_mode, num_samples=num_samples, seed=seed
-    )
+    candidates = enumerate_candidate_supports(instance)
     stage_ms["candidates"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
@@ -226,6 +262,7 @@ def solve_spca(
         rank=instance.rank,
         extended_dim=candidates.extended_dim,
         hyperplanes=candidates.hyperplane_count,
+        predicted_cells=candidates.predicted_cells,
         cells_enumerated=candidates.cells_enumerated,
         candidates_evaluated=len(candidates.supports),
         best_cell_signs=candidates.cell_signs.get(best_support),

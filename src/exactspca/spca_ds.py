@@ -476,37 +476,6 @@ def _torus_region_witnesses(normals, d):
     return list(witnesses.values())
 
 
-def _sample_slice_cells(
-    instance: SpcaDsInstance,
-    planes: CircuitHyperplanes,
-    num_samples: int,
-    seed: int | None,
-) -> list[Cell]:
-    """Randomized slice coverage for benchmarking: sampled chart points,
-    deduplicated by circuit-functional sign vector.  Thin cells can be
-    missed; never used where exactness matters."""
-    r, d = instance.rank, instance.d
-    geometry = _slice_geometry(r, d)
-    rng = np.random.default_rng(seed)
-    m = geometry.t_dim
-    if m == 0:
-        return [Cell(signs=(), witness=geometry.origin.copy(), margin=np.inf)]
-    scales = rng.choice([0.2, 1.0, 5.0], size=num_samples)
-    t_points = rng.standard_normal((num_samples, m)) * scales[:, None]
-    z_points = geometry.origin[None, :] + t_points @ geometry.basis.T
-    normals = np.array([h.normal for h in planes.hyperplanes])
-    values = z_points @ normals.T
-    keep = np.min(np.abs(values), axis=1) > 0.0
-    cells: dict[tuple[int, ...], Cell] = {}
-    for z, vals in zip(z_points[keep], values[keep]):
-        key = tuple(int(x) for x in np.where(vals > 0.0, 1, -1))
-        margin = float(np.min(np.abs(vals)))
-        known = cells.get(key)
-        if known is None or margin > known.margin:
-            cells[key] = Cell(signs=key, witness=z.copy(), margin=margin)
-    return [cells[key] for key in sorted(cells)]
-
-
 def candidate_supports_from_cell(
     instance: SpcaDsInstance,
     cell: Cell,
@@ -597,22 +566,16 @@ def _evaluate_family(family, factor: PsdFactor) -> float:
     return total
 
 
-def solve_spca_ds(
-    instance: SpcaDsInstance,
-    cell_mode: str = "exact",
-    num_samples: int = 20_000,
-    seed: int | None = None,
-) -> SpcaDsSolution:
+def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsSolution:
     """Globally optimal disjoint-supports solution for the given instance.
 
     ``cell_mode="exact"`` picks the fastest exact region enumeration: the
     closed-form torus decomposition when the factor has rank two and at most
     two components, otherwise the chart arrangement.  ``"chart"`` forces the
-    chart arrangement (mainly for cross-checking); ``"randomized"`` samples
-    regions and is for benchmarking only.  Practical problem sizes follow the
-    region counts: rank <= 2 with d <= 2 runs in seconds at desk scale, while
-    higher ranks or more components face the full combinatorial growth of
-    the candidate construction.
+    chart arrangement (mainly for cross-checking).  Practical problem sizes
+    follow the region counts: rank <= 2 with d <= 2 runs in seconds at desk
+    scale, while higher ranks or more components face the full combinatorial
+    growth of the candidate construction.
     """
     n, d, s = instance.n, instance.d, instance.s
     factor = instance.factor
@@ -643,14 +606,6 @@ def solve_spca_ds(
             cells_enumerated = len(region_angles)
         elif cell_mode in ("exact", "chart"):
             cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
-            cells_enumerated = len(cells)
-            witness_matrix = np.vstack([c.witness for c in cells])
-            all_profits = witness_matrix @ planes.arc_coeffs.T
-            profit_rows = [row.reshape(d, n) for row in all_profits]
-        elif cell_mode == "randomized":
-            cells = _sample_slice_cells(
-                instance, planes, num_samples=num_samples, seed=seed
-            )
             cells_enumerated = len(cells)
             witness_matrix = np.vstack([c.witness for c in cells])
             all_profits = witness_matrix @ planes.arc_coeffs.T

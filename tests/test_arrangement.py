@@ -7,7 +7,6 @@ from exactspca.arrangement import (
     enumerate_affine_cells,
     enumerate_cells,
     expected_generic_cell_count,
-    sample_cells,
     witness_for_signs,
 )
 from exactspca.errors import Degenerate
@@ -122,12 +121,12 @@ def test_dedup_hyperplanes():
     assert len(dedup_hyperplanes(planes, 2)) == 3
 
 
-def test_sample_cells_subset_of_exact(rng):
-    planes = [Hyperplane(rng.standard_normal(3)) for _ in range(5)]
-    exact = {c.signs for c in enumerate_cells(planes, 3)}
-    sampled = sample_cells(planes, 3, num_samples=5000, seed=7)
-    assert {c.signs for c in sampled} <= exact
-    assert len(sampled) >= 2
+def test_empty_arrangement_generic_count():
+    # No hyperplanes leave the whole space as one cell, in any dimension.
+    for q in range(4):
+        assert expected_generic_cell_count(0, q) == 1
+    for q in range(1, 4):
+        assert len(enumerate_cells([], q)) == 1
 
 
 class TestAffineCells:

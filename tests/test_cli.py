@@ -74,6 +74,22 @@ class TestCommands:
         _, oracle = _run(capsys, ["oracle-spca", "--input", path, "--d", "1", "--s", "2"])
         assert solved["objective"] == pytest.approx(oracle["objective"], rel=1e-8)
 
+    def test_predicted_cells_bound_cells(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        factor = rng.standard_normal((5, 2))
+        path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
+        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
+        assert code == 0
+        assert 1 <= doc["diagnostics"]["cells"] <= doc["diagnostics"]["predicted_cells"]
+        assert doc["solver"]["mode"] == "exact"
+
+    @pytest.mark.parametrize("flag", [["--mode", "randomized-cells"], ["--seed", "3"]])
+    def test_sampling_flags_rejected(self, tmp_path, capsys, flag):
+        path = _write(tmp_path, "k.csv", np.eye(3))
+        with pytest.raises(SystemExit):
+            main(["solve-spca", "--input", path, "--d", "1", "--s", "1", *flag])
+        capsys.readouterr()
+
     def test_solve_spca_ds(self, tmp_path, capsys):
         q = np.array([3.0, 2.0, 1.0])
         path = _write(tmp_path, "k.csv", np.outer(q, q))
@@ -105,19 +121,6 @@ class TestCommands:
         code, doc = _run(capsys, ["bench", "--input", path, "--d", "1", "--s", "2"])
         assert code == 0
         assert "total" in doc["diagnostics"]["stage_ms"]
-
-    def test_randomized_mode(self, tmp_path, capsys):
-        rng = np.random.default_rng(9)
-        factor = rng.standard_normal((5, 2))
-        k = factor @ factor.T
-        path = _write(tmp_path, "k.csv", (k + k.T) / 2)
-        code, doc = _run(
-            capsys,
-            ["solve-spca", "--input", path, "--d", "1", "--s", "2",
-             "--mode", "randomized-cells", "--seed", "3"],
-        )
-        assert code == 0
-        assert doc["solver"]["mode"] == "randomized-cells"
 
 
 class TestExitCodes:

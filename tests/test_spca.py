@@ -65,12 +65,13 @@ class TestCandidateEnumeration:
         kmatrix = symmetrize(np.outer(q, q))
         inst = _instance(kmatrix, 1, 2)
         result = enumerate_candidate_supports(inst)
-        # Two cells (positive and negative side of the single line); the
-        # positive side orders by q_j^2, so the top set is a candidate.
+        # Rank one with d = 1 is the closed form: no arrangement is cut and
+        # the one candidate is the top set of q_j^2.
         order = np.argsort(-(q**2), kind="stable")
         assert tuple(sorted(order[:2])) in result.supports
         assert len(result.supports) <= 2
-        assert result.cells_enumerated == 2
+        assert result.cells_enumerated == 1
+        assert result.extended_dim == 0
 
     def test_dominant_coordinate(self):
         q = np.array([2.0, 1.0])
@@ -210,9 +211,101 @@ class TestSolveSpca:
         with pytest.raises(InvalidParameters):
             SpcaInstance.build(kmatrix, 0, 1)  # d < 1
 
-    def test_randomized_mode_is_lower_bound(self, rng):
-        kmatrix = random_low_rank_psd(rng, 6, 2)
+    def test_candidates_bounded_by_cells_below_rank(self, rng):
+        from exactspca.arrangement import expected_generic_cell_count
+
+        kmatrix = random_low_rank_psd(rng, 6, 3)
+        solution = solve_spca(_instance(kmatrix, 2, 3))
+        diag = solution.diagnostics
+        assert diag.extended_dim == 6  # one lifted block of r(r+1)/2
+        assert diag.hyperplanes > 0
+        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
+        bound = expected_generic_cell_count(diag.hyperplanes, diag.extended_dim)
+        assert diag.cells_enumerated <= bound
+
+
+def _factor_for_path(rng, n, r, integer):
+    """A rank-r factor; integer ones carry ties and a row R_1 = -R_0."""
+    while True:
+        if integer:
+            factor = rng.integers(-2, 3, size=(n, r)).astype(float)
+            factor[1] = -factor[0]
+        else:
+            factor = rng.standard_normal((n, r))
+        if np.linalg.matrix_rank(factor) == r:
+            return factor
+
+
+# (n, r, d, dimension cut): the closed form (r <= d), the spannogram in R^r,
+# the lift of one r(r+1)/2 block for d = 1 where it predicts fewer cells, and
+# the one-block lift for 1 < d < r.
+PATHS = [
+    pytest.param(6, 1, 1, 0, id="closed-form-rank1"),
+    pytest.param(6, 2, 2, 0, id="closed-form-rank2"),
+    pytest.param(7, 2, 1, 2, id="spannogram-r2"),
+    pytest.param(7, 3, 1, 3, id="spannogram-r3"),
+    pytest.param(6, 3, 1, 6, id="lifted-d1"),
+    pytest.param(6, 3, 2, 6, id="lifted-block"),
+]
+
+
+class TestPaths:
+    @pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
+    @pytest.mark.parametrize("n,r,d,dim", PATHS)
+    def test_matches_oracle(self, rng, n, r, d, dim, integer):
+        for trial in range(3):
+            factor = _factor_for_path(rng, n, r, integer)
+            kmatrix = symmetrize(factor @ factor.T)
+            s = d + trial % (n - d)
+            solution = solve_spca(_instance(kmatrix, d, s))
+            assert solution.diagnostics.extended_dim == dim
+            report = brute_force_spca(kmatrix, d, s)
+            assert solution.objective == pytest.approx(
+                report.objective, rel=1e-8, abs=1e-8
+            )
+            assert solution.support in report.argmax_supports
+
+    @pytest.mark.parametrize("n,r,d,dim", PATHS)
+    def test_cells_within_prediction(self, rng, n, r, d, dim):
+        for _ in range(3):
+            factor = _factor_for_path(rng, n, r, False)
+            kmatrix = symmetrize(factor @ factor.T)
+            result = enumerate_candidate_supports(_instance(kmatrix, d, d + 1))
+            assert result.extended_dim == dim
+            assert 1 <= result.cells_enumerated <= result.predicted_cells
+
+    @pytest.mark.parametrize("n,r,d,dim", [p for p in PATHS if p.values[3] > 0])
+    def test_every_ranking_has_its_candidate(self, rng, n, r, d, dim):
+        # Each cell must fix the ranking of the n quadratics, so the top-s set
+        # at any sampled Y is one of the candidates.
+        factor = _factor_for_path(rng, n, r, False)
+        inst = _instance(symmetrize(factor @ factor.T), d, 3)
+        result = enumerate_candidate_supports(inst)
+        assert result.extended_dim == dim
+        rows = inst.factor.factor
+        for _ in range(2000):
+            values = np.sum((rows @ rng.standard_normal((r, d))) ** 2, axis=1)
+            top = tuple(sorted(np.argsort(-values)[:3].tolist()))
+            assert top in result.supports
+
+    def test_space_choice_for_one_component(self, rng):
+        # At rank 3 the spannogram predicts fewer cells than the n! orders of
+        # the lift at n = 7 (1724 < 5040) but not at n = 6 (872 > 720).
+        for n, dim in ((7, 3), (6, 6)):
+            kmatrix = random_low_rank_psd(rng, n, 3)
+            assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
+
+    def test_spannogram_records_opposite_rows(self, rng):
+        # Rows 5 and 6 are small, so pivoting never picks them and their
+        # factor rows come out exactly opposite: one functional, no plane.
+        factor = rng.standard_normal((7, 2))
+        factor[5] = 0.1 * factor[5]
+        factor[6] = -factor[5]
+        kmatrix = symmetrize(factor @ factor.T)
         inst = _instance(kmatrix, 1, 2)
-        exact = solve_spca(inst)
-        sampled = solve_spca(inst, cell_mode="randomized", seed=11)
-        assert sampled.objective <= exact.objective + 1e-9
+        assert np.array_equal(inst.factor.row(6), -inst.factor.row(5))
+        result = enumerate_candidate_supports(inst)
+        assert result.extended_dim == 2
+        assert (5, 6) in result.duplicate_feature_pairs
+        report = brute_force_spca(kmatrix, 1, 2)
+        assert solve_spca(inst).support in report.argmax_supports
