@@ -19,17 +19,20 @@ smallest exact space the instance's shape allows:
   difference hyperplanes.  The functional of d columns repeats that block d
   times, so one block has the same cells.
 
-For d = 1 both arrangements are exact and the one with the smaller predicted
-cell count is cut: the generic bound of the spannogram against the smaller
-of n! and the generic bound of the lift (each cell of a difference
-arrangement fixes a strict order of the n functionals).
+For d = 1 both arrangements are exact and the one that predicts less work
+for ``enumerate_cells`` is cut.  Inserting hyperplane h tests every cell of
+the first h - 1, so the work is the sum of the cell bounds of the partial
+arrangements: the generic count for the spannogram, capped at n! for the
+lift (each cell of a difference arrangement fixes a strict order of the n
+functionals).  The spannogram has twice the hyperplanes in fewer dimensions;
+it wins from n = 6 at rank 2 and from n = 7 at rank 3.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
@@ -78,15 +81,19 @@ class SpcaInstance:
         return min(self.d, self.factor.rank)
 
 
+def _top_supports(values: np.ndarray, s: int) -> list[tuple[int, ...]]:
+    """The s largest entries of each row as sorted indices, ties to the smaller."""
+    order = np.argsort(-values, axis=1, kind="stable")
+    return [tuple(int(j) for j in row) for row in np.sort(order[:, :s], axis=1)]
+
+
 def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
     """The s indices with the largest functional values at ``point``.
 
     Ties go to the smaller index, so the result is deterministic even on
     degenerate inputs.
     """
-    values = np.array([f(point) for f in functionals])
-    order = np.argsort(-values, kind="stable")
-    return tuple(sorted(int(j) for j in order[:s]))
+    return _top_supports(np.array([[f(point) for f in functionals]]), s)[0]
 
 
 @dataclass(frozen=True)
@@ -107,17 +114,30 @@ class CandidateSupports:
     cell_signs: dict = field(hash=False, default_factory=dict)  # support -> signs
 
 
-def _top_supports(values: np.ndarray, s: int) -> np.ndarray:
-    """Sorted indices of the s largest entries per row, ties to the smaller."""
-    order = np.argsort(-values, axis=1, kind="stable")
-    return np.sort(order[:, :s], axis=1)
+def _insertion_bounds(planes: int, dim: int, cap: float) -> tuple[int, int]:
+    """Bounds on the cells of ``planes`` central hyperplanes in R^dim and on
+    the cells ``enumerate_cells`` tests while inserting them one by one.
+
+    No partial arrangement has more cells than the generic count or than
+    ``cap``, a bound on the full arrangement (inserting never merges cells).
+    """
+    cells = [min(cap, expected_generic_cell_count(h, dim)) for h in range(planes + 1)]
+    return int(cells[-1]), int(sum(cells[:-1]))
 
 
-def _prefers_spannogram(n: int, r: int) -> bool:
-    """Whether the d = 1 spannogram predicts fewer cells than the lift."""
-    pairs = n * (n - 1) // 2
-    lifted = min(factorial(n), expected_generic_cell_count(pairs, r * (r + 1) // 2))
-    return expected_generic_cell_count(2 * pairs, r) < lifted
+def _choose_space(n: int, r: int, d: int, pairs: int) -> tuple[bool, int, int]:
+    """(spannogram?, dimension, predicted cells) of the space to cut.
+
+    ``pairs`` counts the feature pairs with distinct functionals: the lift
+    offers one hyperplane for each and the spannogram two.
+    """
+    lift_dim = r * (r + 1) // 2
+    lift_cells, lift_work = _insertion_bounds(pairs, lift_dim, factorial(n))
+    if d == 1:
+        span_cells, span_work = _insertion_bounds(2 * pairs, r, inf)
+        if span_work < lift_work:
+            return True, r, span_cells
+    return False, lift_dim, lift_cells
 
 
 def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
@@ -131,7 +151,7 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
     if r <= d or s == n:
         # At most d columns span every R_S, so each support scores trace(K_SS).
         norms = np.sum(rows * rows, axis=1)
-        support = tuple(int(j) for j in _top_supports(norms[None, :], s)[0])
+        support = _top_supports(norms[None, :], s)[0]
         return CandidateSupports(
             supports=(support,),
             cells_enumerated=1,
@@ -142,13 +162,13 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
             cell_signs={support: ()},
         )
     first, second = np.triu_indices(n, 1)
-    spannogram = d == 1 and _prefers_spannogram(n, r)
+    minus = rows[first] - rows[second]
+    plus = rows[first] + rows[second]
+    # R_j = +-R_k: the two features share one functional, so neither space
+    # offers a hyperplane for the pair.
+    same = ~np.any(minus, axis=1) | ~np.any(plus, axis=1)
+    spannogram, dim, predicted = _choose_space(n, r, d, int(np.count_nonzero(~same)))
     if spannogram:
-        dim = r
-        minus = rows[first] - rows[second]
-        plus = rows[first] + rows[second]
-        # R_j = +-R_k: the two features share one functional, so no plane.
-        same = ~np.any(minus, axis=1) | ~np.any(plus, axis=1)
         offered = np.stack([minus[~same], plus[~same]], axis=1).reshape(-1, dim)
 
         def score(witnesses):
@@ -156,28 +176,21 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
 
     else:
         basis = MonomialBasis(r, 1)
-        dim = basis.dim
         coeffs = np.vstack(
             [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
              for j in range(n)]
         )
-        delta = coeffs[first] - coeffs[second]
-        same = ~np.any(delta, axis=1)
-        offered = delta[~same]
+        offered = coeffs[first][~same] - coeffs[second][~same]
 
         def score(witnesses):
             return witnesses @ coeffs.T
 
     hyperplanes = dedup_hyperplanes(offered, dim)
-    predicted = expected_generic_cell_count(len(hyperplanes), dim)
-    if not spannogram:
-        predicted = min(predicted, factorial(n))
     cells = enumerate_cells(hyperplanes, dim)
     tops = _top_supports(score(np.vstack([c.witness for c in cells])), s)
     supports: list[tuple[int, ...]] = []
     cell_signs: dict = {}
-    for row, cell in zip(tops, cells):
-        support = tuple(int(j) for j in row)
+    for support, cell in zip(tops, cells):
         if support not in cell_signs:
             cell_signs[support] = cell.signs
             supports.append(support)

@@ -237,13 +237,14 @@ def _factor_for_path(rng, n, r, integer):
 
 
 # (n, r, d, dimension cut): the closed form (r <= d), the spannogram in R^r,
-# the lift of one r(r+1)/2 block for d = 1 where it predicts fewer cells, and
+# the lift of one r(r+1)/2 block for d = 1 where it predicts less work, and
 # the one-block lift for 1 < d < r.
 PATHS = [
     pytest.param(6, 1, 1, 0, id="closed-form-rank1"),
     pytest.param(6, 2, 2, 0, id="closed-form-rank2"),
     pytest.param(7, 2, 1, 2, id="spannogram-r2"),
     pytest.param(7, 3, 1, 3, id="spannogram-r3"),
+    pytest.param(5, 2, 1, 3, id="lifted-d1-r2"),
     pytest.param(6, 3, 1, 6, id="lifted-d1"),
     pytest.param(6, 3, 2, 6, id="lifted-block"),
 ]
@@ -289,11 +290,23 @@ class TestPaths:
             assert top in result.supports
 
     def test_space_choice_for_one_component(self, rng):
-        # At rank 3 the spannogram predicts fewer cells than the n! orders of
-        # the lift at n = 7 (1724 < 5040) but not at n = 6 (872 > 720).
-        for n, dim in ((7, 3), (6, 6)):
-            kmatrix = random_low_rank_psd(rng, n, 3)
+        # The space with fewer predicted cell tests is cut: the lift up to
+        # n = 5 at rank 2 and n = 6 at rank 3, the spannogram above.
+        for n, r, dim in ((5, 2, 3), (7, 2, 2), (6, 3, 6), (7, 3, 3)):
+            kmatrix = random_low_rank_psd(rng, n, r)
             assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_insertion_bounds_count_generic_prefixes(self, rng, dim):
+        # On generic hyperplanes the predicted cell tests are exactly the
+        # cells of each prefix the next insertion splits.
+        from exactspca.arrangement import enumerate_cells
+        from exactspca.spca import _insertion_bounds
+
+        normals = rng.standard_normal((7, dim))
+        prefix_cells = [len(enumerate_cells(normals[:h], dim)) for h in range(8)]
+        assert _insertion_bounds(7, dim, np.inf) == (prefix_cells[-1], sum(prefix_cells[:-1]))
+        assert _insertion_bounds(7, dim, 10)[0] == 10
 
     def test_spannogram_records_opposite_rows(self, rng):
         # Rows 5 and 6 are small, so pivoting never picks them and their
