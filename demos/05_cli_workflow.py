@@ -1,8 +1,8 @@
 """End-to-end command-line workflow on a temporary CSV file.
 
 Writes a covariance to a temporary directory (removed on exit), runs the
-solver and the oracle through the CLI entry point, and checks the JSON
-documents agree.
+solver and the oracle through the CLI entry point, checks the JSON
+documents agree, and runs the disjoint-supports solver on the same file.
 """
 
 import json
@@ -43,9 +43,10 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print(f"factor rank: {factored['problem']['rank']}")
 
-    bench = json.loads(
-        subprocess.run(base + ["bench", "--solver", "spca-ds"] + common, check=True,
+    disjoint = json.loads(
+        subprocess.run(base + ["solve-spca-ds"] + common, check=True,
                        capture_output=True, text=True).stdout
     )
-    print(f"bench (spca-ds): objective {bench['objective']:.4f}, "
-          f"stage timings (ms): { {k: round(v, 1) for k, v in bench['diagnostics']['stage_ms'].items()} }")
+    print(f"solve-spca-ds: objective {disjoint['objective']:.4f}, "
+          f"supports {disjoint['supports']}, "
+          f"stage timings (ms): { {k: round(v, 1) for k, v in disjoint['diagnostics']['stage_ms'].items()} }")

@@ -2,7 +2,9 @@
 
 A cell is a maximal open region on which every hyperplane functional keeps a
 fixed sign; it is reported as that sign vector plus a strictly interior
-witness point.  Enumeration is by incremental insertion: each new hyperplane
+witness point.  In dimension 2 the cells are the sectors between the sorted
+rays of the lines, two per line, and are read off in closed form.  In higher
+dimensions enumeration is by incremental insertion: each new hyperplane
 either splits an existing cell or leaves it whole, decided exactly.
 
 Two fast certificates avoid most linear programs: a witness whose margin ball
@@ -170,6 +172,28 @@ def witness_for_signs(hyperplanes, signs, dim: int | None = None,
     return None if got is None else got[0]
 
 
+def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
+    """Cells of central lines in R^2: the sectors between the sorted rays.
+
+    Each witness is the unit vector at its sector's mid-angle, which
+    maximizes the margin over the unit circle.  Sectors with margin at most
+    ``min_margin`` are dropped, among them the empty ones between repeated
+    lines.  The second half-turn mirrors the first.
+    """
+    angles = np.sort(np.mod(np.arctan2(unit[:, 0], -unit[:, 1]), np.pi))
+    mids = (angles + np.append(angles[1:], angles[0] + np.pi)) / 2.0
+    half = np.column_stack([np.cos(mids), np.sin(mids)])
+    witnesses = np.vstack([half, -half])
+    values = witnesses @ unit.T
+    margins = np.min(np.abs(values), axis=1)
+    signs = np.where(values > 0.0, 1, -1).tolist()
+    return [
+        Cell(signs=tuple(sv), witness=w, margin=float(m))
+        for sv, w, m in zip(signs, witnesses, margins)
+        if m > min_margin
+    ]
+
+
 def enumerate_cells(hyperplanes, dim: int, min_margin: float = MIN_MARGIN) -> list[Cell]:
     """All full-dimensional cells of a central arrangement.
 
@@ -180,6 +204,8 @@ def enumerate_cells(hyperplanes, dim: int, min_margin: float = MIN_MARGIN) -> li
     p = unit.shape[0]
     if p == 0:
         return [Cell(signs=(), witness=np.zeros(dim), margin=np.inf)]
+    if dim == 2:
+        return sorted(_sector_cells(unit, min_margin), key=lambda c: c.signs)
 
     # Half enumeration: fix sign +1 on the first hyperplane, mirror at the end.
     witnesses: list[np.ndarray] = [unit[0].copy()]

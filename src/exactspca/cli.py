@@ -7,7 +7,6 @@ solve-spca-ds   exact sparse PCA with disjoint supports
 oracle-spca     brute-force reference for solve-spca
 oracle-spca-ds  brute-force reference for solve-spca-ds
 factor          pivoted Cholesky factorization report
-bench           run a solver and report counters and stage timings
 
 Input files are plain CSV of reals without a header.  ``--kind covariance``
 expects a square symmetric matrix; ``--kind samples`` expects features in
@@ -149,9 +148,6 @@ def run(args: argparse.Namespace) -> dict:
     n = kmatrix.shape[0]
 
     command = args.command
-    if command == "bench":
-        command = "solve-spca" if args.solver == "spca" else "solve-spca-ds"
-
     if command == "factor":
         factor = pivoted_cholesky(kmatrix, args.tol_rank)
         document = {
@@ -188,11 +184,6 @@ def run(args: argparse.Namespace) -> dict:
         "command": args.command,
         "mode": "exact",
     }
-    if args.command == "bench":
-        document["solver"]["bench_solver"] = args.solver
-        document["diagnostics"]["stage_ms"]["total"] = (
-            time.perf_counter() - started
-        ) * 1000.0
     return document
 
 
@@ -215,16 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output JSON path (default stdout)")
     for name in ("solve-spca", "solve-spca-ds", "oracle-spca", "oracle-spca-ds", "factor"):
         sub.add_parser(name, parents=[common])
-    bench = sub.add_parser("bench", parents=[common])
-    bench.add_argument("--solver", choices=("spca", "spca-ds"), default="spca")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "solver"):
-        args.solver = "spca"
     try:
         document = run(args)
     except InvalidParameters as exc:

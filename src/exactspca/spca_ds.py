@@ -7,6 +7,13 @@ max-profit circulation per cell.  Each cell contributes one candidate family
 of disjoint supports; the best family under per-component PCA evaluation is
 globally optimal.
 
+Two shapes need none of this.  One component (d = 1) is sparse PCA with
+support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
+unit-trace slice of the lifted space is a single point, so one circulation
+on the squared row norms is the only region.  Rank two with d = 2 cuts its
+regions in closed form on the torus of block angles; every other shape cuts
+the clipped chart of the slice.
+
 Circulations may leave a component's support empty (the restricted selection
 problem allows it) while feasible loading vectors need unit norm, hence a
 nonempty support.  Empty supports are completed with the unused feature of
@@ -31,6 +38,7 @@ from .circulation import (
 from .errors import InvalidParameters
 from .extension import MonomialBasis, build_arc_functional, build_circuit_functional
 from .linalg import DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca, symmetrize
+from .spca import SpcaInstance, solve_spca
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,6 @@ def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndar
                 v[k] = np.cos(theta)
                 v[kp] = np.sin(theta)
                 directions.append(v)
-    if r == 1:
-        directions.append(np.ones(1))
     rows = []
     for i in range(d):
         base = i * block
@@ -275,9 +281,6 @@ def _enumerate_slice_cells(
     r, d = instance.rank, instance.d
     geometry = _slice_geometry(r, d)
     m = geometry.t_dim
-    if m == 0:
-        # Rank-one blocks: the chart is a single point, one cell.
-        return [Cell(signs=(), witness=geometry.origin.copy(), margin=np.inf)], 0
     free_rows = []
     for plane in planes.hyperplanes:
         t_part = geometry.basis.T @ plane.normal
@@ -344,8 +347,9 @@ _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 
 
 def _torus_region_witnesses(normals, d):
-    """One interior angle tuple per sign region of the torus arrangement.
+    """One interior angle pair per sign region of the torus arrangement.
 
+    Only d = 2 reaches the torus: one component is solved as sparse PCA.
     The curves {functional = 0} on the torus of block angles are additively
     separable sinusoids, so a slab decomposition over the first angle with
     closed-form roots enumerates every region: slab boundaries are placed at
@@ -371,15 +375,8 @@ def _torus_region_witnesses(normals, d):
         for row in np.nonzero(interior)[0]:
             witnesses.setdefault(signs[row].tobytes(), points[row])
 
-    if d == 1:
-        cuts = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
-        for idx in range(p):
-            cuts.append(_circle_roots(a[idx, 0], b[idx, 0], -c[idx]))
-        phis = _circle_intervals(np.concatenate(cuts))[:, None]
-        record(phis, np.cos(2.0 * phis) * a[:, 0] + np.sin(2.0 * phis) * b[:, 0] + c)
-        return list(witnesses.values())
     if d != 2:
-        raise InvalidParameters("torus regions are implemented for d <= 2")
+        raise InvalidParameters("torus regions are implemented for d = 2")
 
     radius_2 = np.hypot(a[:, 1], b[:, 1])
     criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
@@ -566,58 +563,93 @@ def _evaluate_family(family, factor: PsdFactor) -> float:
     return total
 
 
+def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
+    """d = 1 is sparse PCA with support size min(s, n).
+
+    A single component's value only grows with its support, and the factor
+    is reused, so no arrangement or circulation of this module is needed.
+    """
+    solution = solve_spca(
+        SpcaInstance(instance.kmatrix, 1, min(instance.s, instance.n), instance.factor)
+    )
+    diag = solution.diagnostics
+    diagnostics = SpcaDsDiagnostics(
+        rank=instance.rank,
+        extended_dim=diag.extended_dim,
+        circuits_enumerated=0,
+        degenerate_circuits=0,
+        hyperplanes=diag.hyperplanes,
+        slice_hyperplanes=diag.hyperplanes,
+        cells_enumerated=diag.cells_enumerated,
+        circulation_solves=0,
+        candidates_evaluated=diag.candidates_evaluated,
+        completions_in_best=0,
+        stage_ms=diag.stage_ms,
+    )
+    return SpcaDsSolution(
+        supports=(solution.support,), x=solution.x, objective=solution.objective,
+        diagnostics=diagnostics,
+    )
+
+
+def _region_profits(instance: SpcaDsInstance, planes: CircuitHyperplanes,
+                    cell_mode: str) -> tuple[list[np.ndarray], int]:
+    """Arc profits (d, n) at one witness per region, and the number of
+    hyperplanes that cut the realizable set."""
+    d, n = instance.d, instance.n
+    if cell_mode == "exact" and instance.rank == 2 and d == 2:
+        normals = np.array([h.normal for h in planes.hyperplanes])
+        region_angles = _torus_region_witnesses(normals, d) if normals.size else [np.zeros(d)]
+        profit_rows = []
+        for phis in region_angles:
+            y = np.vstack([np.cos(phis), np.sin(phis)])  # (2, d)
+            profit_rows.append(((instance.factor.factor @ y) ** 2).T)
+        return profit_rows, len(normals)
+    cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
+    all_profits = np.vstack([c.witness for c in cells]) @ planes.arc_coeffs.T
+    return [row.reshape(d, n) for row in all_profits], slice_hyperplanes
+
+
 def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsSolution:
     """Globally optimal disjoint-supports solution for the given instance.
 
-    ``cell_mode="exact"`` picks the fastest exact region enumeration: the
-    closed-form torus decomposition when the factor has rank two and at most
-    two components, otherwise the chart arrangement.  ``"chart"`` forces the
-    chart arrangement (mainly for cross-checking).  Practical problem sizes
-    follow the region counts: rank <= 2 with d <= 2 runs in seconds at desk
-    scale, while higher ranks or more components face the full combinatorial
-    growth of the candidate construction.
+    One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
+    unit-trace slice is a single point, so there is one region and no
+    circuit is built.  Otherwise ``cell_mode="exact"`` picks the fastest
+    exact region enumeration: the closed-form torus decomposition when the
+    factor has rank two and there are two components, else the chart
+    arrangement.  ``"chart"`` forces the chart arrangement (mainly for
+    cross-checking).  Practical problem sizes follow the region counts:
+    rank two with d = 2 runs in seconds at desk scale, while higher ranks or
+    more components face the full combinatorial growth of the candidate
+    construction.
     """
-    n, d, s = instance.n, instance.d, instance.s
+    if cell_mode not in ("exact", "chart"):
+        raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
+    if instance.d == 1:
+        return _solve_one_component(instance)
+    n, d, s, r = instance.n, instance.d, instance.s, instance.rank
     factor = instance.factor
     stage_ms: dict = {}
 
     tick = time.perf_counter()
-    planes = build_circuit_hyperplanes(instance)
-    stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
-
-    tick = time.perf_counter()
-    slice_hyperplanes = 0
-    if instance.rank == 0:
-        families = {((),) * d: 0}
-        cells_enumerated = 1
-        circulation_solves = 0
+    if r <= 1:
+        # Every block of the slice is the point y_i^2 = 1: one region, where
+        # each component's arc profits are the squared row norms.
+        row_norms = np.sum(factor.factor * factor.factor, axis=1)
+        profit_rows = [np.tile(row_norms, (d, 1))]
+        extended_dim, circuits, degenerate, hyperplanes, slice_hyperplanes = d * r, 0, 0, 0, 0
     else:
-        if cell_mode == "exact" and instance.rank == 2 and d <= 2:
-            normals = np.array([h.normal for h in planes.hyperplanes])
-            if normals.size:
-                region_angles = _torus_region_witnesses(normals, d)
-                slice_hyperplanes = normals.shape[0]
-            else:
-                region_angles = [np.zeros(d)]
-            profit_rows = []
-            for phis in region_angles:
-                y = np.vstack([np.cos(phis), np.sin(phis)])  # (2, d)
-                profit_rows.append(((instance.factor.factor @ y) ** 2).T)
-            cells_enumerated = len(region_angles)
-        elif cell_mode in ("exact", "chart"):
-            cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
-            cells_enumerated = len(cells)
-            witness_matrix = np.vstack([c.witness for c in cells])
-            all_profits = witness_matrix @ planes.arc_coeffs.T
-            profit_rows = [row.reshape(d, n) for row in all_profits]
-        else:
-            raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
-        families = {}
-        for profits in profit_rows:
-            circ = CirculationInstance(d, n, s, np.asarray(profits, dtype=float))
-            family = supports_from_circulation(circ, solve_max_profit(circ))
-            families.setdefault(family, 0)
-        circulation_solves = cells_enumerated
+        planes = build_circuit_hyperplanes(instance)
+        stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
+        tick = time.perf_counter()
+        profit_rows, slice_hyperplanes = _region_profits(instance, planes, cell_mode)
+        extended_dim, circuits = planes.extended_dim, planes.circuits_enumerated
+        degenerate, hyperplanes = planes.degenerate_circuits, len(planes.hyperplanes)
+    families = set()
+    for profits in profit_rows:
+        circ = CirculationInstance(d, n, s, np.asarray(profits, dtype=float))
+        families.add(supports_from_circulation(circ, solve_max_profit(circ)))
     stage_ms["cells_and_circulations"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
@@ -648,13 +680,13 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
 
     diagnostics = SpcaDsDiagnostics(
         rank=instance.rank,
-        extended_dim=planes.extended_dim,
-        circuits_enumerated=planes.circuits_enumerated,
-        degenerate_circuits=planes.degenerate_circuits,
-        hyperplanes=len(planes.hyperplanes),
+        extended_dim=extended_dim,
+        circuits_enumerated=circuits,
+        degenerate_circuits=degenerate,
+        hyperplanes=hyperplanes,
         slice_hyperplanes=slice_hyperplanes,
-        cells_enumerated=cells_enumerated,
-        circulation_solves=circulation_solves,
+        cells_enumerated=len(profit_rows),
+        circulation_solves=len(profit_rows),
         candidates_evaluated=len(families),
         completions_in_best=completions,
         stage_ms=stage_ms,

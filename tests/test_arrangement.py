@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exactspca.arrangement import (
+    MIN_MARGIN,
     Hyperplane,
     dedup_hyperplanes,
     enumerate_affine_cells,
@@ -41,6 +42,44 @@ def test_three_generic_planes_in_r3(rng):
         tuple(1 if v > 0 else -1 for v in row) for row in values[keep]
     }
     assert realized == {c.signs for c in cells}
+
+
+def _plane_normals(rng, kind):
+    """Normals in R^2: Gaussian, small integers with repeated, proportional
+    and opposite rows, or the spannogram R_j -+ R_k of an integer factor."""
+    if kind == "gaussian":
+        return rng.standard_normal((int(rng.integers(1, 12)), 2))
+    if kind == "integer":
+        normals = rng.integers(-3, 4, size=(int(rng.integers(2, 8)), 2))
+        normals = normals[np.any(normals, axis=1)]
+        normals = np.vstack([normals, normals[:1], 2 * normals[:1], -normals[-1:]])
+        return rng.permutation(normals).astype(float)
+    factor = rng.integers(-2, 3, size=(int(rng.integers(3, 7)), 2))
+    factor[1] = factor[0]
+    first, second = np.triu_indices(factor.shape[0], 1)
+    normals = np.vstack([factor[first] - factor[second], factor[first] + factor[second]])
+    return normals[np.any(normals, axis=1)].astype(float)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "spannogram"])
+def test_plane_sectors_match_insertion(rng, kind):
+    # Padding the normals with a zero coordinate gives an arrangement in R^3
+    # with the same cells, which the general insertion path enumerates.
+    checked = 0
+    while checked < 25:
+        normals = _plane_normals(rng, kind)
+        if normals.shape[0] == 0:
+            continue
+        checked += 1
+        closed = enumerate_cells(normals, 2)
+        padded = enumerate_cells(np.column_stack([normals, np.zeros(len(normals))]), 3)
+        assert [c.signs for c in closed] == [c.signs for c in padded]
+        unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        for cell in closed:
+            values = unit @ cell.witness
+            assert tuple(1 if v > 0.0 else -1 for v in values) == cell.signs
+            assert cell.margin > MIN_MARGIN
+            assert cell.margin == pytest.approx(float(np.min(np.abs(values))))
 
 
 def test_no_hyperplanes_single_cell():

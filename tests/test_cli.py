@@ -116,12 +116,6 @@ class TestCommands:
         assert code == 0
         assert doc["objective"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_bench_mode(self, tmp_path, capsys):
-        path = _write(tmp_path, "k.csv", np.diag([3.0, 2.0, 1.0]))
-        code, doc = _run(capsys, ["bench", "--input", path, "--d", "1", "--s", "2"])
-        assert code == 0
-        assert "total" in doc["diagnostics"]["stage_ms"]
-
 
 class TestExitCodes:
     def test_invalid_parameters(self, tmp_path, capsys):
@@ -156,7 +150,7 @@ class TestExitCodes:
             "exactspca.circulation.is_optimal", lambda *args, **kwargs: (False, None)
         )
         path = _write(tmp_path, "k.csv", np.outer([2.0, 1.0, 1.0], [2.0, 1.0, 1.0]))
-        code = main(["solve-spca-ds", "--input", path, "--d", "1", "--s", "1"])
+        code = main(["solve-spca-ds", "--input", path, "--d", "2", "--s", "1"])
         capsys.readouterr()
         assert code == 4
 

@@ -263,8 +263,45 @@ class TestSolveSpcaDs:
         assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
 
 
+class TestReductions:
+    def test_one_component_with_s_above_n_matches_oracle(self, rng):
+        # d = 1 is sparse PCA with support size min(s, n).
+        for r in (0, 1, 2, 3):
+            for n in (3, 4):
+                kmatrix = random_low_rank_psd(rng, n, r)
+                solution = solve_spca_ds(_instance(kmatrix, 1, n + 2))
+                report = brute_force_spca_ds(kmatrix, 1, n + 2)
+                assert solution.objective == pytest.approx(
+                    report.objective, rel=1e-8, abs=1e-8
+                )
+                (support,) = solution.supports
+                assert set(support) <= set(range(n))
+                assert abs(np.linalg.norm(solution.x[:, 0]) - 1.0) < 1e-8
+
+    def test_one_component_solves_no_circulation(self, rng):
+        for n, r, s in ((5, 0, 2), (6, 1, 2), (6, 2, 3), (5, 3, 2)):
+            kmatrix = random_low_rank_psd(rng, n, r)
+            diag = solve_spca_ds(_instance(kmatrix, 1, s)).diagnostics
+            assert diag.circulation_solves == 0
+            assert diag.circuits_enumerated == 0
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_rank_at_most_one_is_one_region(self, rng, r):
+        for n, d, s in ((3, 2, 1), (5, 2, 2), (6, 3, 1), (4, 3, 2), (4, 2, 3)):
+            kmatrix = random_low_rank_psd(rng, n, r)
+            solution = solve_spca_ds(_instance(kmatrix, d, s))
+            diag = solution.diagnostics
+            assert diag.circuits_enumerated == 0
+            assert diag.cells_enumerated == 1
+            top = np.sort(np.diag(kmatrix))[::-1][: min(d * s, n)].sum()
+            assert solution.objective == pytest.approx(top, rel=1e-10, abs=1e-12)
+            assert solution.objective == pytest.approx(
+                brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=1e-8
+            )
+
+
 class TestTorusWitnesses:
-    @pytest.mark.parametrize("d,n", [(1, 3), (1, 5), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3)])
     def test_witnesses_strictly_interior_with_distinct_keys(self, rng, d, n):
         for _ in range(3):
             inst = _instance(random_low_rank_psd(rng, n, 2), d, 1)
