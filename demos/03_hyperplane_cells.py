@@ -2,7 +2,10 @@
 
 For normals in general position the number of full-dimensional cells has a
 closed form; the enumerator reproduces it exactly and hands back a strictly
-interior witness point per cell.
+interior witness point per cell.  In R^3, as here, the cells themselves come
+in closed form: each plane's sectors, cut by the other planes, are pushed off
+the plane to both sides.  ``witness_for_signs`` decides one sign vector by a
+linear program instead.
 """
 
 import numpy as np

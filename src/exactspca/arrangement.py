@@ -2,10 +2,13 @@
 
 A cell is a maximal open region on which every hyperplane functional keeps a
 fixed sign; it is reported as that sign vector plus a strictly interior
-witness point.  In dimension 2 the cells are the sectors between the sorted
-rays of the lines, two per line, and are read off in closed form.  In higher
-dimensions enumeration is by incremental insertion: each new hyperplane
-either splits an existing cell or leaves it whole, decided exactly.
+witness point.  Dimensions 2 and 3 are read off in closed form.  In R^2 the
+cells are the sectors between the sorted rays of the lines, two per line.  In
+R^3 every cell has a facet on some plane H, and the facets on H are the
+sectors that the other planes cut on H (Zaslavsky's restriction), so each
+sector is pushed off H to both sides.  In higher dimensions enumeration is
+by incremental insertion: each new hyperplane either splits an existing cell
+or leaves it whole, decided exactly.
 
 Two fast certificates avoid most linear programs: a witness whose margin ball
 straddles the new hyperplane proves a split outright, and the distance from
@@ -31,6 +34,9 @@ MIN_MARGIN = 1e-9
 _HULL_INFEASIBLE_TOL = 1e-10
 _HULL_FEASIBLE_TOL = 1e-6
 _SPLIT_SLACK = 1e-12
+_DEDUP_BLOCK = 256  # Gram rows tested at once by dedup_hyperplanes
+_PARALLEL_TOL = 1e-12  # shorter projections onto a plane count as parallel
+_SIGN_CHUNK = 1 << 15  # witness-by-plane values read at once in R^3 (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -72,18 +78,26 @@ def _unit_normals(hyperplanes, dim: int) -> np.ndarray:
 
 
 def dedup_hyperplanes(hyperplanes, dim: int, tol: float = 1e-9) -> list[Hyperplane]:
-    """Drop hyperplanes whose normals are proportional to an earlier one."""
+    """Drop hyperplanes whose normals are proportional to an earlier one.
+
+    Greedy in input order: a normal is dropped when its |cosine| with a
+    normal kept before it reaches 1 - tol.  The Gram matrix is tested one
+    block of rows at a time, against the kept rows of earlier blocks at once
+    and within the block only along chains of near-duplicates.
+    """
     unit = _unit_normals(hyperplanes, dim)
-    kept: list[int] = []
-    for idx in range(unit.shape[0]):
-        duplicate = False
-        for prev in kept:
-            if abs(float(unit[idx] @ unit[prev])) >= 1.0 - tol:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(idx)
-    return [Hyperplane(normal=unit[idx].copy()) for idx in kept]
+    kept = np.zeros(unit.shape[0], dtype=bool)
+    for start in range(0, unit.shape[0], _DEDUP_BLOCK):
+        block = unit[start : start + _DEDUP_BLOCK]
+        earlier = unit[:start][kept[:start]]
+        fresh = ~np.any(np.abs(block @ earlier.T) >= 1.0 - tol, axis=1)
+        near = np.triu(np.abs(block @ block.T) >= 1.0 - tol, 1)
+        # A row can drop later rows only while it is itself kept.
+        for idx in np.flatnonzero(np.any(near, axis=1)):
+            if fresh[idx]:
+                fresh &= ~near[idx]
+        kept[start : start + len(block)] = fresh
+    return [Hyperplane(normal=row.copy()) for row in unit[kept]]
 
 
 def expected_generic_cell_count(p: int, q: int) -> int:
@@ -172,6 +186,22 @@ def witness_for_signs(hyperplanes, signs, dim: int | None = None,
     return None if got is None else got[0]
 
 
+def _line_angles(normals: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi) of the lines through 0 with these R^2 normals."""
+    return np.mod(np.arctan2(normals[..., 0], -normals[..., 1]), np.pi)
+
+
+def _sector_mids(angles: np.ndarray) -> np.ndarray:
+    """Mid-angles of the sectors between the sorted rays, over a half-turn.
+
+    One sector per line on each row of ``angles``; the other half-turn is
+    the mirror image.  Repeated angles give sectors of zero width.
+    """
+    angles = np.sort(angles, axis=-1)
+    upper = np.concatenate([angles[..., 1:], angles[..., :1] + np.pi], axis=-1)
+    return (angles + upper) / 2.0
+
+
 def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
     """Cells of central lines in R^2: the sectors between the sorted rays.
 
@@ -180,18 +210,111 @@ def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
     ``min_margin`` are dropped, among them the empty ones between repeated
     lines.  The second half-turn mirrors the first.
     """
-    angles = np.sort(np.mod(np.arctan2(unit[:, 0], -unit[:, 1]), np.pi))
-    mids = (angles + np.append(angles[1:], angles[0] + np.pi)) / 2.0
+    mids = _sector_mids(_line_angles(unit))
     half = np.column_stack([np.cos(mids), np.sin(mids)])
     witnesses = np.vstack([half, -half])
     values = witnesses @ unit.T
     margins = np.min(np.abs(values), axis=1)
     signs = np.where(values > 0.0, 1, -1).tolist()
-    return [
+    cells = [
         Cell(signs=tuple(sv), witness=w, margin=float(m))
         for sv, w, m in zip(signs, witnesses, margins)
         if m > min_margin
     ]
+    return sorted(cells, key=lambda c: c.signs)
+
+
+def _plane_bases(unit: np.ndarray) -> np.ndarray:
+    """(p, 3, 2): an orthonormal basis of each plane {z : n_h . z = 0}."""
+    axis = np.eye(3)[np.argmin(np.abs(unit), axis=1)]
+    first = np.cross(unit, axis)
+    first /= np.linalg.norm(first, axis=1, keepdims=True)
+    return np.stack([first, np.cross(unit, first)], axis=2)
+
+
+def _space_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
+    """Cells of central planes in R^3, one sector cut per plane.
+
+    On each plane H_h the other planes cut lines; a plane parallel to H_h
+    cuts none, and with no line left H_h is one sector.  Each sector
+    witness w (a unit vector of H_h) moves off H_h along +-n_h.  Along
+    w + t n_h the slack of plane g with sigma_g = sign(n_g . w) is
+    |n_g . w| + t sigma_g (n_g . n_h), so at t = min_g |n_g . w| /
+    (1 - sigma_g n_g . n_h) every slack is at least t, the slack of H_h.
+    That is at least half of min_g |n_g . w|, and it reaches far off H_h
+    when the nearby planes tilt away.  Signs and margins are read from the
+    lifted witnesses themselves, a bounded chunk at a time; one witness per
+    sign vector is kept, the one with the largest margin.  The sectors of
+    one half-turn are lifted and the other half mirrors them.
+    """
+    p = unit.shape[0]
+    bases = _plane_bases(unit)
+    # Clipped, so that rounding never makes 1 -+ n_g . n_h negative.
+    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    projected = np.einsum("hkc,gk->hgc", bases, unit)
+    parallel = np.linalg.norm(projected, axis=2) <= _PARALLEL_TOL
+    angles = _line_angles(projected)
+    # A parallel plane takes the angle of a line already on H_h, so it only
+    # adds sectors of zero width, which no lift keeps.
+    some_line = np.argmax(~parallel, axis=1)
+    angles = np.where(parallel, angles[np.arange(p), some_line][:, None], angles)
+    mids = _sector_mids(angles)
+    in_plane = (bases[:, None, :, 0] * np.cos(mids)[:, :, None]
+                + bases[:, None, :, 1] * np.sin(mids)[:, :, None])  # (p, p, 3)
+
+    packed, witnesses, margins = [], [], []
+    step = max(1, _SIGN_CHUNK // (2 * p * p))
+    for start in range(0, p, step):
+        planes = slice(start, min(start + step, p))
+        sector = in_plane[planes]  # (c, p, 3)
+        values = sector @ unit.T  # (c, p, p): n_g . w
+        # Parallel planes bound no reach.  A sector on a line whose cosine
+        # with n_h rounds to +-1 gives 0 / 0; its NaN witness is dropped.
+        slack = np.where(parallel[planes][:, None, :], np.inf, np.abs(values))
+        tilt = np.sign(values) * gram[planes][:, None, :]
+        lifted = []
+        for side in (1.0, -1.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.min(slack / (1.0 - side * tilt), axis=2)
+            angle = np.arctan(reach)[:, :, None]
+            lifted.append(np.cos(angle) * sector
+                          + side * np.sin(angle) * unit[planes][:, None, :])
+        lifted = np.concatenate(lifted, axis=1)
+        # Stacked products: one flat (c * 2p, 3) @ (3, p) product is slower.
+        values = (lifted @ unit.T).reshape(-1, p)
+        points = lifted.reshape(-1, 3)
+        margin = np.min(np.abs(values), axis=1)
+        keep = margin > min_margin
+        bits = values[keep] > 0.0
+        packed += [np.packbits(bits, axis=1), np.packbits(~bits, axis=1)]
+        witnesses += [points[keep], -points[keep]]
+        margins += [margin[keep], margin[keep]]
+
+    packed = np.concatenate(packed)
+    witnesses = np.concatenate(witnesses)
+    margins = np.concatenate(margins)
+    # Sign vectors as big-endian 64-bit words, whose numeric order is the
+    # order of the sign vectors; within a sign vector the best margin sorts
+    # first and is kept.
+    padded = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort([-margins, *words.T[::-1]])
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    chosen = order[first]
+    witnesses, margins = witnesses[chosen], margins[chosen].tolist()
+    cells: list[Cell] = []
+    # In chunks, so that the sign lists never all exist beside the tuples.
+    step = max(1, _SIGN_CHUNK // p)
+    for start in range(0, len(chosen), step):
+        rows = np.unpackbits(packed[chosen[start : start + step]], axis=1, count=p)
+        cells += [
+            Cell(signs=tuple(sv), witness=witnesses[start + k], margin=margins[start + k])
+            for k, sv in enumerate((2 * rows.astype(np.int8) - 1).tolist())
+        ]
+    return cells
 
 
 def enumerate_cells(hyperplanes, dim: int, min_margin: float = MIN_MARGIN) -> list[Cell]:
@@ -205,7 +328,9 @@ def enumerate_cells(hyperplanes, dim: int, min_margin: float = MIN_MARGIN) -> li
     if p == 0:
         return [Cell(signs=(), witness=np.zeros(dim), margin=np.inf)]
     if dim == 2:
-        return sorted(_sector_cells(unit, min_margin), key=lambda c: c.signs)
+        return _sector_cells(unit, min_margin)
+    if dim == 3:
+        return _space_cells(unit, min_margin)
 
     # Half enumeration: fix sign +1 on the first hyperplane, mirror at the end.
     witnesses: list[np.ndarray] = [unit[0].copy()]

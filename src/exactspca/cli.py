@@ -87,6 +87,7 @@ def _spca_document(solution, n: int, d: int, s: int) -> dict:
         "diagnostics": {
             "cells": diag.cells_enumerated,
             "predicted_cells": diag.predicted_cells,
+            "extended_dim": diag.extended_dim,
             "candidates": diag.candidates_evaluated,
             "circuits": None,
             "circulation_solves": None,

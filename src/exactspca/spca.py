@@ -19,14 +19,15 @@ smallest exact space the instance's shape allows:
   difference hyperplanes.  The functional of d columns repeats that block d
   times, so one block has the same cells.
 
-For d = 1 both arrangements are exact.  At rank 2 the spannogram is always
-cut: its cells in R^2 are read off in closed form, with no insertion work.
-At rank >= 3 the one that predicts less work for ``enumerate_cells`` is cut.
-Inserting hyperplane h tests every cell of the first h - 1, so the work is
-the sum of the cell bounds of the partial arrangements: the generic count for
-the spannogram, capped at n! for the lift (each cell of a difference
-arrangement fixes a strict order of the n functionals).  The spannogram has
-twice the hyperplanes in fewer dimensions; it wins from n = 7 at rank 3.
+For d = 1 both arrangements are exact.  At rank 2 and 3 the spannogram is
+always cut: ``enumerate_cells`` reads the cells of R^2 and R^3 off in closed
+form, with no insertion work.  At rank >= 4 the one that predicts less work
+for ``enumerate_cells`` is cut.  Inserting hyperplane h tests every cell of
+the first h - 1, so the work is the sum of the cell bounds of the partial
+arrangements: the generic count for the spannogram, capped at n! for the
+lift (each cell of a difference arrangement fixes a strict order of the n
+functionals).  The spannogram has twice the hyperplanes in fewer dimensions;
+it wins from n = 9 at rank 4.
 """
 
 from __future__ import annotations
@@ -130,13 +131,15 @@ def _choose_space(n: int, r: int, d: int, pairs: int) -> tuple[bool, int, int]:
     """(spannogram?, dimension, predicted cells) of the space to cut.
 
     ``pairs`` counts the feature pairs with distinct functionals: the lift
-    offers one hyperplane for each and the spannogram two.
+    offers one hyperplane for each and the spannogram two.  In R^2 and R^3
+    the spannogram costs no insertion work; above, the predicted insertion
+    work decides.
     """
     lift_dim = r * (r + 1) // 2
     lift_cells, lift_work = _insertion_bounds(pairs, lift_dim, factorial(n))
     if d == 1:
         span_cells, span_work = _insertion_bounds(2 * pairs, r, inf)
-        if r == 2 or span_work < lift_work:
+        if r <= 3 or span_work < lift_work:
             return True, r, span_cells
     return False, lift_dim, lift_cells
 

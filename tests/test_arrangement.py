@@ -44,42 +44,82 @@ def test_three_generic_planes_in_r3(rng):
     assert realized == {c.signs for c in cells}
 
 
-def _plane_normals(rng, kind):
-    """Normals in R^2: Gaussian, small integers with repeated, proportional
+def _normals(rng, kind, dim):
+    """Normals in R^dim: Gaussian, small integers with repeated, proportional
     and opposite rows, or the spannogram R_j -+ R_k of an integer factor."""
     if kind == "gaussian":
-        return rng.standard_normal((int(rng.integers(1, 12)), 2))
+        return rng.standard_normal((int(rng.integers(1, 12)), dim))
     if kind == "integer":
-        normals = rng.integers(-3, 4, size=(int(rng.integers(2, 8)), 2))
+        normals = rng.integers(-3, 4, size=(int(rng.integers(2, 8)), dim))
         normals = normals[np.any(normals, axis=1)]
         normals = np.vstack([normals, normals[:1], 2 * normals[:1], -normals[-1:]])
         return rng.permutation(normals).astype(float)
-    factor = rng.integers(-2, 3, size=(int(rng.integers(3, 7)), 2))
+    factor = rng.integers(-2, 3, size=(int(rng.integers(3, 7)), dim))
     factor[1] = factor[0]
     first, second = np.triu_indices(factor.shape[0], 1)
     normals = np.vstack([factor[first] - factor[second], factor[first] + factor[second]])
     return normals[np.any(normals, axis=1)].astype(float)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "integer", "spannogram"])
-def test_plane_sectors_match_insertion(rng, kind):
-    # Padding the normals with a zero coordinate gives an arrangement in R^3
-    # with the same cells, which the general insertion path enumerates.
+def _assert_matches_insertion(normals):
+    """Closed-form cells equal those of the same normals padded into R^4,
+    which insertion enumerates; every witness carries its own signs."""
+    dim = normals.shape[1]
+    closed = enumerate_cells(normals, dim)
+    padded = enumerate_cells(np.hstack([normals, np.zeros((len(normals), 4 - dim))]), 4)
+    assert [c.signs for c in closed] == [c.signs for c in padded]
+    unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    for cell in closed:
+        values = unit @ cell.witness / np.linalg.norm(cell.witness)
+        assert tuple(1 if v > 0.0 else -1 for v in values) == cell.signs
+        assert cell.margin > MIN_MARGIN
+        assert cell.margin == pytest.approx(float(np.min(np.abs(values))))
+
+
+def _checked_arrangements(rng, kind, dim, count=25):
     checked = 0
-    while checked < 25:
-        normals = _plane_normals(rng, kind)
+    while checked < count:
+        normals = _normals(rng, kind, dim)
         if normals.shape[0] == 0:
             continue
         checked += 1
-        closed = enumerate_cells(normals, 2)
-        padded = enumerate_cells(np.column_stack([normals, np.zeros(len(normals))]), 3)
-        assert [c.signs for c in closed] == [c.signs for c in padded]
-        unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        for cell in closed:
-            values = unit @ cell.witness
-            assert tuple(1 if v > 0.0 else -1 for v in values) == cell.signs
-            assert cell.margin > MIN_MARGIN
-            assert cell.margin == pytest.approx(float(np.min(np.abs(values))))
+        yield normals
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "spannogram"])
+def test_plane_sectors_match_insertion(rng, kind):
+    for normals in _checked_arrangements(rng, kind, 2):
+        _assert_matches_insertion(normals)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "spannogram"])
+def test_space_cells_match_insertion(rng, kind):
+    for normals in _checked_arrangements(rng, kind, 3):
+        _assert_matches_insertion(normals)
+
+
+@pytest.mark.parametrize(
+    "normals, count",
+    [
+        pytest.param([[0.0, 0.0, 2.0]], 2, id="one-plane"),
+        pytest.param([[1.0, 2.0, 3.0]], 2, id="one-oblique-plane"),
+        pytest.param([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 4, id="two-planes"),
+        # The wedges between the two planes are too thin to keep; the wide
+        # cells beyond them must be pushed far off either plane.
+        pytest.param([[1.0, 0.0, 0.0], [np.cos(1e-10), np.sin(1e-10), 0.0]], 2,
+                     id="nearly-parallel-pair"),
+        pytest.param([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 3.0, 0.0]], 4,
+                     id="opposite-repeat"),
+        pytest.param([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                      [3.0, 6.0, 0.0]], 6, id="pencil"),
+        pytest.param([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, -1.0],
+                      [2.0, 0.0, 1.0], [-2.0, 0.0, -1.0]], 8, id="repeated"),
+    ],
+)
+def test_space_cells_special_arrangements(normals, count):
+    normals = np.array(normals, dtype=float)
+    assert len(enumerate_cells(normals, 3)) == count
+    _assert_matches_insertion(normals)
 
 
 def test_no_hyperplanes_single_cell():
@@ -147,6 +187,39 @@ class TestWitnessForSigns:
         for signs in [(1,) * 5, (-1,) * 5, (1, -1, 1, -1, 1)]:
             witness = witness_for_signs(planes, signs)
             assert (witness is not None) == (signs in realizable)
+
+
+def _greedy_dedup_reference(normals, tol=1e-9):
+    unit = np.array([row / np.linalg.norm(row) for row in normals])
+    kept = []
+    for idx in range(unit.shape[0]):
+        if all(abs(float(unit[idx] @ unit[prev])) < 1.0 - tol for prev in kept):
+            kept.append(idx)
+    return unit[kept]
+
+
+@pytest.mark.parametrize("count", [40, 700])
+def test_dedup_matches_greedy_loop(rng, count):
+    # Near-duplicate, proportional and opposite copies, planted at random
+    # positions; at 700 many copies land in another Gram block than their
+    # originals.
+    normals = rng.standard_normal((count, 3))
+    copies = rng.integers(0, count, size=count // 2)
+    planted = normals[copies] * rng.choice([-3.0, -1.0, 0.5, 2.0], size=(len(copies), 1))
+    planted[::3] += 1e-11 * rng.standard_normal((len(planted[::3]), 3))
+    normals = np.vstack([normals, planted])[rng.permutation(count + len(copies))]
+    kept = np.array([h.normal for h in dedup_hyperplanes(normals, 3)])
+    assert np.array_equal(kept, _greedy_dedup_reference(normals))
+    assert len(kept) < len(normals)
+
+
+def test_dedup_keeps_greedy_chain():
+    # b is within tol of a, and c of b but not of a: a and c are kept.
+    tol = 1e-6
+    normals = np.array([[1.0, 0.0], [np.cos(1.2e-3), np.sin(1.2e-3)],
+                        [np.cos(2.4e-3), np.sin(2.4e-3)]])
+    kept = dedup_hyperplanes(normals, 2, tol=tol)
+    assert [tuple(h.normal) for h in kept] == [tuple(normals[0]), tuple(normals[2])]
 
 
 def test_dedup_hyperplanes():

@@ -81,7 +81,17 @@ class TestCommands:
         code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
         assert code == 0
         assert 1 <= doc["diagnostics"]["cells"] <= doc["diagnostics"]["predicted_cells"]
+        assert doc["diagnostics"]["extended_dim"] == 2
         assert doc["solver"]["mode"] == "exact"
+
+    def test_extended_dim_rank3_spannogram(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        factor = rng.standard_normal((6, 3))
+        path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
+        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
+        assert code == 0
+        assert doc["problem"]["rank"] == 3
+        assert doc["diagnostics"]["extended_dim"] == 3
 
     @pytest.mark.parametrize("flag", [["--mode", "randomized-cells"], ["--seed", "3"]])
     def test_sampling_flags_rejected(self, tmp_path, capsys, flag):

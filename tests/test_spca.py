@@ -237,14 +237,14 @@ def _factor_for_path(rng, n, r, integer):
 
 
 # (n, r, d, dimension cut): the closed form (r <= d), the spannogram in R^r,
-# the lift of one r(r+1)/2 block for d = 1 at rank >= 3 where it predicts
+# the lift of one r(r+1)/2 block for d = 1 at rank >= 4 where it predicts
 # less work, and the one-block lift for 1 < d < r.
 PATHS = [
     pytest.param(6, 1, 1, 0, id="closed-form-rank1"),
     pytest.param(6, 2, 2, 0, id="closed-form-rank2"),
     pytest.param(7, 2, 1, 2, id="spannogram-r2"),
     pytest.param(7, 3, 1, 3, id="spannogram-r3"),
-    pytest.param(6, 3, 1, 6, id="lifted-d1"),
+    pytest.param(6, 4, 1, 10, id="lifted-d1"),
     pytest.param(6, 3, 2, 6, id="lifted-block"),
 ]
 
@@ -289,12 +289,27 @@ class TestPaths:
             assert top in result.supports
 
     def test_space_choice_for_one_component(self, rng):
-        # Rank 2 always cuts the spannogram, whose cells come in closed
-        # form.  At rank 3 the space with fewer predicted cell tests is cut:
-        # the lift up to n = 6, the spannogram above.
-        for n, r, dim in ((5, 2, 2), (7, 2, 2), (6, 3, 6), (7, 3, 3)):
+        # Ranks 2 and 3 always cut the spannogram, whose cells come in closed
+        # form.  At rank 4 the space with fewer predicted cell tests is cut:
+        # the lift up to n = 8, the spannogram above.  Solving those two
+        # shapes takes about a minute, so their choice is read off the model.
+        from exactspca.spca import _choose_space
+
+        for n, r, dim in ((5, 2, 2), (7, 2, 2), (6, 3, 3), (7, 3, 3)):
             kmatrix = random_low_rank_psd(rng, n, r)
             assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
+        for n, dim in ((8, 10), (9, 4)):
+            assert _choose_space(n, 4, 1, n * (n - 1) // 2)[1] == dim
+
+    def test_rank3_spannogram_reach(self, rng):
+        # 132 planes in R^3: by insertion this shape took half a minute.
+        kmatrix = random_low_rank_psd(rng, 12, 3)
+        solution = solve_spca(_instance(kmatrix, 1, 4))
+        assert solution.diagnostics.extended_dim == 3
+        assert solution.diagnostics.cells_enumerated <= solution.diagnostics.predicted_cells
+        report = brute_force_spca(kmatrix, 1, 4)
+        assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
+        assert solution.support in report.argmax_supports
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_insertion_bounds_count_generic_prefixes(self, rng, dim):
