@@ -1,8 +1,9 @@
 """Sparse PCA with disjoint supports: each feature serves one component.
 
 Rank-two covariance, two components, at most two features each.  The solver
-routes through circuit-profit sign regions and one max-profit circulation per
-region; the oracle enumerates every disjoint family.
+routes through circuit-profit sign regions and max-profit circulations: one
+per family; the other regions are certified by a batched Bellman-Ford.  The
+oracle enumerates every disjoint family.
 """
 
 import numpy as np

@@ -13,6 +13,8 @@ the Jonker-Volgenant method of Crouse, IEEE TAES 2016) and then certifies
 the result: a circulation is optimal exactly when its residual graph has no
 directed circuit of positive profit, which `is_optimal` checks with
 Bellman-Ford on negated profits and, on failure, returns the circuit found.
+`optimal_at_profits` runs the same search on one flow's residual graph for
+many profit matrices at once, to find every region a solved flow covers.
 """
 
 from __future__ import annotations
@@ -205,6 +207,43 @@ def is_optimal(
     if cycle is None:
         return True, None
     return False, _certificate_from_cycle(arcs, cycle)
+
+
+def optimal_at_profits(
+    instance: CirculationInstance, f: Circulation, profit_rows
+) -> np.ndarray:
+    """Mask of the profit rows (shape (m, d, n)) at which f is optimal.
+
+    Runs the Bellman-Ford of `is_optimal` on f's residual graph for every
+    row at once: the same arcs in the same order, the same 1e-15 slack and
+    at most V rounds, where only the u->w arc costs depend on the row.  A
+    row is marked only when some round relaxes nothing, so every marked row
+    passes `is_optimal`; no circuit is extracted for the others.
+    """
+    check_circulation(instance, f)
+    profits = np.asarray(profit_rows, dtype=float).reshape(-1, instance.d * instance.n)
+    arcs = _residual_arcs(instance, f)
+    costs = np.zeros((len(arcs), profits.shape[0]))
+    for ai, (_tail, _head, _cost, _cap, key) in enumerate(arcs):
+        if key[0] == "a0":
+            _, i, j, direction = key
+            column = profits[:, i * instance.n + j]
+            costs[ai] = -column if direction == 1 else column
+    live = np.arange(profits.shape[0])
+    dist = np.zeros((instance.num_vertices, live.size))
+    optimal = np.zeros(live.size, dtype=bool)
+    for _ in range(instance.num_vertices):
+        relaxed = np.zeros(live.size, dtype=bool)
+        for ai, (tail, head, _cost, _cap, _key) in enumerate(arcs):
+            reach = dist[tail] + costs[ai]
+            better = reach < dist[head] - 1e-15
+            dist[head] = np.where(better, reach, dist[head])
+            relaxed |= better
+        optimal[live[~relaxed]] = True
+        live, dist, costs = live[relaxed], dist[:, relaxed], costs[:, relaxed]
+        if not live.size:
+            break
+    return optimal
 
 
 def solve_max_profit(

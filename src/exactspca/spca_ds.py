@@ -2,10 +2,11 @@
 
 Pipeline: factor K = R @ R.T, build one profit functional per u->w arc of the
 circulation digraph, one hyperplane per undirected circuit (its signed profit
-functional), enumerate the cells of that central arrangement, and solve one
-max-profit circulation per cell.  Each cell contributes one candidate family
-of disjoint supports; the best family under per-component PCA evaluation is
-globally optimal.
+functional), enumerate the cells of that central arrangement, and find a
+max-profit circulation for every cell: one per family; the other regions are
+certified by a batched Bellman-Ford (`optimal_at_profits`) on a flow already
+solved.  Each cell contributes one candidate family of disjoint supports; the
+best family under per-component PCA evaluation is globally optimal.
 
 Two shapes need none of this.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
@@ -32,6 +33,7 @@ from .arrangement import Cell, Hyperplane, dedup_hyperplanes, enumerate_affine_c
 from .circulation import (
     CirculationInstance,
     enumerate_undirected_circuits,
+    optimal_at_profits,
     solve_max_profit,
     supports_from_circulation,
 )
@@ -304,24 +306,33 @@ def _enumerate_slice_cells(
     return cells, len(free_rows)
 
 
-def _circle_roots(a, b, m):
-    """Solutions of a*cos(2phi) + b*sin(2phi) = m on [0, pi)."""
-    radius = float(np.hypot(a, b))
-    if radius < abs(m) or radius == 0.0:
-        return np.empty(0)
-    psi = float(np.arctan2(b, a))
-    delta = float(np.arccos(np.clip(m / radius, -1.0, 1.0)))
-    return np.unique(np.mod([(psi + delta) / 2.0, (psi - delta) / 2.0], np.pi))
+def _circle_solutions(a, b, m):
+    """Both solutions of a*cos(2phi) + b*sin(2phi) = m on [0, pi), entrywise.
+
+    Arguments broadcast together; returns two arrays of their shape, NaN
+    where the equation has no solution.
+    """
+    radius = np.hypot(a, b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(radius > 0.0, m / np.where(radius > 0.0, radius, 1.0), 2.0)
+    delta = np.where(np.abs(ratio) <= 1.0, np.arccos(np.clip(ratio, -1.0, 1.0)), np.nan)
+    psi = np.arctan2(b, a)
+    return np.mod((psi + delta) / 2.0, np.pi), np.mod((psi - delta) / 2.0, np.pi)
 
 
-def _circle_intervals(points):
-    """Midpoints of the arcs the given points cut from the circle [0, pi)."""
-    if points.size == 0:
-        return np.array([0.1234567 * np.pi])
-    pts = np.unique(np.mod(points, np.pi))
-    nxt = np.roll(pts, -1)
-    nxt[-1] += np.pi
-    return np.mod((pts + nxt) / 2.0, np.pi)
+def _arc_midpoints(points):
+    """Midpoints of the arcs each row of points cuts from the circle [0, pi).
+
+    Rows may repeat points and hold NaN for missing ones.  Row k of the
+    result lists its arcs in increasing order of their start, the
+    wrap-around arc last, and NaN in the unused slots.
+    """
+    pts = np.sort(np.mod(points, np.pi), axis=1)  # NaN sorts last
+    mids = np.empty_like(pts)
+    mids[:, :-1] = np.where(pts[:, 1:] == pts[:, :-1], np.nan, (pts[:, :-1] + pts[:, 1:]) / 2.0)
+    last = pts[np.arange(pts.shape[0]), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
+    mids[:, -1] = (last + (pts[:, 0] + np.pi)) / 2.0
+    return np.mod(mids, np.pi)
 
 
 def _sinusoid_coefficients(normals, d):
@@ -342,8 +353,90 @@ def _sinusoid_coefficients(normals, d):
     return a, b, c
 
 
+def _pair_crossings(a, b, c, radius_2):
+    """First angles at which two curves cross, for every pair of curves.
+
+    The second angle is eliminated.  Proportional second-angle parts leave
+    a first-angle circle equation; otherwise (cos 2phi2, sin 2phi2) is an
+    affine function of (cos 2phi1, sin 2phi1) and the unit-circle condition
+    is a quartic in tan(phi1), solved for all pairs by one batch of
+    companion-matrix eigenvalues.
+    """
+    i, j = np.triu_indices(a.shape[0], 1)
+    mats = np.stack([np.stack([a[i, 1], b[i, 1]], axis=1),
+                     np.stack([a[j, 1], b[j, 1]], axis=1)], axis=1)  # (pairs, 2, 2)
+    det = np.linalg.det(mats)
+    scale = np.abs(mats).max(axis=(1, 2))
+    proportional = (scale > 0.0) & (np.abs(det) <= 1e-12 * scale * scale)
+    general = (scale > 0.0) & ~proportional  # scale 0: both curves vertical
+    # Proportional parts: subtract the larger one's multiple from the other.
+    swap = radius_2[i] < radius_2[j]
+    hi = np.where(swap, j, i)[proportional]
+    lo = np.where(swap, i, j)[proportional]
+    kappa = (a[lo, 1] * a[hi, 1] + b[lo, 1] * b[hi, 1]) / (radius_2[hi] ** 2)
+    crossings = list(_circle_solutions(
+        a[lo, 0] - kappa * a[hi, 0], b[lo, 0] - kappa * b[hi, 0], -(c[lo] - kappa * c[hi])
+    ))
+    if not general.any():
+        return crossings
+    i, j = i[general], j[general]
+    inv = np.linalg.inv(mats[general])
+
+    def solve(x_i, x_j):
+        return np.stack([inv[:, 0, 0] * x_i + inv[:, 0, 1] * x_j,
+                         inv[:, 1, 0] * x_i + inv[:, 1, 1] * x_j], axis=1)
+
+    # (cos 2phi2, sin 2phi2) = u + v cos 2phi1 + w sin 2phi1
+    u = solve(-c[i], -c[j])
+    v = solve(-a[i, 0], -a[j, 0])
+    w = solve(-b[i, 0], -b[j, 0])
+    k_uu = np.sum(u * u, axis=1) - 1.0
+    k_vv = np.sum(v * v, axis=1)
+    k_ww = np.sum(w * w, axis=1)
+    k_uv = 2.0 * np.sum(u * v, axis=1)
+    k_uw = 2.0 * np.sum(u * w, axis=1)
+    k_vw = 2.0 * np.sum(v * w, axis=1)
+    # |u + v cs + w sn|^2 - 1 = 0 with cs = (1-t^2)/(1+t^2), sn = 2t/(1+t^2),
+    # multiplied by (1+t^2)^2 and expanded in powers of t = tan(phi1).
+    poly = np.stack([
+        k_uu - k_uv + k_vv,
+        2.0 * k_uw - 2.0 * k_vw,
+        2.0 * k_uu - 2.0 * k_vv + 4.0 * k_ww,
+        2.0 * k_uw + 2.0 * k_vw,
+        k_uu + k_uv + k_vv,
+    ], axis=1)
+    quartic = poly[:, 0] != 0.0
+    companion = np.zeros((int(quartic.sum()), 4, 4))
+    companion[:, 0, :] = -poly[quartic, 1:] / poly[quartic, :1]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = [np.linalg.eigvals(companion).ravel()]
+    roots += [np.roots(row) for row in poly[~quartic] if np.max(np.abs(row)) > 0.0]
+    roots = np.concatenate(roots)
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    # tan(phi1) -> infinity corresponds to phi1 = pi/2.
+    return crossings + [np.mod(np.arctan(real), np.pi), np.array([np.pi / 2.0])]
+
+
+def _sign_keys(signs):
+    """Sign rows packed into big-endian 64-bit words (one row per key)."""
+    packed = np.packbits(signs, axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(">u8").astype(np.uint64)
+
+
+def _first_of_each_key(keys):
+    """Ascending row indices of the first occurrence of every distinct key."""
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep row order
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[new])
+
+
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
+_SWEEP_BLOCK = 1 << 15  # curve values evaluated per block of sweep lines
 
 
 def _torus_region_witnesses(normals, d):
@@ -355,122 +448,57 @@ def _torus_region_witnesses(normals, d):
     closed-form roots enumerates every region: slab boundaries are placed at
     the first-angle coordinates of curve-pair crossings and of vertical
     tangents, where the root structure over the second angle can change.
-    Regions are deduplicated by sign vector, which is exactly the information
-    the per-region circulation uses.  A candidate point is kept only when it
-    is strictly interior: every curve value exceeds `_MIN_RELATIVE_MARGIN`
-    times a bound on that curve's magnitude over the torus.  A point on a
-    curve would otherwise be filed under a spurious sign vector, or shadow
-    the real region that owns it.
+    One line per slab is cut at the roots of every curve, and each arc's
+    midpoint is a candidate point; blocks of lines are evaluated together.
+    Regions are deduplicated by sign vector, which is exactly the
+    information the circulation uses, keeping the first point in sweep
+    order.  A candidate point is kept only when it is strictly interior:
+    every curve value exceeds `_MIN_RELATIVE_MARGIN` times a bound on that
+    curve's magnitude over the torus.  A point on a curve would otherwise be
+    filed under a spurious sign vector, or shadow the real region that owns
+    it.  Returns an (m, 2) array of (phi1, phi2) rows.
     """
+    if d != 2:
+        raise InvalidParameters("torus regions are implemented for d = 2")
     a, b, c = _sinusoid_coefficients(normals, d)
     p = a.shape[0]
     reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
-    witnesses: dict[bytes, np.ndarray] = {}
-
-    def record(points, values):
-        """Keep the first interior point per sign vector (row k of
-        ``points`` has curve values ``values[k]``)."""
-        interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
-        signs = values > 0.0
-        for row in np.nonzero(interior)[0]:
-            witnesses.setdefault(signs[row].tobytes(), points[row])
-
-    if d != 2:
-        raise InvalidParameters("torus regions are implemented for d = 2")
-
     radius_2 = np.hypot(a[:, 1], b[:, 1])
+
     criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
     # Vertical tangents: the second-angle part sits at an extremum.
-    for idx in range(p):
-        for extremum in (radius_2[idx], -radius_2[idx]):
-            criticals.append(
-                _circle_roots(a[idx, 0], b[idx, 0], -c[idx] - extremum)
-            )
-    # Curve-pair crossings: eliminate the second angle.
-    for i in range(p):
-        for j in range(i + 1, p):
-            mat = np.array([[a[i, 1], b[i, 1]], [a[j, 1], b[j, 1]]])
-            det = float(np.linalg.det(mat))
-            scale = float(np.abs(mat).max())
-            if scale == 0.0:
-                continue  # both curves vertical; handled by tangents
-            if abs(det) <= 1e-12 * scale * scale:
-                # Proportional second-angle parts: a combination removes them.
-                if radius_2[i] >= radius_2[j]:
-                    hi, lo_ = i, j
-                else:
-                    hi, lo_ = j, i
-                if radius_2[hi] == 0.0:
-                    continue
-                kappa = (
-                    (a[lo_, 1] * a[hi, 1] + b[lo_, 1] * b[hi, 1])
-                    / (radius_2[hi] ** 2)
-                )
-                criticals.append(_circle_roots(
-                    a[lo_, 0] - kappa * a[hi, 0],
-                    b[lo_, 0] - kappa * b[hi, 0],
-                    -(c[lo_] - kappa * c[hi]),
-                ))
-                continue
-            inv = np.linalg.inv(mat)
-            # (cos 2phi2, sin 2phi2) = u + v cos 2phi1 + w sin 2phi1
-            u = inv @ np.array([-c[i], -c[j]])
-            v = inv @ np.array([-a[i, 0], -a[j, 0]])
-            w = inv @ np.array([-b[i, 0], -b[j, 0]])
-            # Unit-circle condition becomes a quartic in tan(phi1).
-            # With cs = cos 2phi1 = (1-u^2)/(1+u^2), sn = 2t/(1+t^2):
-            # |u + v cs + w sn|^2 - 1 = 0, multiplied by (1+t^2)^2.
-            k_uu = float(u @ u) - 1.0
-            k_vv = float(v @ v)
-            k_ww = float(w @ w)
-            k_uv = 2.0 * float(u @ v)
-            k_uw = 2.0 * float(u @ w)
-            k_vw = 2.0 * float(v @ w)
-            # cs = (1-t^2)/(1+t^2), sn = 2t/(1+t^2); expand in powers of t.
-            poly = np.array([
-                k_uu - k_uv + k_vv,
-                2.0 * k_uw - 2.0 * k_vw,
-                2.0 * k_uu - 2.0 * k_vv + 4.0 * k_ww,
-                2.0 * k_uw + 2.0 * k_vw,
-                k_uu + k_uv + k_vv,
-            ])
-            if np.max(np.abs(poly)) > 0.0:
-                roots = np.roots(poly)
-                real = roots[np.abs(roots.imag) < 1e-9].real
-                criticals.append(np.mod(np.arctan(real), np.pi))
-            # tan(phi1) -> infinity corresponds to phi1 = pi/2.
-            criticals.append(np.array([np.pi / 2.0]))
-    merged = np.unique(np.round(np.concatenate(criticals), 9))
-    lines = _circle_intervals(merged)
+    criticals += _circle_solutions(a[:, 0], b[:, 0], -c - radius_2)
+    criticals += _circle_solutions(a[:, 0], b[:, 0], -c + radius_2)
+    criticals += _pair_crossings(a, b, c, radius_2)
+    merged = np.concatenate(criticals)
+    merged = np.unique(np.round(merged[~np.isnan(merged)], 9))
+    lines = _arc_midpoints(merged[None, :])[0]
+    lines = lines[~np.isnan(lines)]
     cos1 = np.cos(2.0 * lines)
     sin1 = np.sin(2.0 * lines)
-    part1 = cos1[:, None] * a[:, 0][None, :] + sin1[:, None] * b[:, 0][None, :]
-    psi_2 = np.arctan2(b[:, 1], a[:, 1])
+
     base_grid = np.linspace(0.0, np.pi, 8, endpoint=False) + 2e-4
-    a2_col = a[:, 1][None, :]
-    b2_col = b[:, 1][None, :]
-    for line_idx, phi1 in enumerate(lines):
-        target = -(part1[line_idx] + c)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(radius_2 > 0.0, target / np.where(radius_2 > 0.0, radius_2, 1.0), 2.0)
-        valid = np.abs(ratio) <= 1.0
-        delta = np.arccos(np.clip(ratio[valid], -1.0, 1.0))
-        psi_v = psi_2[valid]
-        cuts = np.concatenate([
-            base_grid,
-            np.mod((psi_v + delta) / 2.0, np.pi),
-            np.mod((psi_v - delta) / 2.0, np.pi),
-        ])
-        phi2_mids = _circle_intervals(cuts)
-        cos2 = np.cos(2.0 * phi2_mids)
-        sin2 = np.sin(2.0 * phi2_mids)
-        values = (
-            part1[line_idx][None, :] + c[None, :]
-            + cos2[:, None] * a2_col + sin2[:, None] * b2_col
-        )
-        points = np.column_stack([np.full_like(phi2_mids, phi1), phi2_mids])
-        record(points, values)
-    return list(witnesses.values())
+    step = max(1, _SWEEP_BLOCK // ((base_grid.size + 2 * p) * p))
+    keys, points = [], []
+    for start in range(0, lines.size, step):
+        stop = min(start + step, lines.size)
+        part1 = cos1[start:stop, None] * a[:, 0] + sin1[start:stop, None] * b[:, 0]
+        const = part1 + c
+        plus, minus = _circle_solutions(a[:, 1], b[:, 1], -const)
+        cuts = np.hstack([np.broadcast_to(base_grid, (stop - start, base_grid.size)), plus, minus])
+        mids = _arc_midpoints(cuts)
+        line, slot = np.nonzero(~np.isnan(mids))
+        phi2 = mids[line, slot]
+        values = (const[line] + np.cos(2.0 * phi2)[:, None] * a[:, 1]
+                  + np.sin(2.0 * phi2)[:, None] * b[:, 1])
+        interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
+        block_keys = _sign_keys(values[interior] > 0.0)
+        first = _first_of_each_key(block_keys)
+        keys.append(block_keys[first])
+        points.append(np.column_stack([lines[start + line[interior][first]],
+                                       phi2[interior][first]]))
+    keys, points = np.vstack(keys), np.vstack(points)
+    return points[_first_of_each_key(keys)]
 
 
 def candidate_supports_from_cell(
@@ -593,21 +621,42 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
 
 
 def _region_profits(instance: SpcaDsInstance, planes: CircuitHyperplanes,
-                    cell_mode: str) -> tuple[list[np.ndarray], int]:
-    """Arc profits (d, n) at one witness per region, and the number of
+                    cell_mode: str) -> tuple[np.ndarray, int]:
+    """Arc profits (m, d, n) at one witness per region, and the number of
     hyperplanes that cut the realizable set."""
     d, n = instance.d, instance.n
     if cell_mode == "exact" and instance.rank == 2 and d == 2:
         normals = np.array([h.normal for h in planes.hyperplanes])
-        region_angles = _torus_region_witnesses(normals, d) if normals.size else [np.zeros(d)]
-        profit_rows = []
-        for phis in region_angles:
-            y = np.vstack([np.cos(phis), np.sin(phis)])  # (2, d)
-            profit_rows.append(((instance.factor.factor @ y) ** 2).T)
-        return profit_rows, len(normals)
+        angles = _torus_region_witnesses(normals, d) if normals.size else np.zeros((1, d))
+        y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
+        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), len(normals)
     cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
     all_profits = np.vstack([c.witness for c in cells]) @ planes.arc_coeffs.T
-    return [row.reshape(d, n) for row in all_profits], slice_hyperplanes
+    return all_profits.reshape(-1, d, n), slice_hyperplanes
+
+
+def _families_by_covering(profits: np.ndarray, s: int) -> tuple[set, int]:
+    """Support families optimal at the regions' profit rows (m, d, n).
+
+    Solves the assignment at the first region not yet covered, then marks
+    every remaining region where that flow is already certified optimal
+    (`optimal_at_profits`), so there is about one solve per family rather
+    than one per region.  Returns the families and the number of solves.
+    """
+    _, d, n = profits.shape
+    families = set()
+    solves = 0
+    uncovered = np.ones(profits.shape[0], dtype=bool)
+    while uncovered.any():
+        remaining = np.flatnonzero(uncovered)
+        first, rest = remaining[0], remaining[1:]
+        circ = CirculationInstance(d, n, s, profits[first])
+        flow = solve_max_profit(circ)
+        solves += 1
+        families.add(supports_from_circulation(circ, flow))
+        uncovered[first] = False
+        uncovered[rest[optimal_at_profits(circ, flow, profits[rest])]] = False
+    return families, solves
 
 
 def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsSolution:
@@ -619,10 +668,11 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     exact region enumeration: the closed-form torus decomposition when the
     factor has rank two and there are two components, else the chart
     arrangement.  ``"chart"`` forces the chart arrangement (mainly for
-    cross-checking).  Practical problem sizes follow the region counts:
-    rank two with d = 2 runs in seconds at desk scale, while higher ranks or
-    more components face the full combinatorial growth of the candidate
-    construction.
+    cross-checking).  Circulations are solved one per family; the other
+    regions are certified by a batched Bellman-Ford.  Practical
+    problem sizes follow the region counts: rank two with d = 2 runs in
+    seconds at desk scale, while higher ranks or more components face the
+    full combinatorial growth of the candidate construction.
     """
     if cell_mode not in ("exact", "chart"):
         raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
@@ -637,20 +687,20 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
         # Every block of the slice is the point y_i^2 = 1: one region, where
         # each component's arc profits are the squared row norms.
         row_norms = np.sum(factor.factor * factor.factor, axis=1)
-        profit_rows = [np.tile(row_norms, (d, 1))]
+        profits = np.tile(row_norms, (1, d, 1))
         extended_dim, circuits, degenerate, hyperplanes, slice_hyperplanes = d * r, 0, 0, 0, 0
     else:
         planes = build_circuit_hyperplanes(instance)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
-        profit_rows, slice_hyperplanes = _region_profits(instance, planes, cell_mode)
+        profits, slice_hyperplanes = _region_profits(instance, planes, cell_mode)
         extended_dim, circuits = planes.extended_dim, planes.circuits_enumerated
         degenerate, hyperplanes = planes.degenerate_circuits, len(planes.hyperplanes)
-    families = set()
-    for profits in profit_rows:
-        circ = CirculationInstance(d, n, s, np.asarray(profits, dtype=float))
-        families.add(supports_from_circulation(circ, solve_max_profit(circ)))
-    stage_ms["cells_and_circulations"] = (time.perf_counter() - tick) * 1000.0
+    stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
+
+    tick = time.perf_counter()
+    families, solves = _families_by_covering(profits, s)
+    stage_ms["circulations"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
     best = None  # (value, flat_key, completed_family, completions)
@@ -685,8 +735,8 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
         degenerate_circuits=degenerate,
         hyperplanes=hyperplanes,
         slice_hyperplanes=slice_hyperplanes,
-        cells_enumerated=len(profit_rows),
-        circulation_solves=len(profit_rows),
+        cells_enumerated=profits.shape[0],
+        circulation_solves=solves,
         candidates_evaluated=len(families),
         completions_in_best=completions,
         stage_ms=stage_ms,

@@ -8,6 +8,7 @@ from exactspca.circulation import (
     circuit_profit,
     enumerate_undirected_circuits,
     is_optimal,
+    optimal_at_profits,
     solve_max_profit,
     supports_from_circulation,
     zero_circulation,
@@ -143,6 +144,42 @@ class TestIsOptimal:
                 for key in certificate.arc_keys if key[0] == "a0"
             )
             assert certificate.profit == pytest.approx(arc_profit, abs=1e-12)
+
+    @pytest.mark.parametrize("integer_profits", [False, True])
+    def test_batched_certificate_on_random_flows(self, rng, integer_profits):
+        # Half of each batch favours the flow's own arcs, so some rows are
+        # covered and some are not.
+        covered_rows = uncovered_rows = 0
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 6))
+            s = int(rng.integers(1, 4))
+            a0 = np.zeros((d, n), dtype=int)
+            for j in range(n):
+                i = int(rng.integers(-1, d))
+                if i >= 0 and a0[i].sum() < s:
+                    a0[i, j] = 1
+            flow = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+            if integer_profits:
+                rows = rng.integers(-2, 4, size=(12, d, n)).astype(float)
+                rows[6:] += 3.0 * (2 * a0 - 1)
+            else:
+                rows = rng.standard_normal((12, d, n))
+                rows[6:] += 2.0 * (2 * a0 - 1)
+            covered = optimal_at_profits(_instance(d, n, s, rows[0]), flow, rows)
+            assert covered.shape == (12,)
+            for profits, mark in zip(rows, covered):
+                inst = _instance(d, n, s, profits)
+                optimal, _ = is_optimal(inst, flow)
+                if integer_profits:
+                    assert mark == optimal
+                if mark:
+                    assert optimal
+                    best = brute_force_max_profit(inst).objective
+                    assert flow.profit(inst) == pytest.approx(best, abs=1e-9)
+            covered_rows += int(covered.sum())
+            uncovered_rows += int((~covered).sum())
+        assert covered_rows > 0 and uncovered_rows > 0
 
     def test_infeasible_flow_rejected(self):
         inst = _instance(1, 2, 1, [[1.0, 2.0]])

@@ -111,6 +111,17 @@ class TestCommands:
         assert doc["supports"] == [[1], [2]]
         assert doc["diagnostics"]["circulation_solves"] >= 1
 
+    def test_solve_spca_ds_solves_per_family(self, tmp_path, capsys):
+        factor = np.random.default_rng(4).standard_normal((3, 2))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code, doc = _run(
+            capsys, ["solve-spca-ds", "--input", path, "--d", "2", "--s", "1"]
+        )
+        assert code == 0
+        diag = doc["diagnostics"]
+        assert 1 <= diag["candidates"] <= diag["circulation_solves"] < diag["cells"]
+        assert set(diag["stage_ms"]) >= {"regions", "circulations"}
+
     def test_factor_reports_rank(self, tmp_path, capsys):
         path = _write(tmp_path, "k.csv", [[4.0, 2.0], [2.0, 1.0]])
         code, doc = _run(capsys, ["factor", "--input", path])

@@ -157,6 +157,15 @@ class TestSolveSpcaDs:
             torus = solve_spca_ds(inst, cell_mode="exact")
             assert chart.objective == pytest.approx(torus.objective, rel=1e-9)
 
+    def test_chart_mode_solves_per_family(self, rng):
+        kmatrix = random_low_rank_psd(rng, 3, 2)
+        solution = solve_spca_ds(_instance(kmatrix, 2, 1), cell_mode="chart")
+        diag = solution.diagnostics
+        assert 1 <= diag.candidates_evaluated <= diag.circulation_solves < diag.cells_enumerated
+        assert solution.objective == pytest.approx(
+            brute_force_spca_ds(kmatrix, 2, 1).objective, rel=1e-8, abs=1e-8
+        )
+
     def test_feasibility(self, rng):
         for _ in range(4):
             kmatrix = random_low_rank_psd(rng, 4, 2)
@@ -258,9 +267,9 @@ class TestSolveSpcaDs:
         solution = solve_spca_ds(_instance(kmatrix, 2, 1))
         diag = solution.diagnostics
         assert diag.circuits_enumerated == 78
-        assert diag.cells_enumerated >= 1
-        assert diag.circulation_solves == diag.cells_enumerated
-        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
+        # One solve per family; the other regions are certified in batch.
+        assert 1 <= diag.candidates_evaluated <= diag.circulation_solves < diag.cells_enumerated
+        assert set(diag.stage_ms) >= {"regions", "circulations"}
 
 
 class TestReductions:
@@ -319,3 +328,42 @@ class TestTorusWitnesses:
                 assert np.min(np.abs(values) / scale) > 1e-12
                 keys.add((values > 0.0).tobytes())
             assert len(keys) == len(witnesses)
+
+
+def _torus_factor(rng, n, integer):
+    """Gaussian rows, or small integer rows with R_1 = -R_0 (at n = 2, where
+    that leaves rank one, R_1 is R_0 turned by a right angle: equal norms)."""
+    if not integer:
+        return rng.standard_normal((n, 2))
+    while True:
+        factor = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        factor[1] = -factor[0] if n > 2 else [-factor[0, 1], factor[0, 0]]
+        if np.linalg.matrix_rank(factor) == 2:
+            return factor
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_torus_witnesses_cover_grid_regions(rng, n, integer):
+    # Every sign vector seen on a 256 x 256 grid of angle pairs, away from
+    # the curves, must be the sign vector of some witness.
+    factor = _torus_factor(rng, n, integer)
+    inst = _instance(symmetrize(factor @ factor.T), 2, 1)
+    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    a, b, c = _sinusoid_coefficients(normals, 2)
+    scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
+
+    def lifted(phis):
+        cos, sin = np.cos(phis), np.sin(phis)
+        return np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
+
+    witnesses = _torus_region_witnesses(normals, 2)
+    known = {row.tobytes() for row in (lifted(witnesses) @ normals.T) > 0.0}
+    grid = (np.arange(256) + 0.5) * np.pi / 256
+    seen = set()
+    for phi1 in grid:
+        phis = np.column_stack([np.full_like(grid, phi1), grid])
+        values = lifted(phis) @ normals.T
+        clear = np.min(np.abs(values) / scale, axis=1) > 1e-9
+        seen.update(row.tobytes() for row in values[clear] > 0.0)
+    assert seen and seen <= known
