@@ -224,6 +224,24 @@ def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
     return sorted(cells, key=lambda c: c.signs)
 
 
+def distinct_sign_rows(packed: np.ndarray, margins=None) -> np.ndarray:
+    """Indices of one row per distinct sign vector, in sign-vector order.
+
+    `packed` holds `np.packbits` rows, read as big-endian 64-bit words whose
+    numeric order is the order of the sign vectors.  Among equal rows the
+    largest margin is kept, or the first row when no margins are given.
+    """
+    padded = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    ties = [] if margins is None else [-np.asarray(margins)]
+    order = np.lexsort([*ties, *words.T[::-1]])  # stable: equal keys keep row order
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    return order[first]
+
+
 def _plane_bases(unit: np.ndarray) -> np.ndarray:
     """(p, 3, 2): an orthonormal basis of each plane {z : n_h . z = 0}."""
     axis = np.eye(3)[np.argmin(np.abs(unit), axis=1)]
@@ -293,17 +311,7 @@ def _space_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
     packed = np.concatenate(packed)
     witnesses = np.concatenate(witnesses)
     margins = np.concatenate(margins)
-    # Sign vectors as big-endian 64-bit words, whose numeric order is the
-    # order of the sign vectors; within a sign vector the best margin sorts
-    # first and is kept.
-    padded = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    words = padded.view(">u8").astype(np.uint64)
-    order = np.lexsort([-margins, *words.T[::-1]])
-    words = words[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(words[1:] != words[:-1], axis=1)
-    chosen = order[first]
+    chosen = distinct_sign_rows(packed, margins)
     witnesses, margins = witnesses[chosen], margins[chosen].tolist()
     cells: list[Cell] = []
     # In chunks, so that the sign lists never all exist beside the tuples.

@@ -215,13 +215,18 @@ def optimal_at_profits(
     """Mask of the profit rows (shape (m, d, n)) at which f is optimal.
 
     Runs the Bellman-Ford of `is_optimal` on f's residual graph for every
-    row at once: the same arcs in the same order, the same 1e-15 slack and
-    at most V rounds, where only the u->w arc costs depend on the row.  A
-    row is marked only when some round relaxes nothing, so every marked row
-    passes `is_optimal`; no circuit is extracted for the others.
+    row at once: the same arcs in the same order and at most V rounds, where
+    only the u->w arc costs depend on the row.  A row is marked only when
+    some round relaxes nothing.  The relaxation slack is the 1e-15 of
+    `is_optimal` times the row's largest |profit| when that is below one:
+    optimality does not change under positive scaling, so shrinking an
+    instance must not let a fixed slack swallow its circuit profits, and a
+    slack never above `is_optimal`'s keeps every marked row passing it.  No
+    circuit is extracted for the unmarked rows.
     """
     check_circulation(instance, f)
     profits = np.asarray(profit_rows, dtype=float).reshape(-1, instance.d * instance.n)
+    slack = 1e-15 * np.minimum(1.0, np.abs(profits).max(axis=1, initial=0.0))
     arcs = _residual_arcs(instance, f)
     costs = np.zeros((len(arcs), profits.shape[0]))
     for ai, (_tail, _head, _cost, _cap, key) in enumerate(arcs):
@@ -236,11 +241,12 @@ def optimal_at_profits(
         relaxed = np.zeros(live.size, dtype=bool)
         for ai, (tail, head, _cost, _cap, _key) in enumerate(arcs):
             reach = dist[tail] + costs[ai]
-            better = reach < dist[head] - 1e-15
+            better = reach < dist[head] - slack
             dist[head] = np.where(better, reach, dist[head])
             relaxed |= better
         optimal[live[~relaxed]] = True
         live, dist, costs = live[relaxed], dist[:, relaxed], costs[:, relaxed]
+        slack = slack[relaxed]
         if not live.size:
             break
     return optimal

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Cell, Hyperplane, dedup_hyperplanes, enumerate_affine_cells
+from .arrangement import (
+    Cell,
+    Hyperplane,
+    dedup_hyperplanes,
+    distinct_sign_rows,
+    enumerate_affine_cells,
+)
 from .circulation import (
     CirculationInstance,
     enumerate_undirected_circuits,
@@ -417,23 +423,6 @@ def _pair_crossings(a, b, c, radius_2):
     return crossings + [np.mod(np.arctan(real), np.pi), np.array([np.pi / 2.0])]
 
 
-def _sign_keys(signs):
-    """Sign rows packed into big-endian 64-bit words (one row per key)."""
-    packed = np.packbits(signs, axis=1)
-    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(">u8").astype(np.uint64)
-
-
-def _first_of_each_key(keys):
-    """Ascending row indices of the first occurrence of every distinct key."""
-    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep row order
-    ranked = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return np.sort(order[new])
-
-
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 _SWEEP_BLOCK = 1 << 15  # curve values evaluated per block of sweep lines
@@ -492,13 +481,13 @@ def _torus_region_witnesses(normals, d):
         values = (const[line] + np.cos(2.0 * phi2)[:, None] * a[:, 1]
                   + np.sin(2.0 * phi2)[:, None] * b[:, 1])
         interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
-        block_keys = _sign_keys(values[interior] > 0.0)
-        first = _first_of_each_key(block_keys)
+        block_keys = np.packbits(values[interior] > 0.0, axis=1)
+        first = np.sort(distinct_sign_rows(block_keys))
         keys.append(block_keys[first])
         points.append(np.column_stack([lines[start + line[interior][first]],
                                        phi2[interior][first]]))
     keys, points = np.vstack(keys), np.vstack(points)
-    return points[_first_of_each_key(keys)]
+    return points[np.sort(distinct_sign_rows(keys))]
 
 
 def candidate_supports_from_cell(

@@ -181,6 +181,31 @@ class TestIsOptimal:
             uncovered_rows += int((~covered).sum())
         assert covered_rows > 0 and uncovered_rows > 0
 
+    def test_batched_certificate_ignores_scale(self, rng):
+        # Rows at most 1 in magnitude, shrunk by an exact power of two far
+        # below the 1e-15 slack of is_optimal, are covered exactly as before.
+        masks = []
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 6))
+            s = int(rng.integers(1, 4))
+            a0 = np.zeros((d, n), dtype=int)
+            for j in range(n):
+                i = int(rng.integers(-1, d))
+                if i >= 0 and a0[i].sum() < s:
+                    a0[i, j] = 1
+            flow = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+            rows = rng.standard_normal((12, d, n))
+            rows[6:] += 2.0 * (2 * a0 - 1)
+            rows /= 2.0 ** np.ceil(np.log2(np.abs(rows).max(axis=(1, 2))))[:, None, None]
+            inst = _instance(d, n, s, rows[0])
+            covered = optimal_at_profits(inst, flow, rows)
+            tiny = optimal_at_profits(inst, flow, rows * 2.0 ** -60)
+            np.testing.assert_array_equal(tiny, covered)
+            masks.append(covered)
+        masks = np.concatenate(masks)
+        assert masks.any() and not masks.all()
+
     def test_infeasible_flow_rejected(self):
         inst = _instance(1, 2, 1, [[1.0, 2.0]])
         bad = Circulation(

@@ -149,6 +149,17 @@ class TestSolveSpcaDs:
                 report.objective, rel=1e-8, abs=1e-8
             )
 
+    def test_scaled_down_instance_matches_oracle(self, rng):
+        # Optimality is invariant under positive scaling: at K * 1e-16 every
+        # arc profit is below 1e-16, and the regions must still be told apart.
+        for s in (1, 2, 1, 2):
+            kmatrix = 1e-16 * random_low_rank_psd(rng, 3, 2)
+            solution = solve_spca_ds(_instance(kmatrix, 2, s))
+            assert solution.diagnostics.candidates_evaluated > 1
+            assert solution.objective == pytest.approx(
+                brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-8, abs=0.0
+            )
+
     def test_chart_mode_agrees_with_torus_mode(self, rng):
         for n in (2, 3):
             kmatrix = random_low_rank_psd(rng, n, 2)
@@ -367,3 +378,17 @@ def test_torus_witnesses_cover_grid_regions(rng, n, integer):
         clear = np.min(np.abs(values) / scale, axis=1) > 1e-9
         seen.update(row.tobytes() for row in values[clear] > 0.0)
     assert seen and seen <= known
+
+
+def test_torus_witnesses_find_tangent_slab_region():
+    # One curve, cos(2 phi1 - 2 alpha) + cos(2 phi2) = 2 - eps, bounds an
+    # oval about 0.014 wide around (alpha, 0).  It falls between a safety
+    # line and the sweep line that bisects the next safety gap, so only the
+    # slab between its two vertical tangents finds the inside.
+    alpha, eps = 0.307, 1e-4
+    a0, b0, c = np.cos(2 * alpha), np.sin(2 * alpha), -(2.0 - eps)
+    normal = np.array([[a0 + c, 2 * b0, c - a0, 1.0, 0.0, -1.0]])
+    witnesses = _torus_region_witnesses(normal, 2)
+    cos, sin = np.cos(witnesses), np.sin(witnesses)
+    values = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(witnesses), -1) @ normal.T
+    assert sorted(bool(v) for v in values[:, 0] > 0.0) == [False, True]
