@@ -5,7 +5,12 @@ at most three shared features, and compares the exact solver with the
 enumeration oracle.  With as many components as the rank, every support
 scores trace(K_SS), so the solver takes the closed form and cuts no
 arrangement; one component at the same rank cuts the rank-two spannogram.
+On the first four features alone (n - 1 <= r(r+1)/2) the lifted differences
+form the braid arrangement: every strict order is a cell, so every support
+is a candidate and nothing is cut.
 """
+
+from math import factorial
 
 import numpy as np
 
@@ -26,11 +31,15 @@ print(f"optimal support (0-based): {solution.support}")
 print("loadings (rows outside the support are exactly zero):")
 print(np.array_str(solution.x, precision=4, suppress_small=True))
 
-SPACES = {0: "closed form, no arrangement", r: f"spannogram in R^{r}"}
-
-
-def describe(diag):
-    space = SPACES.get(diag.extended_dim, f"lifted space of dimension {diag.extended_dim}")
+def describe(diag, features):
+    if diag.extended_dim == 0:
+        space = "closed form, no arrangement"
+    elif diag.extended_dim == r:
+        space = f"spannogram in R^{r}"
+    elif diag.cells_enumerated == factorial(features):
+        space = f"braid of the lift in R^{diag.extended_dim}, read without cutting"
+    else:
+        space = f"lifted space of dimension {diag.extended_dim}"
     return (
         f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} cells "
         f"(predicted at most {diag.predicted_cells}), "
@@ -38,9 +47,11 @@ def describe(diag):
     )
 
 
-print(f"\ncandidate construction, d={d}: {describe(solution.diagnostics)}")
+print(f"\ncandidate construction, d={d}: {describe(solution.diagnostics, n)}")
 one = solve_spca(SpcaInstance.build(kmatrix, 1, s))
-print(f"candidate construction, d=1: {describe(one.diagnostics)}")
+print(f"candidate construction, d=1: {describe(one.diagnostics, n)}")
+few = solve_spca(SpcaInstance.build(kmatrix[:4, :4], 1, 2))
+print(f"candidate construction, d=1, first 4 features: {describe(few.diagnostics, 4)}")
 
 report = brute_force_spca(kmatrix, d, s)
 print(f"\nbrute force over {report.instances_enumerated} supports: "

@@ -18,7 +18,7 @@ class NotPositiveSemidefinite(ExactSpcaError):
 
 
 class NoConvergence(ExactSpcaError):
-    """The eigensolver exceeded its sweep limit."""
+    """LAPACK's symmetric eigensolver failed to converge."""
 
 
 class DimensionMismatch(ExactSpcaError):

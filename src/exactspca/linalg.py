@@ -1,8 +1,9 @@
 """Dense kernels for small symmetric matrices.
 
-Everything in this module is deterministic: fixed pivot tie-breaking, a fixed
-Jacobi sweep order and a fixed eigenvector sign convention, so identical
-inputs produce identical outputs bit for bit.
+Everything in this module is deterministic for a given LAPACK: fixed pivot
+tie-breaking, LAPACK's symmetric eigensolver, a stable descending eigenvalue
+order and a fixed eigenvector sign convention, so identical inputs produce
+identical outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import (
 )
 
 DEFAULT_RANK_TOL = 1e-10
-JACOBI_SWEEP_LIMIT = 100
-JACOBI_OFFDIAG_TOL = 1e-12
 
 
 def as_symmetric(a) -> np.ndarray:
@@ -115,69 +114,36 @@ class EigenResult:
     eigenvectors: np.ndarray  # (n, n), column k pairs with eigenvalues[k]
 
 
-def symmetric_eig(a, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> EigenResult:
-    """Eigendecomposition by cyclic Jacobi rotations.
+def _lapack(kernel, a):
+    """``kernel(a)``, with LAPACK's failure to converge raised as `NoConvergence`."""
+    try:
+        return kernel(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
-    Deterministic for a fixed input: the sweep order is fixed, eigenvalues are
-    sorted descending with a stable tie order, and each eigenvector is scaled
-    so its first nonzero component is positive.
+
+def symmetric_eig(a) -> EigenResult:
+    """Eigendecomposition by LAPACK's symmetric eigensolver (``eigh``).
+
+    Eigenvalues are sorted descending with a stable tie order, and each
+    eigenvector is scaled so its first nonzero component is positive.
     """
-    a = as_symmetric(a).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.max(np.abs(a))) if n > 0 else 0.0
-    if n > 1 and scale > 0.0:
-        tol = JACOBI_OFFDIAG_TOL * scale
-        converged = False
-        others = np.ones(n, dtype=bool)
-        for _ in range(max_sweeps):
-            iu = np.triu_indices(n, 1)
-            if float(np.max(np.abs(a[iu]))) <= tol:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= tol:
-                        continue
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    theta = (aqq - app) / (2.0 * apq)
-                    sgn = 1.0 if theta >= 0.0 else -1.0
-                    t = sgn / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    others[:] = True
-                    others[p] = others[q] = False
-                    aip = a[others, p]
-                    aiq = a[others, q]
-                    new_p = c * aip - s * aiq
-                    new_q = s * aip + c * aiq
-                    a[others, p] = new_p
-                    a[p, others] = new_p
-                    a[others, q] = new_q
-                    a[q, others] = new_q
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        if not converged:
-            iu = np.triu_indices(n, 1)
-            if float(np.max(np.abs(a[iu]))) > tol:
-                raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-    eigenvalues = np.diagonal(a).copy()
+    eigenvalues, vectors = _lapack(np.linalg.eigh, as_symmetric(a))
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order].copy()
-    for k in range(n):
-        nonzero = np.nonzero(vectors[:, k])[0]
-        if nonzero.size and vectors[nonzero[0], k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    vectors = vectors[:, order]
+    lead = vectors[np.argmax(vectors != 0.0, axis=0), np.arange(vectors.shape[1])]
+    vectors[:, lead < 0.0] *= -1.0
     return EigenResult(eigenvalues=eigenvalues, eigenvectors=vectors)
+
+
+def top_eigenvalue_sums(grams: np.ndarray, d: int) -> np.ndarray:
+    """The sum of the d largest eigenvalues of each matrix in a stack.
+
+    ``grams`` is (m, k, k) and symmetric; one batched LAPACK call reads the
+    lower triangles.
+    """
+    return _lapack(np.linalg.eigvalsh, grams)[:, -d:].sum(axis=1)
 
 
 def solve_pca(a, d: int) -> tuple[float, np.ndarray]:

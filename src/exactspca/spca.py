@@ -10,38 +10,62 @@ smallest exact space the instance's shape allows:
 - **d >= r (or s = n): closed form.**  Every support S then scores
   trace(K_SS), so the s features with the largest squared row norms are the
   one candidate and no arrangement is cut.
+- **n - 1 <= r(r+1)/2 with independent lifted differences: the braid.**  The
+  quadratics become linear functionals c_j of the r(r+1)/2 pairwise products
+  of one column.  When the differences c_j - c_0 are linearly independent,
+  the map z -> (c_j @ z)_j reaches every strict order of the n values, so the
+  difference arrangement is the braid arrangement: its n! cells are the
+  strict orders and every support is a candidate (Stanley, "An Introduction
+  to Hyperplane Arrangements", 2004, Lecture 1).  Nothing is cut.  The rank
+  test decides only the cost: all supports always contain the optimum, and
+  dependent differences (R_j = +-R_k, ties) fall through to the spaces below.
 - **d = 1: the spannogram in R^r.**  (R_j @ y)**2 - (R_k @ y)**2 factors as
   ((R_j - R_k) @ y) * ((R_j + R_k) @ y), so the n(n-1) planes R_j -+ R_k
   fix the ordering on each cell (Asteris, Papailiopoulos and Karystinos,
   "The sparse principal component of a constant-rank matrix", 2014).
-- **Otherwise: one lifted block.**  The quadratics become linear functionals
-  of the r(r+1)/2 pairwise products of one column, cut by their pairwise
-  difference hyperplanes.  The functional of d columns repeats that block d
-  times, so one block has the same cells.
+- **Otherwise: one lifted block.**  The difference hyperplanes c_j - c_k of
+  the lift are cut.  The functional of d columns repeats the block d times,
+  so one block has the same cells.
 
-For d = 1 both arrangements are exact.  At rank 2 and 3 the spannogram is
-always cut: ``enumerate_cells`` reads the cells of R^2 and R^3 off in closed
-form, with no insertion work.  At rank >= 4 the one that predicts less work
+Past the braid, for d = 1 both arrangements are exact.  At rank 2 and 3 the
+spannogram is always cut: ``enumerate_cells`` reads the cells of R^2 and R^3
+off in closed form, with no insertion work.  At rank >= 4 the one that predicts less work
 for ``enumerate_cells`` is cut.  Inserting hyperplane h tests every cell of
 the first h - 1, so the work is the sum of the cell bounds of the partial
 arrangements: the generic count for the spannogram, capped at n! for the
 lift (each cell of a difference arrangement fixes a strict order of the n
 functionals).  The spannogram has twice the hyperplanes in fewer dimensions;
 it wins from n = 9 at rank 4.
+
+Candidates are scored by the top eigenvalues of their r x r Gram matrices,
+stacked and handed to LAPACK in fixed-size chunks.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial, inf
+from typing import Callable
 
 import numpy as np
 
 from .arrangement import dedup_hyperplanes, enumerate_cells, expected_generic_cell_count
 from .errors import InvalidParameters
 from .extension import MonomialBasis, build_row_functional
-from .linalg import DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca, symmetrize
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    PsdFactor,
+    as_symmetric,
+    pivoted_cholesky,
+    solve_pca,
+    symmetrize,
+    top_eigenvalue_sums,
+)
+
+_SCORE_CHUNK = 1024  # candidate Gram matrices per batched LAPACK call
 
 
 @dataclass(frozen=True)
@@ -83,10 +107,9 @@ class SpcaInstance:
         return min(self.d, self.factor.rank)
 
 
-def _top_supports(values: np.ndarray, s: int) -> list[tuple[int, ...]]:
+def _top_sets(values: np.ndarray, s: int) -> np.ndarray:
     """The s largest entries of each row as sorted indices, ties to the smaller."""
-    order = np.argsort(-values, axis=1, kind="stable")
-    return [tuple(int(j) for j in row) for row in np.sort(order[:, :s], axis=1)]
+    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :s], axis=1)
 
 
 def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
@@ -95,7 +118,7 @@ def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
     Ties go to the smaller index, so the result is deterministic even on
     degenerate inputs.
     """
-    return _top_supports(np.array([[f(point) for f in functionals]]), s)[0]
+    return tuple(_top_sets(np.array([[f(point) for f in functionals]]), s)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,8 @@ class CandidateSupports:
 
     ``extended_dim`` is the dimension of the space actually cut (0 for the
     closed form) and ``predicted_cells`` bounds ``cells_enumerated`` before
-    enumeration starts.
+    enumeration starts.  ``cell_signs(support)`` is the sign vector, on the
+    hyperplanes cut, of one cell whose top-s set is ``support``.
     """
 
     supports: tuple[tuple[int, ...], ...]
@@ -113,7 +137,9 @@ class CandidateSupports:
     extended_dim: int
     predicted_cells: int
     duplicate_feature_pairs: tuple[tuple[int, int], ...]
-    cell_signs: dict = field(hash=False, default_factory=dict)  # support -> signs
+    cell_signs: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
+        compare=False, repr=False, default=lambda support: ()
+    )
 
 
 def _insertion_bounds(planes: int, dim: int, cap: float) -> tuple[int, int]:
@@ -144,18 +170,41 @@ def _choose_space(n: int, r: int, d: int, pairs: int) -> tuple[bool, int, int]:
     return False, lift_dim, lift_cells
 
 
+def _braid_signs(n: int, support) -> tuple[int, ...]:
+    """Signs, on the planes t_j = t_k (j < k in ``np.triu_indices`` order), of
+    the strict order that puts ``support`` first and ranks each part by index.
+
+    t_j > t_k for every j < k except where j is outside the support and k
+    inside it.
+    """
+    inside = np.zeros(n, dtype=bool)
+    inside[list(support)] = True
+    first, second = np.triu_indices(n, 1)
+    return tuple(np.where(inside[second] & ~inside[first], -1, 1).tolist())
+
+
+def _lifted_coefficients(instance: SpcaInstance) -> np.ndarray:
+    """(n, r(r+1)/2): row j is c_j, with c_j @ ext(y) == (R_j @ y)**2."""
+    basis = MonomialBasis(instance.rank, 1)
+    return np.vstack(
+        [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
+         for j in range(instance.n)]
+    )
+
+
 def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
     """Candidate supports, one per cell of the chosen space, deduplicated.
 
     The candidate family is guaranteed to contain an optimal support; many
-    cells collapse onto the same top-s set, hence the deduplication.
+    cells collapse onto the same top-s set, hence the deduplication.  One
+    witness is kept per support, so ``cell_signs`` costs one product.
     """
     n, d, s, r = instance.n, instance.d, instance.s, instance.rank
     rows = instance.factor.factor  # (n, r)
     if r <= d or s == n:
         # At most d columns span every R_S, so each support scores trace(K_SS).
         norms = np.sum(rows * rows, axis=1)
-        support = _top_supports(norms[None, :], s)[0]
+        support = tuple(_top_sets(norms[None, :], s)[0].tolist())
         return CandidateSupports(
             supports=(support,),
             cells_enumerated=1,
@@ -163,7 +212,18 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
             extended_dim=0,
             predicted_cells=1,
             duplicate_feature_pairs=(),
-            cell_signs={support: ()},
+        )
+    lift_dim = r * (r + 1) // 2
+    coeffs = _lifted_coefficients(instance) if n - 1 <= lift_dim else None
+    if coeffs is not None and np.linalg.matrix_rank(coeffs[1:] - coeffs[0]) == n - 1:
+        return CandidateSupports(
+            supports=tuple(itertools.combinations(range(n), s)),
+            cells_enumerated=factorial(n),
+            hyperplane_count=n * (n - 1) // 2,
+            extended_dim=lift_dim,
+            predicted_cells=factorial(n),
+            duplicate_feature_pairs=(),
+            cell_signs=partial(_braid_signs, n),
         )
     first, second = np.triu_indices(n, 1)
     minus = rows[first] - rows[second]
@@ -179,11 +239,8 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
             return (witnesses @ rows.T) ** 2
 
     else:
-        basis = MonomialBasis(r, 1)
-        coeffs = np.vstack(
-            [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
-             for j in range(n)]
-        )
+        if coeffs is None:
+            coeffs = _lifted_coefficients(instance)
         offered = coeffs[first][~same] - coeffs[second][~same]
 
         def score(witnesses):
@@ -191,17 +248,22 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
 
     hyperplanes = dedup_hyperplanes(offered, dim)
     cells = enumerate_cells(hyperplanes, dim)
-    tops = _top_supports(score(np.vstack([c.witness for c in cells])), s)
-    supports: list[tuple[int, ...]] = []
-    cell_signs: dict = {}
-    for support, cell in zip(tops, cells):
-        if support not in cell_signs:
-            cell_signs[support] = cell.signs
-            supports.append(support)
-    supports.sort()
+    witnesses = np.vstack([c.witness for c in cells])
+    cell_count = len(cells)
+    del cells  # one sign tuple per cell: the bulk of the memory on large shapes
+    # Sorted rows, each with the first cell that reaches it.
+    tops, first_cell = np.unique(_top_sets(score(witnesses), s), axis=0, return_index=True)
+    supports = tuple(tuple(row) for row in tops.tolist())
+    witnesses = witnesses[first_cell]
+    normals = np.array([h.normal for h in hyperplanes]).reshape(-1, dim)
+
+    def cell_signs(support):
+        values = normals @ witnesses[supports.index(support)]
+        return tuple(np.where(values > 0.0, 1, -1).tolist())
+
     return CandidateSupports(
-        supports=tuple(supports),
-        cells_enumerated=len(cells),
+        supports=supports,
+        cells_enumerated=cell_count,
         hyperplane_count=len(hyperplanes),
         extended_dim=dim,
         predicted_cells=predicted,
@@ -256,20 +318,20 @@ def solve_spca(instance: SpcaInstance) -> SpcaSolution:
     stage_ms["candidates"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
-    reduced = instance.num_components_reduced
-    factor = instance.factor
-    best_support = None
-    best_value = -np.inf
-    for support in candidates.supports:  # sorted, so ties keep the lex-smallest
-        rows = factor.rows(support)
-        value, _ = solve_pca(symmetrize(rows.T @ rows), reduced)
-        if value > best_value:
-            best_value = value
-            best_support = support
+    # Supports are sorted and argmax takes the first maximum, so ties keep
+    # the lex-smallest.
+    supports = np.array(candidates.supports, dtype=int).reshape(-1, s)
+    values = np.empty(len(supports))
+    for start in range(0, len(supports), _SCORE_CHUNK):
+        block = instance.factor.factor[supports[start:start + _SCORE_CHUNK]]  # (c, s, r)
+        values[start:start + _SCORE_CHUNK] = top_eigenvalue_sums(
+            block.transpose(0, 2, 1) @ block, instance.num_components_reduced
+        )
+    best_support = candidates.supports[int(np.argmax(values))]
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
-    rows = factor.rows(best_support)
+    rows = instance.factor.rows(best_support)
     objective, x_rows = solve_pca(symmetrize(rows @ rows.T), d)
     x = np.zeros((n, d))
     x[list(best_support), :] = x_rows
@@ -282,7 +344,7 @@ def solve_spca(instance: SpcaInstance) -> SpcaSolution:
         predicted_cells=candidates.predicted_cells,
         cells_enumerated=candidates.cells_enumerated,
         candidates_evaluated=len(candidates.supports),
-        best_cell_signs=candidates.cell_signs.get(best_support),
+        best_cell_signs=candidates.cell_signs(best_support),
         nonzero_rows=int(np.count_nonzero(np.any(x != 0.0, axis=1))),
         duplicate_feature_pairs=candidates.duplicate_feature_pairs,
         stage_ms=stage_ms,

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from exactspca import spca
 from exactspca.arrangement import (
     MIN_MARGIN,
     Hyperplane,
@@ -11,6 +15,9 @@ from exactspca.arrangement import (
     witness_for_signs,
 )
 from exactspca.errors import Degenerate
+from exactspca.extension import MonomialBasis
+from exactspca.linalg import symmetrize
+from exactspca.oracle import brute_force_spca
 
 
 def _axis_planes(dim):
@@ -120,6 +127,67 @@ def test_space_cells_special_arrangements(normals, count):
     normals = np.array(normals, dtype=float)
     assert len(enumerate_cells(normals, 3)) == count
     _assert_matches_insertion(normals)
+
+
+def _lifted(factor):
+    """Row j: the coefficients c_j of (R_j @ y)**2 in the pairwise products."""
+    basis = MonomialBasis(factor.shape[1], 1)
+    return np.vstack([basis.row_block_coefficients(row) for row in factor])
+
+
+def _top_set(values, s):
+    return tuple(sorted(np.argsort(-values, kind="stable")[:s].tolist()))
+
+
+@pytest.mark.parametrize("r,n", [(2, 4), (3, 5), (3, 6), (4, 5)])
+def test_braid_parity_with_insertion(rng, r, n):
+    # With n - 1 <= r(r+1)/2 generic functionals the difference arrangement
+    # of the lift is the braid arrangement: one cell per strict order, so
+    # every support is the top-s set of a cell, which the solver reads
+    # without cutting.  Its signs for the winner belong to such a cell.
+    factor = rng.standard_normal((n, r))
+    coeffs = _lifted(factor)
+    first, second = np.triu_indices(n, 1)
+    cells = enumerate_cells(coeffs[first] - coeffs[second], r * (r + 1) // 2)
+    assert len(cells) == math.factorial(n)
+    values = {c.signs: np.asarray(c.witness) @ coeffs.T for c in cells}
+    assert len({tuple(np.argsort(-v).tolist()) for v in values.values()}) == len(cells)
+    for s in range(1, n):
+        tops = {_top_set(v, s) for v in values.values()}
+        assert tops == set(itertools.combinations(range(n), s))
+    # The solver's factor differs from ``factor`` by a rotation, which changes
+    # the lifted coordinates but not which orders are cells.
+    solution = spca.solve_spca(spca.SpcaInstance.build(symmetrize(factor @ factor.T), 1, 2))
+    diag = solution.diagnostics
+    assert diag.cells_enumerated == len(cells)
+    assert _top_set(values[diag.best_cell_signs], 2) == solution.support
+
+
+@pytest.mark.parametrize("r,d,n", [(3, 2, 6), (4, 1, 6), (4, 3, 5)])
+def test_tied_lift_takes_insertion(rng, monkeypatch, r, d, n):
+    # R_1 = -R_0 gives two features one functional, so the differences are
+    # dependent: the lift is cut by insertion and must still be exact.
+    dims = []
+
+    def spy(hyperplanes, dim, *args, **kwargs):
+        dims.append(dim)
+        return enumerate_cells(hyperplanes, dim, *args, **kwargs)
+
+    monkeypatch.setattr(spca, "enumerate_cells", spy)
+    for trial in range(3):
+        while True:
+            factor = rng.integers(-2, 3, size=(n, r)).astype(float)
+            factor[1] = -factor[0]
+            if np.linalg.matrix_rank(factor) == r:
+                break
+        kmatrix = symmetrize(factor @ factor.T)
+        s = d + trial % (n - d)
+        solution = spca.solve_spca(spca.SpcaInstance.build(kmatrix, d, s))
+        assert dims.pop() == solution.diagnostics.extended_dim == r * (r + 1) // 2
+        assert solution.diagnostics.cells_enumerated < math.factorial(n)
+        report = brute_force_spca(kmatrix, d, s)
+        assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
+        assert solution.support in report.argmax_supports
 
 
 def test_no_hyperplanes_single_cell():

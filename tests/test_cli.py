@@ -85,8 +85,9 @@ class TestCommands:
         assert doc["solver"]["mode"] == "exact"
 
     def test_extended_dim_rank3_spannogram(self, tmp_path, capsys):
+        # From n = 8 on, rank 3 is past the braid (n - 1 <= 6) and cuts R^3.
         rng = np.random.default_rng(4)
-        factor = rng.standard_normal((6, 3))
+        factor = rng.standard_normal((8, 3))
         path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
         code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
         assert code == 0
@@ -165,6 +166,16 @@ class TestExitCodes:
         code = main(["solve-spca", "--input", path, "--d", "1", "--s", "1"])
         capsys.readouterr()
         assert code == 3
+
+    def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = _write(tmp_path, "k.csv", np.diag([3.0, 2.0, 1.0]))
+        code = main(["solve-spca", "--input", path, "--d", "1", "--s", "1"])
+        capsys.readouterr()
+        assert code == 4
 
     def test_certificate_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -14,6 +14,7 @@ from exactspca.linalg import (
     solve_pca,
     symmetric_eig,
     symmetrize,
+    top_eigenvalue_sums,
 )
 from exactspca.spca import SpcaInstance
 from exactspca.spca_ds import SpcaDsInstance
@@ -107,14 +108,31 @@ class TestSymmetricEig:
             residual = a @ result.eigenvectors - result.eigenvectors * result.eigenvalues
             assert np.max(np.abs(residual)) < 1e-9 * scale
 
-    def test_matches_lapack(self, rng):
-        # Independent implementation cross-check.
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            a = symmetrize(rng.standard_normal((n, n)))
-            mine = symmetric_eig(a).eigenvalues
-            lapack = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(mine, lapack, atol=1e-9 * (1 + np.max(np.abs(a))))
+    @pytest.mark.parametrize("spectrum", [
+        pytest.param([5.0, 5.0, 5.0, 1.0], id="repeated"),
+        pytest.param([1.0, 1.0 + 1e-13, 0.0, 0.0, 0.0], id="clustered-rank-deficient"),
+        pytest.param([1e-300, 2e-300, 3e-300], id="tiny"),
+        pytest.param([1e150, -3e150, 2e150], id="huge"),
+    ])
+    def test_residual_on_structured_spectra(self, rng, spectrum):
+        n = len(spectrum)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = symmetrize(q @ np.diag(spectrum) @ q.T)
+        result = symmetric_eig(a)
+        vectors, values = result.eigenvectors, result.eigenvalues
+        scale = float(np.max(np.abs(spectrum)))
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) < 1e-12
+        assert np.max(np.abs(a @ vectors - vectors * values)) < 1e-12 * n * scale
+        assert np.all(np.diff(values) <= 0.0)
+        assert np.allclose(values, np.sort(spectrum)[::-1], rtol=0.0, atol=1e-12 * n * scale)
+
+    def test_top_eigenvalue_sums_match_solve_pca(self, rng):
+        grams = rng.standard_normal((30, 4, 4))
+        grams = grams @ grams.transpose(0, 2, 1)
+        for d in range(1, 5):
+            sums = top_eigenvalue_sums(grams, d)
+            expected = [solve_pca(symmetrize(g), d)[0] for g in grams]
+            assert np.allclose(sums, expected, rtol=1e-12, atol=0.0)
 
     def test_deterministic_and_sign_convention(self, rng):
         a = symmetrize(rng.standard_normal((6, 6)))
@@ -127,9 +145,16 @@ class TestSymmetricEig:
             nonzero = np.nonzero(col)[0]
             assert col[nonzero[0]] > 0
 
-    def test_sweep_limit(self):
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
-            symmetric_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
+            symmetric_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(NoConvergence):
+            top_eigenvalue_sums(np.eye(2)[None], 1)
 
     def test_returns_eigenresult(self):
         assert isinstance(symmetric_eig(np.eye(2)), EigenResult)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -238,14 +239,18 @@ def _factor_for_path(rng, n, r, integer):
 
 # (n, r, d, dimension cut): the closed form (r <= d), the spannogram in R^r,
 # the lift of one r(r+1)/2 block for d = 1 at rank >= 4 where it predicts
-# less work, and the one-block lift for 1 < d < r.
+# less work, and the one-block lift for 1 < d < r.  With n - 1 <= r(r+1)/2
+# the lift is the braid arrangement, whose cells are read, not cut, unless
+# the factor has R_1 = -R_0: so the Gaussian trials of the lifted and braid
+# shapes take the braid and their integer trials cut the lift by insertion.
 PATHS = [
     pytest.param(6, 1, 1, 0, id="closed-form-rank1"),
     pytest.param(6, 2, 2, 0, id="closed-form-rank2"),
     pytest.param(7, 2, 1, 2, id="spannogram-r2"),
-    pytest.param(7, 3, 1, 3, id="spannogram-r3"),
+    pytest.param(8, 3, 1, 3, id="spannogram-r3"),
     pytest.param(6, 4, 1, 10, id="lifted-d1"),
     pytest.param(6, 3, 2, 6, id="lifted-block"),
+    pytest.param(5, 4, 3, 10, id="braid"),
 ]
 
 
@@ -289,13 +294,16 @@ class TestPaths:
             assert top in result.supports
 
     def test_space_choice_for_one_component(self, rng):
-        # Ranks 2 and 3 always cut the spannogram, whose cells come in closed
-        # form.  At rank 4 the space with fewer predicted cell tests is cut:
-        # the lift up to n = 8, the spannogram above.  Solving those two
-        # shapes takes about a minute, so their choice is read off the model.
+        # Up to n = r(r+1)/2 + 1 generic features read the braid of the lift.
+        # Above it ranks 2 and 3 always cut the spannogram, whose cells come
+        # in closed form.  At rank 4 (from n = 12, or below with ties) the
+        # space with fewer predicted cell tests is cut: the lift up to n = 8,
+        # the spannogram above.  Solving tied shapes that large takes about a
+        # minute, so that choice is read off the model.
         from exactspca.spca import _choose_space
 
-        for n, r, dim in ((5, 2, 2), (7, 2, 2), (6, 3, 3), (7, 3, 3)):
+        for n, r, dim in ((4, 2, 3), (5, 2, 2), (7, 2, 2), (7, 3, 6), (8, 3, 3),
+                          (9, 3, 3), (11, 4, 10)):
             kmatrix = random_low_rank_psd(rng, n, r)
             assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
         for n, dim in ((8, 10), (9, 4)):
@@ -322,6 +330,44 @@ class TestPaths:
         prefix_cells = [len(enumerate_cells(normals[:h], dim)) for h in range(8)]
         assert _insertion_bounds(7, dim, np.inf) == (prefix_cells[-1], sum(prefix_cells[:-1]))
         assert _insertion_bounds(7, dim, 10)[0] == 10
+
+    @pytest.mark.parametrize("n,r,d", [(9, 4, 1), (11, 4, 3), (7, 3, 2), (4, 2, 1)])
+    def test_braid_cuts_nothing(self, rng, monkeypatch, n, r, d):
+        # By insertion rank 4, d = 1 took 5.6 s at n = 8 and 53 s at n = 9
+        # (2-vCPU VM); the braid reads every support without cutting.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the braid must not cut cells")
+
+        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
+        kmatrix = random_low_rank_psd(rng, n, r)
+        s = d + 1
+        solution = solve_spca(_instance(kmatrix, d, s))
+        diag = solution.diagnostics
+        assert diag.extended_dim == r * (r + 1) // 2
+        assert diag.cells_enumerated == diag.predicted_cells == math.factorial(n)
+        assert diag.hyperplanes == n * (n - 1) // 2
+        assert diag.candidates_evaluated == math.comb(n, s)
+        report = brute_force_spca(kmatrix, d, s)
+        assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
+        assert solution.support in report.argmax_supports
+
+    def test_cut_cell_signs_belong_to_the_winner(self, rng):
+        # The one witness kept per support gives the signs of a cell of the
+        # cut arrangement whose top-s set is the winning support.
+        from exactspca.arrangement import dedup_hyperplanes, enumerate_cells
+
+        rows = rng.standard_normal((8, 2))
+        inst = _instance(symmetrize(rows @ rows.T), 1, 3)
+        solution = solve_spca(inst)
+        assert solution.diagnostics.extended_dim == 2
+        rows = inst.factor.factor
+        first, second = np.triu_indices(8, 1)
+        normals = np.stack([rows[first] - rows[second], rows[first] + rows[second]], axis=1)
+        cells = enumerate_cells(dedup_hyperplanes(normals.reshape(-1, 2), 2), 2)
+        tops = {c.signs: tuple(sorted(np.argsort(-(rows @ c.witness) ** 2,
+                                                  kind="stable")[:3].tolist()))
+                for c in cells}
+        assert tops[solution.diagnostics.best_cell_signs] == solution.support
 
     def test_spannogram_records_opposite_rows(self, rng):
         # Rows 5 and 6 are small, so pivoting never picks them and their
