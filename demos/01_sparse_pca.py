@@ -4,7 +4,8 @@ Builds a random covariance of rank two, asks for two components supported on
 at most three shared features, and compares the exact solver with the
 enumeration oracle.  With as many components as the rank, every support
 scores trace(K_SS), so the solver takes the closed form and cuts no
-arrangement; one component at the same rank cuts the rank-two spannogram.
+arrangement; one component at the same rank reads the candidates off the
+sectors between the sorted lines of the rank-two spannogram, in arrays.
 On the first four features alone (n - 1 <= r(r+1)/2) the lifted differences
 form the braid arrangement: every strict order is a cell, so every support
 is a candidate and nothing is cut.
@@ -35,7 +36,7 @@ def describe(diag, features):
     if diag.extended_dim == 0:
         space = "closed form, no arrangement"
     elif diag.extended_dim == r:
-        space = f"spannogram in R^{r}"
+        space = f"sectors of the spannogram in R^{r}, read in arrays"
     elif diag.cells_enumerated == factorial(features):
         space = f"braid of the lift in R^{diag.extended_dim}, read without cutting"
     else:

@@ -63,18 +63,22 @@ class Cell:
 def _unit_normals(hyperplanes, dim: int) -> np.ndarray:
     if dim < 1:
         raise InvalidParameters(f"need dim >= 1, got {dim}")
-    rows = []
-    for h in hyperplanes:
-        normal = np.asarray(getattr(h, "normal", h), dtype=float)
-        if normal.shape != (dim,):
-            raise InvalidParameters(
-                f"normal shape {normal.shape} does not match dim {dim}"
-            )
-        norm = float(np.linalg.norm(normal))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise Degenerate("zero or non-finite hyperplane normal")
-        rows.append(normal / norm)
-    return np.array(rows).reshape(len(rows), dim)
+    if isinstance(hyperplanes, np.ndarray) and hyperplanes.dtype.kind in "biuf":
+        rows = hyperplanes.astype(float, copy=False)
+        shapes = {rows.shape[1:]} if rows.size else set()
+    else:
+        rows = [np.asarray(getattr(h, "normal", h), dtype=float) for h in hyperplanes]
+        shapes = {row.shape for row in rows}
+    if shapes - {(dim,)}:
+        raise InvalidParameters(f"normal shapes {sorted(shapes)} do not match dim {dim}")
+    normals = np.array(rows, dtype=float).reshape(-1, dim)
+    # Stacked row dot products round like np.linalg.norm on each row alone;
+    # an overflow gives an infinite norm, rejected below.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(normals[:, None, :] @ normals[:, :, None]).reshape(-1)
+    if not np.all((norms > 0.0) & np.isfinite(norms)):
+        raise Degenerate("zero or non-finite hyperplane normal")
+    return normals / norms[:, None]
 
 
 def dedup_hyperplanes(hyperplanes, dim: int, tol: float = 1e-9) -> list[Hyperplane]:
@@ -192,34 +196,43 @@ def _line_angles(normals: np.ndarray) -> np.ndarray:
 
 
 def _sector_mids(angles: np.ndarray) -> np.ndarray:
-    """Mid-angles of the sectors between the sorted rays, over a half-turn.
+    """Mid-angles of the sectors between the rays, over a half-turn.
 
-    One sector per line on each row of ``angles``; the other half-turn is
-    the mirror image.  Repeated angles give sectors of zero width.
+    One sector per line on each row of ``angles``, which must be sorted; the
+    other half-turn is the mirror image.  Repeated angles give sectors of
+    zero width.
     """
-    angles = np.sort(angles, axis=-1)
     upper = np.concatenate([angles[..., 1:], angles[..., :1] + np.pi], axis=-1)
     return (angles + upper) / 2.0
 
 
-def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
-    """Cells of central lines in R^2: the sectors between the sorted rays.
+def plane_sectors(normals: np.ndarray, min_margin: float = MIN_MARGIN):
+    """(witnesses, margins) of the sectors that lines through 0 cut in R^2,
+    over one half-turn; the other half-turn is their mirror image.
 
-    Each witness is the unit vector at its sector's mid-angle, which
-    maximizes the margin over the unit circle.  Sectors with margin at most
-    ``min_margin`` are dropped, among them the empty ones between repeated
-    lines.  The second half-turn mirrors the first.
+    ``normals`` is a (p, 2) array of nonzero line normals, p >= 1.  Each
+    witness is the unit vector at its sector's mid-angle.  The nearest lines
+    to it are the sector's two boundary rays, so its margin is
+    sin(width / 2) and no value matrix is formed.  Sectors with margin at
+    most ``min_margin`` are dropped, among them the empty ones between
+    repeated lines.  Witnesses come in increasing angle from the first ray.
     """
-    mids = _sector_mids(_line_angles(unit))
-    half = np.column_stack([np.cos(mids), np.sin(mids)])
+    angles = np.sort(_line_angles(normals))
+    mids = _sector_mids(angles)
+    margins = np.sin(mids - angles)
+    keep = margins > min_margin
+    return np.column_stack([np.cos(mids[keep]), np.sin(mids[keep])]), margins[keep]
+
+
+def _sector_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
+    """Cells of central lines in R^2: the sectors of ``plane_sectors`` and
+    their mirror images, with the signs read at each witness."""
+    half, margins = plane_sectors(unit, min_margin)
     witnesses = np.vstack([half, -half])
-    values = witnesses @ unit.T
-    margins = np.min(np.abs(values), axis=1)
-    signs = np.where(values > 0.0, 1, -1).tolist()
+    signs = np.where(witnesses @ unit.T > 0.0, 1, -1).tolist()
     cells = [
         Cell(signs=tuple(sv), witness=w, margin=float(m))
-        for sv, w, m in zip(signs, witnesses, margins)
-        if m > min_margin
+        for sv, w, m in zip(signs, witnesses, np.concatenate([margins, margins]))
     ]
     return sorted(cells, key=lambda c: c.signs)
 
@@ -276,7 +289,7 @@ def _space_cells(unit: np.ndarray, min_margin: float) -> list[Cell]:
     # adds sectors of zero width, which no lift keeps.
     some_line = np.argmax(~parallel, axis=1)
     angles = np.where(parallel, angles[np.arange(p), some_line][:, None], angles)
-    mids = _sector_mids(angles)
+    mids = _sector_mids(np.sort(angles, axis=1))
     in_plane = (bases[:, None, :, 0] * np.cos(mids)[:, :, None]
                 + bases[:, None, :, 1] * np.sin(mids)[:, :, None])  # (p, p, 3)
 

@@ -107,6 +107,7 @@ def _spca_ds_document(solution, n: int, d: int, s: int) -> dict:
         "components": _components(solution.x),
         "diagnostics": {
             "cells": diag.cells_enumerated,
+            "extended_dim": diag.extended_dim,
             "candidates": diag.candidates_evaluated,
             "circuits": diag.circuits_enumerated,
             "circulation_solves": diag.circulation_solves,

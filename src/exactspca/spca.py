@@ -27,15 +27,19 @@ smallest exact space the instance's shape allows:
   the lift are cut.  The functional of d columns repeats the block d times,
   so one block has the same cells.
 
-Past the braid, for d = 1 both arrangements are exact.  At rank 2 and 3 the
-spannogram is always cut: ``enumerate_cells`` reads the cells of R^2 and R^3
-off in closed form, with no insertion work.  At rank >= 4 the one that predicts less work
-for ``enumerate_cells`` is cut.  Inserting hyperplane h tests every cell of
-the first h - 1, so the work is the sum of the cell bounds of the partial
-arrangements: the generic count for the spannogram, capped at n! for the
-lift (each cell of a difference arrangement fixes a strict order of the n
-functionals).  The spannogram has twice the hyperplanes in fewer dimensions;
-it wins from n = 9 at rank 4.
+Past the braid, for d = 1 both arrangements are exact.  At rank 2 the cells
+are the sectors between the sorted angles of the n(n-1) lines:
+``plane_sectors`` gives each sector's mid-angle witness and closed-form
+margin, and the witnesses are scored in fixed-size blocks, so no hyperplane,
+cell or sign vector is built and no near-parallel lines are merged.  At
+rank 3 the spannogram is always cut: ``enumerate_cells`` reads the cells of
+R^3 off in closed form, with no insertion work.  At rank >= 4 the one that
+predicts less work for ``enumerate_cells`` is cut.  Inserting hyperplane h
+tests every cell of the first h - 1, so the work is the sum of the cell
+bounds of the partial arrangements: the generic count for the spannogram,
+capped at n! for the lift (each cell of a difference arrangement fixes a
+strict order of the n functionals).  The spannogram has twice the
+hyperplanes in fewer dimensions; it wins from n = 9 at rank 4.
 
 Candidates are scored by the top eigenvalues of their r x r Gram matrices,
 stacked and handed to LAPACK in fixed-size chunks.
@@ -52,7 +56,12 @@ from typing import Callable
 
 import numpy as np
 
-from .arrangement import dedup_hyperplanes, enumerate_cells, expected_generic_cell_count
+from .arrangement import (
+    dedup_hyperplanes,
+    enumerate_cells,
+    expected_generic_cell_count,
+    plane_sectors,
+)
 from .errors import InvalidParameters
 from .extension import MonomialBasis, build_row_functional
 from .linalg import (
@@ -66,6 +75,7 @@ from .linalg import (
 )
 
 _SCORE_CHUNK = 1024  # candidate Gram matrices per batched LAPACK call
+_SECTOR_BLOCK = 256  # R^2 sectors scored at once on the rank-2 spannogram (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -107,9 +117,24 @@ class SpcaInstance:
         return min(self.d, self.factor.rank)
 
 
+def _top_masks(values: np.ndarray, s: int) -> np.ndarray:
+    """Boolean rows marking the s largest entries of each row, ties to the
+    smaller index."""
+    n = values.shape[1]
+    threshold = np.partition(values, n - s, axis=1)[:, n - s : n - s + 1]
+    mask = values >= threshold
+    tied_rows = np.count_nonzero(mask, axis=1) > s
+    if np.any(tied_rows):
+        part, cut = values[tied_rows], threshold[tied_rows]
+        above, tied = part > cut, part == cut
+        room = s - np.count_nonzero(above, axis=1, keepdims=True)
+        mask[tied_rows] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return mask
+
+
 def _top_sets(values: np.ndarray, s: int) -> np.ndarray:
     """The s largest entries of each row as sorted indices, ties to the smaller."""
-    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :s], axis=1)
+    return np.nonzero(_top_masks(values, s))[1].reshape(-1, s)
 
 
 def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
@@ -128,7 +153,8 @@ class CandidateSupports:
     ``extended_dim`` is the dimension of the space actually cut (0 for the
     closed form) and ``predicted_cells`` bounds ``cells_enumerated`` before
     enumeration starts.  ``cell_signs(support)`` is the sign vector, on the
-    hyperplanes cut, of one cell whose top-s set is ``support``.
+    hyperplanes cut (at rank 2 every line offered, near-parallel ones
+    included), of one cell whose top-s set is ``support``.
     """
 
     supports: tuple[tuple[int, ...], ...]
@@ -154,20 +180,44 @@ def _insertion_bounds(planes: int, dim: int, cap: float) -> tuple[int, int]:
 
 
 def _choose_space(n: int, r: int, d: int, pairs: int) -> tuple[bool, int, int]:
-    """(spannogram?, dimension, predicted cells) of the space to cut.
+    """(spannogram?, dimension, predicted cells) of the space to cut at
+    rank >= 3.
 
     ``pairs`` counts the feature pairs with distinct functionals: the lift
-    offers one hyperplane for each and the spannogram two.  In R^2 and R^3
-    the spannogram costs no insertion work; above, the predicted insertion
-    work decides.
+    offers one hyperplane for each and the spannogram two.  In R^3 the
+    spannogram costs no insertion work; above, the predicted insertion work
+    decides.
     """
     lift_dim = r * (r + 1) // 2
     lift_cells, lift_work = _insertion_bounds(pairs, lift_dim, factorial(n))
     if d == 1:
         span_cells, span_work = _insertion_bounds(2 * pairs, r, inf)
-        if r <= 3 or span_work < lift_work:
+        if r == 3 or span_work < lift_work:
             return True, r, span_cells
     return False, lift_dim, lift_cells
+
+
+def _sector_tops(rows: np.ndarray, normals: np.ndarray, s: int):
+    """(top-s sets, one witness each, sectors kept) over the sectors that the
+    lines with these R^2 normals cut.
+
+    The mirror half-turn repeats every (R_j @ y)**2, so one half-turn is
+    scored, ``_SECTOR_BLOCK`` sectors at a time.  The top-s set changes only
+    where a line swaps the features at positions s and s + 1, so within a
+    block each run of equal sets keeps only its first sector; sets repeated
+    across blocks are left to the caller's deduplication.
+    """
+    witnesses, _ = plane_sectors(normals)
+    masks, kept = [], []
+    for start in range(0, len(witnesses), _SECTOR_BLOCK):
+        block = witnesses[start:start + _SECTOR_BLOCK]
+        mask = _top_masks((block @ rows.T) ** 2, s)
+        starts = np.ones(len(mask), dtype=bool)
+        starts[1:] = np.any(mask[1:] != mask[:-1], axis=1)
+        masks.append(mask[starts])
+        kept.append(block[starts])
+    tops = np.nonzero(np.concatenate(masks))[1].reshape(-1, s)
+    return tops, np.concatenate(kept), len(witnesses)
 
 
 def _braid_signs(n: int, support) -> tuple[int, ...]:
@@ -231,31 +281,39 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
     # R_j = +-R_k: the two features share one functional, so neither space
     # offers a hyperplane for the pair.
     same = ~np.any(minus, axis=1) | ~np.any(plus, axis=1)
-    spannogram, dim, predicted = _choose_space(n, r, d, int(np.count_nonzero(~same)))
-    if spannogram:
-        offered = np.stack([minus[~same], plus[~same]], axis=1).reshape(-1, dim)
-
-        def score(witnesses):
-            return (witnesses @ rows.T) ** 2
-
+    lines = np.stack([minus[~same], plus[~same]], axis=1).reshape(-1, r)  # the spannogram's
+    if r == 2:
+        # d = 1, as d >= 2 is the closed form: the cells are the sectors
+        # between the sorted lines, scored in blocks.
+        tops, witnesses, sectors = _sector_tops(rows, lines, s)
+        normals, dim, predicted, cell_count = lines, 2, 2 * len(lines), 2 * sectors
     else:
-        if coeffs is None:
-            coeffs = _lifted_coefficients(instance)
-        offered = coeffs[first][~same] - coeffs[second][~same]
+        spannogram, dim, predicted = _choose_space(n, r, d, int(np.count_nonzero(~same)))
+        if spannogram:
+            offered = lines
 
-        def score(witnesses):
-            return witnesses @ coeffs.T
+            def score(witnesses):
+                return (witnesses @ rows.T) ** 2
 
-    hyperplanes = dedup_hyperplanes(offered, dim)
-    cells = enumerate_cells(hyperplanes, dim)
-    witnesses = np.vstack([c.witness for c in cells])
-    cell_count = len(cells)
-    del cells  # one sign tuple per cell: the bulk of the memory on large shapes
+        else:
+            if coeffs is None:
+                coeffs = _lifted_coefficients(instance)
+            offered = coeffs[first][~same] - coeffs[second][~same]
+
+            def score(witnesses):
+                return witnesses @ coeffs.T
+
+        hyperplanes = dedup_hyperplanes(offered, dim)
+        cells = enumerate_cells(hyperplanes, dim)
+        witnesses = np.vstack([c.witness for c in cells])
+        cell_count = len(cells)
+        del cells  # one sign tuple per cell: the bulk of the memory on large shapes
+        tops = _top_sets(score(witnesses), s)
+        normals = np.array([h.normal for h in hyperplanes]).reshape(-1, dim)
     # Sorted rows, each with the first cell that reaches it.
-    tops, first_cell = np.unique(_top_sets(score(witnesses), s), axis=0, return_index=True)
+    tops, first_cell = np.unique(tops, axis=0, return_index=True)
     supports = tuple(tuple(row) for row in tops.tolist())
     witnesses = witnesses[first_cell]
-    normals = np.array([h.normal for h in hyperplanes]).reshape(-1, dim)
 
     def cell_signs(support):
         values = normals @ witnesses[supports.index(support)]
@@ -264,7 +322,7 @@ def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
     return CandidateSupports(
         supports=supports,
         cells_enumerated=cell_count,
-        hyperplane_count=len(hyperplanes),
+        hyperplane_count=len(normals),
         extended_dim=dim,
         predicted_cells=predicted,
         duplicate_feature_pairs=tuple(zip(first[same].tolist(), second[same].tolist())),

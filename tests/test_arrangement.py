@@ -12,9 +12,10 @@ from exactspca.arrangement import (
     enumerate_affine_cells,
     enumerate_cells,
     expected_generic_cell_count,
+    plane_sectors,
     witness_for_signs,
 )
-from exactspca.errors import Degenerate
+from exactspca.errors import Degenerate, InvalidParameters
 from exactspca.extension import MonomialBasis
 from exactspca.linalg import symmetrize
 from exactspca.oracle import brute_force_spca
@@ -199,6 +200,54 @@ def test_no_hyperplanes_single_cell():
 def test_zero_normal_rejected():
     with pytest.raises(Degenerate):
         enumerate_cells([Hyperplane(np.zeros(2))], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_normal_rejected(bad):
+    # 1e200 is finite, but its squared norm overflows.
+    normals = np.array([[1.0, 2.0], [bad, 0.0]])
+    with pytest.raises(Degenerate):
+        enumerate_cells(normals, 2)
+    with pytest.raises(Degenerate):
+        dedup_hyperplanes([Hyperplane(row) for row in normals], 2)
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        pytest.param(np.ones((3, 2)), id="array-columns"),
+        pytest.param(np.ones(3), id="array-one-row"),
+        pytest.param([np.ones(3), np.ones(2)], id="ragged-list"),
+        pytest.param([Hyperplane(np.ones(2))], id="hyperplane-dim"),
+    ],
+)
+def test_wrong_normal_shape_rejected(normals):
+    with pytest.raises(InvalidParameters):
+        enumerate_cells(normals, 3)
+    with pytest.raises(InvalidParameters):
+        witness_for_signs(normals, [1] * len(normals), 3)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "spannogram"])
+def test_plane_sector_margins_in_closed_form(rng, kind):
+    # sin(width / 2) is the distance from each mid-angle witness to its
+    # nearest line; repeated lines leave no sector of their own.
+    for normals in _checked_arrangements(rng, kind, 2):
+        witnesses, margins = plane_sectors(normals)
+        unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        values = np.abs(witnesses @ unit.T)
+        assert np.allclose(np.linalg.norm(witnesses, axis=1), 1.0)
+        assert np.all(margins > MIN_MARGIN)
+        assert np.allclose(margins, np.min(values, axis=1), rtol=1e-9, atol=1e-15)
+        distinct = len(dedup_hyperplanes(normals, 2))
+        assert len(witnesses) == distinct
+        assert len(enumerate_cells(normals, 2)) == 2 * distinct
+
+
+def test_plane_sectors_of_one_line():
+    witnesses, margins = plane_sectors(np.array([[0.0, 3.0], [0.0, -1.0]]))
+    assert margins == pytest.approx([1.0])
+    assert np.allclose(np.abs(witnesses), [[0.0, 1.0]])
 
 
 def test_generic_counts_and_soundness(rng):

@@ -123,6 +123,20 @@ class TestCommands:
         assert 1 <= diag["candidates"] <= diag["circulation_solves"] < diag["cells"]
         assert set(diag["stage_ms"]) >= {"regions", "circulations"}
 
+    @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (3, 2, 6)])
+    def test_solve_spca_ds_reports_extended_dim(self, tmp_path, capsys, n, d, dim):
+        # At rank 2, d = 1 is sparse PCA: the sectors of R^2 from n = 5 and
+        # the braid of the lift, R^3, below; d = 2 cuts the lift of both
+        # columns, R^6.
+        factor = np.random.default_rng(4).standard_normal((n, 2))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code, doc = _run(
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "2"]
+        )
+        assert code == 0
+        assert doc["problem"]["rank"] == 2
+        assert doc["diagnostics"]["extended_dim"] == dim
+
     def test_factor_reports_rank(self, tmp_path, capsys):
         path = _write(tmp_path, "k.csv", [[4.0, 2.0], [2.0, 1.0]])
         code, doc = _run(capsys, ["factor", "--input", path])

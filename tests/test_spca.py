@@ -45,6 +45,15 @@ class TestCandidateFromPoint:
         )
         assert support == (0, 1)
 
+    def test_top_sets_match_stable_argsort(self, rng):
+        # Small integers tie often, also across position s.
+        from exactspca.spca import _top_sets
+
+        values = rng.integers(0, 4, size=(500, 9)).astype(float)
+        for s in range(1, 10):
+            expected = np.sort(np.argsort(-values, axis=1, kind="stable")[:, :s], axis=1)
+            assert np.array_equal(_top_sets(values, s), expected)
+
     def test_matches_subset_enumeration(self, rng):
         basis = MonomialBasis(2, 1)
         rows = rng.standard_normal((5, 2))
@@ -383,3 +392,107 @@ class TestPaths:
         assert (5, 6) in result.duplicate_feature_pairs
         report = brute_force_spca(kmatrix, 1, 2)
         assert solve_spca(inst).support in report.argmax_supports
+
+
+def _spannogram_lines(rows):
+    """The lines R_j -+ R_k, in the solver's order, of every pair whose
+    functionals differ."""
+    first, second = np.triu_indices(rows.shape[0], 1)
+    lines = np.stack([rows[first] - rows[second], rows[first] + rows[second]], axis=1)
+    distinct = np.all(np.any(lines, axis=2), axis=1)
+    return lines[distinct].reshape(-1, rows.shape[1])
+
+
+class TestPlaneSectors:
+    """Rank 2, d = 1: the sectors between the sorted lines, read in arrays."""
+
+    @pytest.mark.parametrize("n", [8, 12, 30])
+    def test_reads_no_arrangement(self, rng, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank 2, d = 1 must not build hyperplanes or cells")
+
+        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
+        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
+        kmatrix = random_low_rank_psd(rng, n, 2)
+        s = max(2, n // 4)
+        inst = _instance(kmatrix, 1, s)
+        solution = solve_spca(inst)
+        diag = solution.diagnostics
+        assert diag.extended_dim == 2
+        assert diag.hyperplanes == n * (n - 1)
+        assert diag.predicted_cells == 2 * diag.hyperplanes
+        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated <= diag.predicted_cells
+        # The winner's signs are taken over the offered lines, and a point
+        # with those signs ranks the winning support on top.
+        lines = _spannogram_lines(inst.factor.factor)
+        assert len(diag.best_cell_signs) == len(lines)
+        from exactspca.arrangement import witness_for_signs
+
+        point = witness_for_signs(lines, diag.best_cell_signs, 2)
+        values = (inst.factor.factor @ point) ** 2
+        assert tuple(sorted(np.argsort(-values)[:s].tolist())) == solution.support
+        if n <= 10:
+            report = brute_force_spca(kmatrix, 1, s)
+            assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
+            assert solution.support in report.argmax_supports
+
+    @pytest.mark.parametrize("tie", ["opposite", "double"])
+    def test_ties_match_oracle(self, rng, tie):
+        # R_1 = -R_0 offers no line for the pair; R_2 = 2 R_0 repeats the
+        # line of each pair (0, j) as one of the pair (2, j), and the empty
+        # sectors between repeated lines are dropped.
+        for n in range(3, 10):
+            while True:
+                factor = rng.integers(-2, 3, size=(n, 2)).astype(float)
+                if tie == "opposite":
+                    factor[1] = -factor[0]
+                else:
+                    factor[2] = 2.0 * factor[0]
+                if np.linalg.matrix_rank(factor) == 2:
+                    break
+            kmatrix = symmetrize(factor @ factor.T)
+            for s in range(1, n + 1):
+                solution = solve_spca(_instance(kmatrix, 1, s))
+                report = brute_force_spca(kmatrix, 1, s)
+                assert solution.objective == pytest.approx(
+                    report.objective, rel=1e-8, abs=1e-8
+                )
+                assert solution.support in report.argmax_supports
+
+    @pytest.mark.parametrize("n", [20, 35, 50])
+    def test_parity_with_cut_sectors(self, rng, n):
+        # Every top-s set of the cut, deduplicated arrangement is a
+        # candidate; near-parallel lines the dedup merged add thin sectors.
+        from exactspca.arrangement import dedup_hyperplanes, enumerate_cells
+
+        inst = _instance(random_low_rank_psd(rng, n, 2), 1, 3)
+        rows = inst.factor.factor
+        cells = enumerate_cells(dedup_hyperplanes(_spannogram_lines(rows), 2), 2)
+        witnesses = np.vstack([c.witness for c in cells])
+        del cells
+        for s in (3, n // 3):
+            result = enumerate_candidate_supports(_instance(inst.kmatrix, 1, s))
+            assert result.extended_dim == 2
+            candidates = set(result.supports)
+            for values in (witnesses @ rows.T) ** 2:
+                top = tuple(sorted(np.argsort(-values, kind="stable")[:s].tolist()))
+                assert top in candidates
+
+    def test_reach(self, rng):
+        # By cutting, n = 100 took 87 s and 3.5 GB and n = 150 ran out of
+        # memory (2-vCPU VM); the blocked sector read stays O(n^2).
+        n, s = 300, 60
+        kmatrix = random_low_rank_psd(rng, n, 2)
+        inst = _instance(kmatrix, 1, s)
+        solution = solve_spca(inst)
+        diag = solution.diagnostics
+        assert diag.extended_dim == 2
+        assert diag.cells_enumerated <= diag.predicted_cells
+        rows = inst.factor.factor
+        directions = rng.standard_normal((2000, 2))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        sampled = np.sort(np.argsort(-(directions @ rows.T) ** 2, axis=1)[:, :s], axis=1)
+        blocks = rows[sampled]
+        lower = np.max(np.linalg.eigvalsh(blocks.transpose(0, 2, 1) @ blocks)[:, -1])
+        upper = np.linalg.eigvalsh(kmatrix)[-1]
+        assert lower - 1e-8 * upper <= solution.objective <= upper * (1 + 1e-10)
