@@ -112,6 +112,7 @@ def _spca_ds_document(solution, n: int, d: int, s: int) -> dict:
             "circuits": diag.circuits_enumerated,
             "circulation_solves": diag.circulation_solves,
             "hyperplanes": diag.hyperplanes,
+            "sweep_lines": diag.sweep_lines,
             "completions": diag.completions_in_best,
             "stage_ms": dict(diag.stage_ms),
         },

@@ -12,8 +12,9 @@ Two shapes need none of this.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
 unit-trace slice of the lifted space is a single point, so one circulation
 on the squared row norms is the only region.  Rank two with d = 2 cuts its
-regions in closed form on the torus of block angles; every other shape cuts
-the clipped chart of the slice.
+regions in closed form on the torus of block angles, sweeping lines whose
+arc signs are read by toggling curve bits at the sorted roots; every other
+shape cuts the clipped chart of the slice.
 
 Circulations may leave a component's support empty (the restricted selection
 problem allows it) while feasible loading vectors need unit norm, hence a
@@ -312,6 +313,15 @@ def _enumerate_slice_cells(
     return cells, len(free_rows)
 
 
+def _mod_pi(x):
+    """``np.mod(x, pi)`` for x in [-pi, 2 pi), bit for bit and NaN kept.
+
+    One shift by pi gives np.mod's result on that range without its
+    floating-point remainder, which is slow on NaN entries.
+    """
+    return np.where(x < 0.0, x + np.pi, np.where(x >= np.pi, x - np.pi, x))
+
+
 def _circle_solutions(a, b, m):
     """Both solutions of a*cos(2phi) + b*sin(2phi) = m on [0, pi), entrywise.
 
@@ -323,22 +333,21 @@ def _circle_solutions(a, b, m):
         ratio = np.where(radius > 0.0, m / np.where(radius > 0.0, radius, 1.0), 2.0)
     delta = np.where(np.abs(ratio) <= 1.0, np.arccos(np.clip(ratio, -1.0, 1.0)), np.nan)
     psi = np.arctan2(b, a)
-    return np.mod((psi + delta) / 2.0, np.pi), np.mod((psi - delta) / 2.0, np.pi)
+    return _mod_pi((psi + delta) / 2.0), _mod_pi((psi - delta) / 2.0)
 
 
-def _arc_midpoints(points):
-    """Midpoints of the arcs each row of points cuts from the circle [0, pi).
+def _arc_stops(points):
+    """Where the arc after each point ends, for rows of points on [0, pi).
 
-    Rows may repeat points and hold NaN for missing ones.  Row k of the
-    result lists its arcs in increasing order of their start, the
-    wrap-around arc last, and NaN in the unused slots.
+    Rows hold sorted points in [0, pi), repeats allowed, NaN for missing
+    ones last.  The arc after a point ends at the next one, and the arc
+    after the last wraps around to the first plus pi; NaN past the last.
     """
-    pts = np.sort(np.mod(points, np.pi), axis=1)  # NaN sorts last
-    mids = np.empty_like(pts)
-    mids[:, :-1] = np.where(pts[:, 1:] == pts[:, :-1], np.nan, (pts[:, :-1] + pts[:, 1:]) / 2.0)
-    last = pts[np.arange(pts.shape[0]), np.count_nonzero(~np.isnan(pts), axis=1) - 1]
-    mids[:, -1] = (last + (pts[:, 0] + np.pi)) / 2.0
-    return np.mod(mids, np.pi)
+    stops = np.full_like(points, np.nan)
+    stops[:, :-1] = points[:, 1:]
+    last = np.count_nonzero(~np.isnan(points), axis=1) - 1
+    stops[np.arange(points.shape[0]), last] = points[:, 0] + np.pi
+    return stops
 
 
 def _sinusoid_coefficients(normals, d):
@@ -416,7 +425,22 @@ def _pair_crossings(a, b, c, radius_2):
     companion[:, 0, :] = -poly[quartic, 1:] / poly[quartic, :1]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     roots = [np.linalg.eigvals(companion).ravel()]
-    roots += [np.roots(row) for row in poly[~quartic] if np.max(np.abs(row)) > 0.0]
+    # The other rows as np.roots solves them, one batch per actual degree:
+    # leading zeros lower the degree and trailing zeros are roots at 0.
+    low = poly[~quartic]
+    low = low[np.any(low != 0.0, axis=1)]
+    nonzero = low != 0.0
+    lead = np.argmax(nonzero, axis=1)
+    trail = np.argmax(nonzero[:, ::-1], axis=1)
+    roots.append(np.zeros(np.count_nonzero(trail)))
+    degree = 4 - lead - trail
+    for deg in np.unique(degree[degree > 0]):
+        rows = degree == deg
+        coeffs = np.take_along_axis(low[rows], lead[rows, None] + np.arange(deg + 1), axis=1)
+        companion = np.zeros((coeffs.shape[0], deg, deg))
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        roots.append(np.linalg.eigvals(companion).ravel())
     roots = np.concatenate(roots)
     real = roots[np.abs(roots.imag) < 1e-9].real
     # tan(phi1) -> infinity corresponds to phi1 = pi/2.
@@ -425,7 +449,117 @@ def _pair_crossings(a, b, c, radius_2):
 
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
-_SWEEP_BLOCK = 1 << 15  # curve values evaluated per block of sweep lines
+_SWEEP_ARCS = 1 << 12  # arcs read per block of sweep lines
+
+
+def _torus_signs(const, phi2, a2, b2, reach):
+    """Interior flags and packed sign rows of the curves at torus points.
+
+    Row k of ``const`` holds every curve's first-angle part plus constant at
+    point k, whose second angle is ``phi2[k]``.
+    """
+    values = const + np.cos(2.0 * phi2)[:, None] * a2 + np.sin(2.0 * phi2)[:, None] * b2
+    interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
+    return interior, np.packbits(values > 0.0, axis=1)
+
+
+def _key_words(packed, words):
+    """`np.packbits` rows as ``words`` 64-bit words each, for bitwise keys."""
+    padded = np.zeros((packed.shape[0], 8 * words), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view(np.uint64)
+
+
+def _torus_sweep(normals):
+    """Region witnesses of the torus arrangement and the number of sweep
+    lines; see `_torus_region_witnesses`."""
+    a, b, c = _sinusoid_coefficients(normals, 2)
+    p = a.shape[0]
+    reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
+    radius_2 = np.hypot(a[:, 1], b[:, 1])
+    # A curve whose minority side never clears the margin, such as a single
+    # arc's (R_j . y_i)^2 >= 0, has one sign at every witness: it toggles no
+    # key, and its crossings move no slab boundary that matters.
+    flips = reach - 2.0 * np.abs(c) > _MIN_RELATIVE_MARGIN * reach
+
+    criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
+    # Vertical tangents: the second-angle part sits at an extremum.
+    criticals += _circle_solutions(a[:, 0], b[:, 0], -c - radius_2)
+    criticals += _circle_solutions(a[:, 0], b[:, 0], -c + radius_2)
+    criticals += _pair_crossings(a[flips], b[flips], c[flips], radius_2[flips])
+    merged = np.concatenate(criticals)
+    merged = np.unique(np.round(merged[~np.isnan(merged)], 9))
+    starts = np.sort(_mod_pi(merged))
+    stops = _arc_stops(starts[None, :])[0]
+    lines = _mod_pi((starts + stops)[stops > starts] / 2.0)
+    # A curve flat in the second angle is as close to zero on all of a line,
+    # so lines within the margin of one hold no witness.
+    flat = radius_2 == 0.0
+    flat_values = (np.cos(2.0 * lines)[:, None] * a[flat, 0]
+                   + np.sin(2.0 * lines)[:, None] * b[flat, 0] + c[flat])
+    lines = lines[np.all(np.abs(flat_values) / reach[flat] > _MIN_RELATIVE_MARGIN, axis=1)]
+
+    base_grid = np.linspace(0.0, np.pi, 8, endpoint=False) + 2e-4
+    # Cut columns: the base grid, then each curve's two roots.  A column
+    # toggles its curve's bit of the key, packed into 64-bit words; base-grid
+    # cuts and the touch points of one-signed curves stay cuts but toggle
+    # nothing.
+    words = -(-p // 64)
+    toggles = np.zeros((base_grid.size + 2 * p, words), dtype=np.uint64)
+    toggles[base_grid.size + np.flatnonzero(np.tile(flips, 2))] = np.tile(
+        _key_words(np.packbits(np.eye(p, dtype=bool)[flips], axis=1), words), (2, 1)
+    )
+    step = max(1, _SWEEP_ARCS // toggles.shape[0])
+    keys, points = [], []
+    for start in range(0, lines.size, step):
+        phi1 = lines[start:start + step]
+        const = np.cos(2.0 * phi1)[:, None] * a[:, 0] + np.sin(2.0 * phi1)[:, None] * b[:, 0] + c
+        # A one-signed curve is cut where it comes closest to zero, so a
+        # touch point stays a cut however its double root rounds.
+        plus, minus = _circle_solutions(
+            a[:, 1], b[:, 1], np.where(flips, -const, np.clip(-const, -radius_2, radius_2))
+        )
+        cuts = np.hstack([np.broadcast_to(base_grid, (phi1.size, base_grid.size)), plus, minus])
+        cuts = _mod_pi(cuts)  # a root rounded up to pi is the cut at 0
+        order = np.argsort(cuts, axis=1)  # NaN (no root) sorts last
+        starts = np.take_along_axis(cuts, order, axis=1)
+        stops = _arc_stops(starts)
+        widths = np.nan_to_num(stops - starts)  # 0: no arc, or an empty one
+
+        def mids(line, slot):
+            return _mod_pi((starts[line, slot] + stops[line, slot]) / 2.0)
+
+        # Along a line a curve changes sign only at its roots, so the key of
+        # the arc after each cut is the key of the line's widest arc, read
+        # once, with every curve whose root lies between the two toggled.
+        prefix = np.bitwise_xor.accumulate(toggles[order], axis=1)
+        rows = np.arange(phi1.size)
+        widest = np.argmax(widths, axis=1)
+        _, reference = _torus_signs(const, mids(rows, widest), a[:, 1], b[:, 1], reach)
+        line, slot = np.nonzero(widths > 0.0)
+        arc_keys = prefix[line, slot] ^ (_key_words(reference, words) ^ prefix[rows, widest])[line]
+        # Evaluate each key at its widest arc.  A key whose witness is not
+        # clear of every curve, or reads other signs, has all its arcs
+        # evaluated; the evaluated signs are the ones kept.
+        by_key = np.argsort(-widths[line, slot])
+        by_key = by_key[np.lexsort(arc_keys[by_key].T)]  # stable: widest first
+        sorted_keys = arc_keys[by_key]
+        leads = np.ones(by_key.size, dtype=bool)  # first arc of each key
+        leads[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+        first = by_key[leads]
+        interior, found = _torus_signs(const[line[first]], mids(line[first], slot[first]),
+                                       a[:, 1], b[:, 1], reach)
+        settled = interior & np.all(_key_words(found, words) == arc_keys[first], axis=1)
+        redo = np.sort(by_key[~settled[np.cumsum(leads) - 1]])
+        redo_interior, redo_found = _torus_signs(const[line[redo]], mids(line[redo], slot[redo]),
+                                                 a[:, 1], b[:, 1], reach)
+        chosen = np.concatenate([first[settled], redo[redo_interior]])
+        in_order = np.argsort(chosen)
+        chosen = chosen[in_order]
+        keys.append(np.vstack([found[settled], redo_found[redo_interior]])[in_order])
+        points.append(np.column_stack([phi1[line[chosen]], mids(line[chosen], slot[chosen])]))
+    keys, points = np.vstack(keys), np.vstack(points)
+    return points[np.sort(distinct_sign_rows(keys))], lines.size
 
 
 def _torus_region_witnesses(normals, d):
@@ -437,57 +571,26 @@ def _torus_region_witnesses(normals, d):
     closed-form roots enumerates every region: slab boundaries are placed at
     the first-angle coordinates of curve-pair crossings and of vertical
     tangents, where the root structure over the second angle can change.
-    One line per slab is cut at the roots of every curve, and each arc's
-    midpoint is a candidate point; blocks of lines are evaluated together.
+    One line per slab is cut at the roots of every curve and at a fixed
+    grid.  Along a line a curve changes sign only at its own roots, so the
+    sign keys of all arcs come from one evaluated row per line by toggling
+    curve bits in root order (the incremental sign sweep of Karystinos and
+    of Asteris, Papailiopoulos and Karystinos); curves are then evaluated
+    only at the widest arc of each key, blocks of lines at a time.  Curves
+    that never change sign by more than the margin toggle nothing, but their
+    touch points still cut the lines, so no witness lands on one; lines
+    within the margin of a curve flat in the second angle are skipped.
     Regions are deduplicated by sign vector, which is exactly the
-    information the circulation uses, keeping the first point in sweep
-    order.  A candidate point is kept only when it is strictly interior:
-    every curve value exceeds `_MIN_RELATIVE_MARGIN` times a bound on that
-    curve's magnitude over the torus.  A point on a curve would otherwise be
-    filed under a spurious sign vector, or shadow the real region that owns
-    it.  Returns an (m, 2) array of (phi1, phi2) rows.
+    information the circulation uses, keeping the first in sweep order.  A
+    witness is kept only when it is strictly interior: every curve value
+    exceeds `_MIN_RELATIVE_MARGIN` times a bound on that curve's magnitude
+    over the torus.  A point on a curve would otherwise be filed under a
+    spurious sign vector, or shadow the real region that owns it.  Returns
+    an (m, 2) array of (phi1, phi2) rows.
     """
     if d != 2:
         raise InvalidParameters("torus regions are implemented for d = 2")
-    a, b, c = _sinusoid_coefficients(normals, d)
-    p = a.shape[0]
-    reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
-    radius_2 = np.hypot(a[:, 1], b[:, 1])
-
-    criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
-    # Vertical tangents: the second-angle part sits at an extremum.
-    criticals += _circle_solutions(a[:, 0], b[:, 0], -c - radius_2)
-    criticals += _circle_solutions(a[:, 0], b[:, 0], -c + radius_2)
-    criticals += _pair_crossings(a, b, c, radius_2)
-    merged = np.concatenate(criticals)
-    merged = np.unique(np.round(merged[~np.isnan(merged)], 9))
-    lines = _arc_midpoints(merged[None, :])[0]
-    lines = lines[~np.isnan(lines)]
-    cos1 = np.cos(2.0 * lines)
-    sin1 = np.sin(2.0 * lines)
-
-    base_grid = np.linspace(0.0, np.pi, 8, endpoint=False) + 2e-4
-    step = max(1, _SWEEP_BLOCK // ((base_grid.size + 2 * p) * p))
-    keys, points = [], []
-    for start in range(0, lines.size, step):
-        stop = min(start + step, lines.size)
-        part1 = cos1[start:stop, None] * a[:, 0] + sin1[start:stop, None] * b[:, 0]
-        const = part1 + c
-        plus, minus = _circle_solutions(a[:, 1], b[:, 1], -const)
-        cuts = np.hstack([np.broadcast_to(base_grid, (stop - start, base_grid.size)), plus, minus])
-        mids = _arc_midpoints(cuts)
-        line, slot = np.nonzero(~np.isnan(mids))
-        phi2 = mids[line, slot]
-        values = (const[line] + np.cos(2.0 * phi2)[:, None] * a[:, 1]
-                  + np.sin(2.0 * phi2)[:, None] * b[:, 1])
-        interior = np.min(np.abs(values) / reach, axis=1) > _MIN_RELATIVE_MARGIN
-        block_keys = np.packbits(values[interior] > 0.0, axis=1)
-        first = np.sort(distinct_sign_rows(block_keys))
-        keys.append(block_keys[first])
-        points.append(np.column_stack([lines[start + line[interior][first]],
-                                       phi2[interior][first]]))
-    keys, points = np.vstack(keys), np.vstack(points)
-    return points[np.sort(distinct_sign_rows(keys))]
+    return _torus_sweep(normals)[0]
 
 
 def candidate_supports_from_cell(
@@ -551,6 +654,7 @@ class SpcaDsDiagnostics:
     degenerate_circuits: int
     hyperplanes: int
     slice_hyperplanes: int
+    sweep_lines: int  # slab lines of the rank-2, d = 2 torus sweep; 0 elsewhere
     cells_enumerated: int
     circulation_solves: int
     candidates_evaluated: int
@@ -597,6 +701,7 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
         degenerate_circuits=0,
         hyperplanes=diag.hyperplanes,
         slice_hyperplanes=diag.hyperplanes,
+        sweep_lines=0,
         cells_enumerated=diag.cells_enumerated,
         circulation_solves=0,
         candidates_evaluated=diag.candidates_evaluated,
@@ -610,18 +715,19 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
 
 
 def _region_profits(instance: SpcaDsInstance, planes: CircuitHyperplanes,
-                    cell_mode: str) -> tuple[np.ndarray, int]:
-    """Arc profits (m, d, n) at one witness per region, and the number of
-    hyperplanes that cut the realizable set."""
+                    cell_mode: str) -> tuple[np.ndarray, int, int]:
+    """Arc profits (m, d, n) at one witness per region, the number of
+    hyperplanes that cut the realizable set, and the number of torus sweep
+    lines (0 off the torus)."""
     d, n = instance.d, instance.n
     if cell_mode == "exact" and instance.rank == 2 and d == 2:
         normals = np.array([h.normal for h in planes.hyperplanes])
-        angles = _torus_region_witnesses(normals, d) if normals.size else np.zeros((1, d))
+        angles, sweep_lines = _torus_sweep(normals) if normals.size else (np.zeros((1, d)), 0)
         y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
-        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), len(normals)
+        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), len(normals), sweep_lines
     cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
     all_profits = np.vstack([c.witness for c in cells]) @ planes.arc_coeffs.T
-    return all_profits.reshape(-1, d, n), slice_hyperplanes
+    return all_profits.reshape(-1, d, n), slice_hyperplanes, 0
 
 
 def _families_by_covering(profits: np.ndarray, s: int) -> tuple[set, int]:
@@ -678,11 +784,12 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
         row_norms = np.sum(factor.factor * factor.factor, axis=1)
         profits = np.tile(row_norms, (1, d, 1))
         extended_dim, circuits, degenerate, hyperplanes, slice_hyperplanes = d * r, 0, 0, 0, 0
+        sweep_lines = 0
     else:
         planes = build_circuit_hyperplanes(instance)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
-        profits, slice_hyperplanes = _region_profits(instance, planes, cell_mode)
+        profits, slice_hyperplanes, sweep_lines = _region_profits(instance, planes, cell_mode)
         extended_dim, circuits = planes.extended_dim, planes.circuits_enumerated
         degenerate, hyperplanes = planes.degenerate_circuits, len(planes.hyperplanes)
     stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
@@ -724,6 +831,7 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
         degenerate_circuits=degenerate,
         hyperplanes=hyperplanes,
         slice_hyperplanes=slice_hyperplanes,
+        sweep_lines=sweep_lines,
         cells_enumerated=profits.shape[0],
         circulation_solves=solves,
         candidates_evaluated=len(families),

@@ -123,6 +123,18 @@ class TestCommands:
         assert 1 <= diag["candidates"] <= diag["circulation_solves"] < diag["cells"]
         assert set(diag["stage_ms"]) >= {"regions", "circulations"}
 
+    @pytest.mark.parametrize("r,d,swept", [(2, 2, True), (2, 1, False), (1, 2, False)])
+    def test_solve_spca_ds_reports_sweep_lines(self, tmp_path, capsys, r, d, swept):
+        # Only rank 2 with two components sweeps the torus of block angles.
+        factor = np.random.default_rng(4).standard_normal((3, r))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code, doc = _run(
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "1"]
+        )
+        assert code == 0
+        assert doc["problem"]["rank"] == r
+        assert (doc["diagnostics"]["sweep_lines"] > 0) == swept
+
     @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (3, 2, 6)])
     def test_solve_spca_ds_reports_extended_dim(self, tmp_path, capsys, n, d, dim):
         # At rank 2, d = 1 is sparse PCA: the sectors of R^2 from n = 5 and

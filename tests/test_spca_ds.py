@@ -357,27 +357,54 @@ def _torus_factor(rng, n, integer):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_torus_witnesses_cover_grid_regions(rng, n, integer):
     # Every sign vector seen on a 256 x 256 grid of angle pairs, away from
-    # the curves, must be the sign vector of some witness.
+    # the curves, must be the sign vector of some witness, also at K * 1e-16.
     factor = _torus_factor(rng, n, integer)
-    inst = _instance(symmetrize(factor @ factor.T), 2, 1)
-    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
-    a, b, c = _sinusoid_coefficients(normals, 2)
-    scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
 
     def lifted(phis):
         cos, sin = np.cos(phis), np.sin(phis)
         return np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
 
+    for k_scale in (1.0, 1e-16):
+        inst = _instance(k_scale * symmetrize(factor @ factor.T), 2, 1)
+        normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+        a, b, c = _sinusoid_coefficients(normals, 2)
+        scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
+        witnesses = _torus_region_witnesses(normals, 2)
+        known = {row.tobytes() for row in (lifted(witnesses) @ normals.T) > 0.0}
+        grid = (np.arange(256) + 0.5) * np.pi / 256
+        seen = set()
+        for phi1 in grid:
+            phis = np.column_stack([np.full_like(grid, phi1), grid])
+            values = lifted(phis) @ normals.T
+            clear = np.min(np.abs(values) / scale, axis=1) > 1e-9
+            seen.update(row.tobytes() for row in values[clear] > 0.0)
+        assert seen and seen <= known
+
+
+@pytest.mark.parametrize("seed,draw,n,scale,point", [
+    (5, 17, 3, 1.0, (1.93963335, 2.64621287)),
+    (400, 5, 4, 1e-16, (2.84359539, 2.44331832)),
+])
+def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, point):
+    # A single arc's curve (R_j . y_i)^2 only touches zero and toggles no
+    # sign, but its touch points must still cut the sweep lines, or an arc
+    # midpoint lands on one and its region is lost.  The first region
+    # (relative margin 3.3e-4 at the point) is split in half by a touch
+    # line; the second (margin 2.9e-5) sits beside a touch point whose
+    # double root rounds to no root at all.
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        factor = rng.standard_normal((n, 2))
+    inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
+    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+
+    def signs(phis):
+        cos, sin = np.cos(phis), np.sin(phis)
+        lifted = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
+        return {row.tobytes() for row in (lifted @ normals.T) > 0.0}
+
     witnesses = _torus_region_witnesses(normals, 2)
-    known = {row.tobytes() for row in (lifted(witnesses) @ normals.T) > 0.0}
-    grid = (np.arange(256) + 0.5) * np.pi / 256
-    seen = set()
-    for phi1 in grid:
-        phis = np.column_stack([np.full_like(grid, phi1), grid])
-        values = lifted(phis) @ normals.T
-        clear = np.min(np.abs(values) / scale, axis=1) > 1e-9
-        seen.update(row.tobytes() for row in values[clear] > 0.0)
-    assert seen and seen <= known
+    assert signs(np.array([point])) <= signs(witnesses)
 
 
 def test_torus_witnesses_find_tangent_slab_region():
