@@ -2,7 +2,8 @@
 
 Rank-two covariance, two components, at most two features each.  The solver
 routes through circuit-profit sign regions and max-profit circulations: one
-per family; the other regions are certified by a batched Bellman-Ford.  The
+per family; the other regions are covered where no residual circuit of a
+solved flow, read from the signed circuit table, has positive profit.  The
 oracle enumerates every disjoint family.
 """
 

@@ -2,19 +2,16 @@
 
 D has a hub vertex t, component vertices u_0..u_{d-1} and feature vertices
 w_0..w_{n-1}.  Arcs run t -> u_i (capacity s, profit 0), u_i -> w_j
-(capacity 1, profit p[i, j]) and w_j -> t (capacity 1, profit 0).  Feasible
-integer circulations therefore pick pairwise-disjoint feature sets, one per
-component, each of size at most s.
-
-A feasible circulation is thus an assignment: each feature goes to one
-of the s slots of one component, or to none.  `solve_max_profit` solves it
+(capacity 1, profit p[i, j]) and w_j -> t (capacity 1, profit 0).  A
+feasible integer circulation is thus an assignment: each feature goes to
+one of the s slots of one component, or to none.  `solve_max_profit` solves it
 with one rectangular assignment (`scipy.optimize.linear_sum_assignment`,
 the Jonker-Volgenant method of Crouse, IEEE TAES 2016) and then certifies
 the result: a circulation is optimal exactly when its residual graph has no
 directed circuit of positive profit, which `is_optimal` checks with
 Bellman-Ford on negated profits and, on failure, returns the circuit found.
-`optimal_at_profits` runs the same search on one flow's residual graph for
-many profit matrices at once, to find every region a solved flow covers.
+`optimal_at_profits` reads a flow's residual circuits off D's signed
+circuit table, to mark every profit matrix where none of them gains.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import CertificateFailed, InfeasibleFlow, InvalidCircuit, InvalidParameters
 
 MEAN_PROFIT_TOL = 1e-12
+_COVER_ROWS = 512  # profit rows per block
 
 
 @dataclass(frozen=True)
@@ -210,45 +208,20 @@ def is_optimal(
 
 
 def optimal_at_profits(
-    instance: CirculationInstance, f: Circulation, profit_rows
+    instance: CirculationInstance, f: Circulation, profit_rows, table
 ) -> np.ndarray:
-    """Mask of the profit rows (shape (m, d, n)) at which f is optimal.
-
-    Runs the Bellman-Ford of `is_optimal` on f's residual graph for every
-    row at once: the same arcs in the same order and at most V rounds, where
-    only the u->w arc costs depend on the row.  A row is marked only when
-    some round relaxes nothing.  The relaxation slack is the 1e-15 of
-    `is_optimal` times the row's largest |profit| when that is below one:
-    optimality does not change under positive scaling, so shrinking an
-    instance must not let a fixed slack swallow its circuit profits, and a
-    slack never above `is_optimal`'s keeps every marked row passing it.  No
-    circuit is extracted for the unmarked rows.
-    """
+    """Mask of the profit rows (m, d, n) at which f is optimal: no residual
+    circuit of f in ``table`` (which may omit circuits of zero profit) gains
+    more than the 1e-15 of `is_optimal` times the row's largest |profit| if
+    below one, as scaling keeps optimality (Klein 1967)."""
     check_circulation(instance, f)
     profits = np.asarray(profit_rows, dtype=float).reshape(-1, instance.d * instance.n)
     slack = 1e-15 * np.minimum(1.0, np.abs(profits).max(axis=1, initial=0.0))
-    arcs = _residual_arcs(instance, f)
-    costs = np.zeros((len(arcs), profits.shape[0]))
-    for ai, (_tail, _head, _cost, _cap, key) in enumerate(arcs):
-        if key[0] == "a0":
-            _, i, j, direction = key
-            column = profits[:, i * instance.n + j]
-            costs[ai] = -column if direction == 1 else column
-    live = np.arange(profits.shape[0])
-    dist = np.zeros((instance.num_vertices, live.size))
-    optimal = np.zeros(live.size, dtype=bool)
-    for _ in range(instance.num_vertices):
-        relaxed = np.zeros(live.size, dtype=bool)
-        for ai, (tail, head, _cost, _cap, _key) in enumerate(arcs):
-            reach = dist[tail] + costs[ai]
-            better = reach < dist[head] - slack
-            dist[head] = np.where(better, reach, dist[head])
-            relaxed |= better
-        optimal[live[~relaxed]] = True
-        live, dist, costs = live[relaxed], dist[:, relaxed], costs[:, relaxed]
-        slack = slack[relaxed]
-        if not live.size:
-            break
+    residual = residual_circuits(instance, f, table).T
+    optimal = np.empty(profits.shape[0], dtype=bool)
+    for start in range(0, profits.shape[0], _COVER_ROWS):
+        block = slice(start, start + _COVER_ROWS)
+        optimal[block] = np.all(profits[block] @ residual <= slack[block, None], axis=1)
     return optimal
 
 
@@ -434,6 +407,34 @@ def enumerate_undirected_circuits(d: int, n: int) -> list[UndirectedCircuit]:
                         continue
                     add(u_seq, w_seq, False)
     return circuits
+
+
+def circuit_table(circuits, d: int, n: int) -> np.ndarray:
+    """Signed arc incidence of ``circuits``: +1 where a traversal follows an
+    arc, -1 against it.  Columns: u_i -> w_j at i*n + j (``chi``), t -> u_i
+    at d*n + i, w_j -> t at d*n + d + j; flow is conserved, so the hub
+    columns sum the ``chi`` entries."""
+    chi = np.zeros((len(circuits), d * n))
+    for row, circuit in enumerate(circuits):
+        for (i, j), sign in circuit.chi_items:
+            chi[row, i * n + j] = sign
+    block = chi.reshape(-1, d, n)
+    return np.hstack([chi, block.sum(axis=2), block.sum(axis=1)])
+
+
+def residual_circuits(instance: CirculationInstance, f: Circulation, table) -> np.ndarray:
+    """The u->w columns of f's residual circuits in ``table``: a row as is
+    where flow can rise on every arc it follows and fall on every arc it
+    runs against, negated where the reverse holds."""
+    dn = instance.d * instance.n
+    flow = np.concatenate([np.ravel(f.a0), f.au, f.aw])
+    caps = np.ones_like(flow)
+    caps[dn : dn + instance.d] = instance.s
+    full, empty = flow >= caps, flow <= 0
+    follows, against = table > 0, table < 0
+    forward = ~np.any(follows & full | against & empty, axis=1)
+    backward = ~np.any(follows & empty | against & full, axis=1)
+    return np.vstack([table[forward, :dn], -table[backward, :dn]])
 
 
 def circuit_profit(circuit: UndirectedCircuit, profits) -> float:

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -45,11 +46,16 @@ SCHEMA_VERSION = 1
 def ingest(input_path: str, kind: str) -> np.ndarray:
     """Load a covariance matrix from CSV, or build one from raw samples."""
     try:
-        raw = np.loadtxt(input_path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data; that is reported below.
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(input_path, delimiter=",", ndmin=2, dtype=float)
     except OSError:
         raise
     except Exception as exc:
         raise ParseError(f"could not parse {input_path!r} as numeric CSV: {exc}") from exc
+    if raw.size == 0:
+        raise ParseError(f"{input_path!r} holds no data")
     if not np.all(np.isfinite(raw)):
         raise ParseError(f"{input_path!r} holds NaN or infinite entries")
     if kind == "covariance":
@@ -113,6 +119,7 @@ def _spca_ds_document(solution, n: int, d: int, s: int) -> dict:
             "circulation_solves": diag.circulation_solves,
             "hyperplanes": diag.hyperplanes,
             "sweep_lines": diag.sweep_lines,
+            "dropped_witnesses": diag.dropped_witnesses,
             "completions": diag.completions_in_best,
             "stage_ms": dict(diag.stage_ms),
         },

@@ -1,12 +1,12 @@
 """Exact sparse PCA with pairwise-disjoint component supports.
 
 Pipeline: factor K = R @ R.T, build one profit functional per u->w arc of the
-circulation digraph, one hyperplane per undirected circuit (its signed profit
-functional), enumerate the cells of that central arrangement, and find a
-max-profit circulation for every cell: one per family; the other regions are
-certified by a batched Bellman-Ford (`optimal_at_profits`) on a flow already
-solved.  Each cell contributes one candidate family of disjoint supports; the
-best family under per-component PCA evaluation is globally optimal.
+circulation digraph and, through the signed circuit table, one hyperplane per
+undirected circuit; enumerate the regions of that arrangement and solve one
+max-profit circulation per family.  A solved flow covers every region where
+none of its residual circuits, read off the same table, has positive profit.
+Each family of disjoint supports is a candidate; the best under
+per-component PCA evaluation is globally optimal.
 
 Two shapes need none of this.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
@@ -16,11 +16,9 @@ regions in closed form on the torus of block angles, sweeping lines whose
 arc signs are read by toggling curve bits at the sorted roots; every other
 shape cuts the clipped chart of the slice.
 
-Circulations may leave a component's support empty (the restricted selection
-problem allows it) while feasible loading vectors need unit norm, hence a
-nonempty support.  Empty supports are completed with the unused feature of
-largest row norm, stealing from a multi-feature support when every feature is
-taken; either move never lowers the evaluated objective.
+Circulations may leave a component's support empty, while a unit-norm
+loading vector needs a nonempty one: `_complete_family` fills it without
+lowering the objective.
 """
 
 from __future__ import annotations
@@ -39,14 +37,17 @@ from .arrangement import (
 )
 from .circulation import (
     CirculationInstance,
+    circuit_table,
     enumerate_undirected_circuits,
     optimal_at_profits,
     solve_max_profit,
     supports_from_circulation,
 )
 from .errors import InvalidParameters
+# The table reproduces these builders; the benchmark's tracer wraps them.
 from .extension import MonomialBasis, build_arc_functional, build_circuit_functional
-from .linalg import DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca, symmetrize
+from .linalg import (DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca,
+                     symmetrize, top_eigenvalue_sums)
 from .spca import SpcaInstance, solve_spca
 
 
@@ -89,6 +90,7 @@ class CircuitHyperplanes:
 
     hyperplanes: tuple[Hyperplane, ...]
     arc_coeffs: np.ndarray  # (d * n, dim); row i*n+j is the (u_i, w_j) functional
+    table: np.ndarray  # `circuit_table` of the circuits with a nonzero functional
     extended_dim: int
     circuits_enumerated: int
     degenerate_circuits: int
@@ -97,42 +99,33 @@ class CircuitHyperplanes:
 def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     """One hyperplane per circuit with a nonzero profit functional.
 
-    Functionals that cancel exactly (duplicate rows, zero rows) define no
-    hyperplane and are skipped; proportional normals are deduplicated since
-    they cut the same cells.
+    The circuit functionals are one product of the signed circuit table and
+    the arc functionals, equal to `build_circuit_functional` bit for bit: a
+    coordinate sums at most two signed terms.  Functionals that cancel
+    exactly (duplicate rows) cut nothing and gain nowhere, so they leave the
+    table.  Proportional normals cut the same cells and are deduplicated.
     """
     d, n, r = instance.d, instance.n, instance.rank
     if r == 0:
         return CircuitHyperplanes(
-            hyperplanes=(), arc_coeffs=np.zeros((d * n, 0)), extended_dim=0,
-            circuits_enumerated=0, degenerate_circuits=0,
+            hyperplanes=(), arc_coeffs=np.zeros((d * n, 0)), table=circuit_table([], d, n),
+            extended_dim=0, circuits_enumerated=0, degenerate_circuits=0,
         )
     basis = MonomialBasis(r, d)
-    functionals = {}
-    arc_coeffs = np.zeros((d * n, basis.dim))
-    for i in range(d):
-        for j in range(n):
-            functional = build_arc_functional(
-                basis, instance.factor.row(j), i, tag=f"arc:{i},{j}"
-            )
-            functionals[(i, j)] = functional
-            arc_coeffs[i * n + j] = functional.coeffs
-    circuits = enumerate_undirected_circuits(d, n)
-    normals = []
-    degenerate = 0
-    for circuit in circuits:
-        functional = build_circuit_functional(circuit, functionals, basis)
-        if functional.is_zero:
-            degenerate += 1
-            continue
-        normals.append(Hyperplane(normal=functional.coeffs))
-    hyperplanes = tuple(dedup_hyperplanes(normals, basis.dim))
+    arc_coeffs = np.zeros((d, n, d, basis.block))
+    rows = [basis.row_block_coefficients(row) for row in instance.factor.factor]
+    arc_coeffs[np.arange(d), :, np.arange(d)] = rows
+    arc_coeffs = arc_coeffs.reshape(d * n, basis.dim)
+    table = circuit_table(enumerate_undirected_circuits(d, n), d, n)
+    functionals = table[:, : d * n] @ arc_coeffs
+    live = np.any(functionals, axis=1)
     return CircuitHyperplanes(
-        hyperplanes=hyperplanes,
+        hyperplanes=tuple(dedup_hyperplanes(functionals[live], basis.dim)),
         arc_coeffs=arc_coeffs,
+        table=table[live],
         extended_dim=basis.dim,
-        circuits_enumerated=len(circuits),
-        degenerate_circuits=degenerate,
+        circuits_enumerated=live.size,
+        degenerate_circuits=int(live.size - live.sum()),
     )
 
 
@@ -182,12 +175,11 @@ _TANGENT_FAN = 12  # tangent halfspaces per coordinate pair in the clip region
 def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndarray]:
     """Chart halfspaces (a, b), a.t + b >= 0, satisfied by every lifted point.
 
-    For a unit vector y the block matrix (y_k * y_kp) is unit-trace positive
-    semidefinite, so every halfspace induced by a rank-one test direction v,
-    value (v . y)^2 >= 0, is valid.  A fan of such tangents per coordinate
-    pair clips the chart down to a thin sleeve around the set of realizable
-    points, which keeps the cell count small.  Constraints constant on the
-    slice are dropped (they hold strictly at the chart origin).
+    For a unit vector y the block (y_k * y_kp) is unit-trace positive
+    semidefinite, so (v . y)^2 >= 0 holds for every test direction v.  A fan
+    of such tangents per coordinate pair clips the chart to a thin sleeve
+    around the realizable points.  Constraints constant on the slice (they
+    hold strictly at the chart origin) are dropped.
     """
     block = r * (r + 1) // 2
     pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
@@ -238,9 +230,8 @@ def _lens_box_filter(geometry: _SliceGeometry, r: int, d: int):
     """Box predicate: can a chart box contain a positive semidefinite point?
 
     Lifted points of real vectors satisfy z_kl^2 <= z_kk * z_ll in every
-    block.  Interval arithmetic over the chart box gives a sound necessary
-    condition; a box failing it (for any block and pair) cannot meet the
-    realizable set, nor can any subset, so such cells are safely discarded.
+    block.  Interval arithmetic over the chart box makes this a necessary
+    condition: a cell whose box fails it misses the realizable set.
     """
     block = r * (r + 1) // 2
     pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
@@ -280,12 +271,11 @@ def _enumerate_slice_cells(
 ) -> tuple[list[Cell], int]:
     """Cells of the circuit arrangement restricted to the realizable chart.
 
-    Every lifted point of unit vectors keeps each block's diagonal summing to
-    one, so candidates only need the cells meeting that affine slice, further
-    clipped to the tangent sleeve of `_slice_region_rows` and pruned by the
-    positive-semidefiniteness box test.  Witnesses come back mapped to
-    lifted-space coordinates.  Also returns the number of circuit hyperplanes
-    that actually cut the slice.
+    Lifted unit vectors keep each block's diagonal summing to one, so only
+    the cells meeting that affine slice matter, clipped to the tangent
+    sleeve of `_slice_region_rows` and pruned by the box test.  Returns the
+    cells, witnesses in lifted coordinates, and the number of circuit
+    hyperplanes that cut the slice.
     """
     r, d = instance.rank, instance.d
     geometry = _slice_geometry(r, d)
@@ -389,9 +379,12 @@ def _pair_crossings(a, b, c, radius_2):
     hi = np.where(swap, j, i)[proportional]
     lo = np.where(swap, i, j)[proportional]
     kappa = (a[lo, 1] * a[hi, 1] + b[lo, 1] * b[hi, 1]) / (radius_2[hi] ** 2)
-    crossings = list(_circle_solutions(
-        a[lo, 0] - kappa * a[hi, 0], b[lo, 0] - kappa * b[hi, 0], -(c[lo] - kappa * c[hi])
-    ))
+    da, db, dc = a[lo, 0] - kappa * a[hi, 0], b[lo, 0] - kappa * b[hi, 0], c[lo] - kappa * c[hi]
+    # Curves differing by a one-signed term meet only where it touches zero,
+    # and keep their order on both sides.
+    reach = np.hypot(da, db) + np.abs(dc)
+    meet = reach - 2.0 * np.abs(dc) > _MIN_RELATIVE_MARGIN * reach
+    crossings = list(_circle_solutions(da[meet], db[meet], -dc[meet]))
     if not general.any():
         return crossings
     i, j = i[general], j[general]
@@ -450,6 +443,7 @@ def _pair_crossings(a, b, c, radius_2):
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 _SWEEP_ARCS = 1 << 12  # arcs read per block of sweep lines
+_TOUCH_SNAP = 1e-7  # pair crossings this near a touch line are that line
 
 
 def _torus_signs(const, phi2, a2, b2, reach):
@@ -471,8 +465,25 @@ def _key_words(packed, words):
 
 
 def _torus_sweep(normals):
-    """Region witnesses of the torus arrangement and the number of sweep
-    lines; see `_torus_region_witnesses`."""
+    """Witnesses of the sign regions of the torus arrangement (d = 2).
+
+    The curves {functional = 0} on the torus of block angles are separable
+    sinusoids, so slabs over the first angle enumerate every region, bounded
+    where curve pairs cross or a curve has a vertical tangent.  One line per
+    slab is cut at every curve's roots and at a fixed grid.  Along a line a
+    curve changes sign only at its roots, so every arc's key comes from one
+    evaluated row per line by toggling curve bits in root order (the
+    incremental sign sweep of Karystinos, and of Asteris, Papailiopoulos and
+    Karystinos); curves are evaluated only at each key's widest arc, blocks
+    of lines at a time.  Curves that never change sign by more than the
+    margin toggle nothing but still cut the lines; lines within the margin
+    of a curve flat in the second angle are skipped.  A witness is kept only
+    when every curve value exceeds `_MIN_RELATIVE_MARGIN` times a bound on
+    the curve over the torus: a point on a curve would be filed under a
+    spurious sign vector.  Returns the first witness of each sign vector as
+    (phi1, phi2) rows, the number of sweep lines and the number of keys none
+    of whose evaluated arcs cleared the margin.
+    """
     a, b, c = _sinusoid_coefficients(normals, 2)
     p = a.shape[0]
     reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
@@ -482,11 +493,21 @@ def _torus_sweep(normals):
     # key, and its crossings move no slab boundary that matters.
     flips = reach - 2.0 * np.abs(c) > _MIN_RELATIVE_MARGIN * reach
 
+    flat = radius_2 == 0.0
+    touching = flat & ~flips
     criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
-    # Vertical tangents: the second-angle part sits at an extremum.
-    criticals += _circle_solutions(a[:, 0], b[:, 0], -c - radius_2)
-    criticals += _circle_solutions(a[:, 0], b[:, 0], -c + radius_2)
-    criticals += _pair_crossings(a[flips], b[flips], c[flips], radius_2[flips])
+    # Vertical tangents: the second-angle part sits at an extremum.  A
+    # one-signed curve flat in the second angle has one, where it touches
+    # zero, solved at a ratio of exactly -1 or 1: the double root neither
+    # splits nor rounds to no root.
+    level = np.where(touching, -np.sign(c) * np.hypot(a[:, 0], b[:, 0]), -c)
+    criticals += _circle_solutions(a[:, 0], b[:, 0], level - radius_2)
+    criticals += _circle_solutions(a[:, 0], b[:, 0], level + radius_2)
+    # Curve pairs that meet on a touch line have a double root there, which
+    # the eigensolver scatters by about 1e-8: the line stands for them all.
+    crossings = np.concatenate(_pair_crossings(a[flips], b[flips], c[flips], radius_2[flips]))
+    gap = np.abs(crossings[:, None] - criticals[-1][touching])
+    criticals.append(crossings[np.all(np.minimum(gap, np.pi - gap) >= _TOUCH_SNAP, axis=1)])
     merged = np.concatenate(criticals)
     merged = np.unique(np.round(merged[~np.isnan(merged)], 9))
     starts = np.sort(_mod_pi(merged))
@@ -494,7 +515,6 @@ def _torus_sweep(normals):
     lines = _mod_pi((starts + stops)[stops > starts] / 2.0)
     # A curve flat in the second angle is as close to zero on all of a line,
     # so lines within the margin of one hold no witness.
-    flat = radius_2 == 0.0
     flat_values = (np.cos(2.0 * lines)[:, None] * a[flat, 0]
                    + np.sin(2.0 * lines)[:, None] * b[flat, 0] + c[flat])
     lines = lines[np.all(np.abs(flat_values) / reach[flat] > _MIN_RELATIVE_MARGIN, axis=1)]
@@ -510,7 +530,7 @@ def _torus_sweep(normals):
         _key_words(np.packbits(np.eye(p, dtype=bool)[flips], axis=1), words), (2, 1)
     )
     step = max(1, _SWEEP_ARCS // toggles.shape[0])
-    keys, points = [], []
+    keys, points, tried, cleared = [], [], [], []
     for start in range(0, lines.size, step):
         phi1 = lines[start:start + step]
         const = np.cos(2.0 * phi1)[:, None] * a[:, 0] + np.sin(2.0 * phi1)[:, None] * b[:, 0] + c
@@ -550,47 +570,22 @@ def _torus_sweep(normals):
         interior, found = _torus_signs(const[line[first]], mids(line[first], slot[first]),
                                        a[:, 1], b[:, 1], reach)
         settled = interior & np.all(_key_words(found, words) == arc_keys[first], axis=1)
-        redo = np.sort(by_key[~settled[np.cumsum(leads) - 1]])
+        group = np.cumsum(leads) - 1
+        unsettled = ~settled[group]
+        redo = by_key[unsettled]
         redo_interior, redo_found = _torus_signs(const[line[redo]], mids(line[redo], slot[redo]),
                                                  a[:, 1], b[:, 1], reach)
+        tried.append(arc_keys[first])
+        cleared.append(interior | (np.bincount(group[unsettled], redo_interior, first.size) > 0))
         chosen = np.concatenate([first[settled], redo[redo_interior]])
         in_order = np.argsort(chosen)
         chosen = chosen[in_order]
         keys.append(np.vstack([found[settled], redo_found[redo_interior]])[in_order])
         points.append(np.column_stack([phi1[line[chosen]], mids(line[chosen], slot[chosen])]))
     keys, points = np.vstack(keys), np.vstack(points)
-    return points[np.sort(distinct_sign_rows(keys))], lines.size
-
-
-def _torus_region_witnesses(normals, d):
-    """One interior angle pair per sign region of the torus arrangement.
-
-    Only d = 2 reaches the torus: one component is solved as sparse PCA.
-    The curves {functional = 0} on the torus of block angles are additively
-    separable sinusoids, so a slab decomposition over the first angle with
-    closed-form roots enumerates every region: slab boundaries are placed at
-    the first-angle coordinates of curve-pair crossings and of vertical
-    tangents, where the root structure over the second angle can change.
-    One line per slab is cut at the roots of every curve and at a fixed
-    grid.  Along a line a curve changes sign only at its own roots, so the
-    sign keys of all arcs come from one evaluated row per line by toggling
-    curve bits in root order (the incremental sign sweep of Karystinos and
-    of Asteris, Papailiopoulos and Karystinos); curves are then evaluated
-    only at the widest arc of each key, blocks of lines at a time.  Curves
-    that never change sign by more than the margin toggle nothing, but their
-    touch points still cut the lines, so no witness lands on one; lines
-    within the margin of a curve flat in the second angle are skipped.
-    Regions are deduplicated by sign vector, which is exactly the
-    information the circulation uses, keeping the first in sweep order.  A
-    witness is kept only when it is strictly interior: every curve value
-    exceeds `_MIN_RELATIVE_MARGIN` times a bound on that curve's magnitude
-    over the torus.  A point on a curve would otherwise be filed under a
-    spurious sign vector, or shadow the real region that owns it.  Returns
-    an (m, 2) array of (phi1, phi2) rows.
-    """
-    if d != 2:
-        raise InvalidParameters("torus regions are implemented for d = 2")
-    return _torus_sweep(normals)[0]
+    tried, cleared = np.vstack(tried).view(np.uint8), np.concatenate(cleared)
+    dropped = len(distinct_sign_rows(tried)) - len(distinct_sign_rows(tried[cleared]))
+    return points[np.sort(distinct_sign_rows(keys))], lines.size, dropped
 
 
 def candidate_supports_from_cell(
@@ -622,10 +617,7 @@ def _complete_family(family, factor: PsdFactor, s: int):
     n = factor.n
     row_norms = np.sum(factor.factor * factor.factor, axis=1) if factor.rank else np.zeros(n)
     sets = [list(t) for t in family]
-    used = set()
-    for t in sets:
-        used.update(t)
-    pool = sorted(set(range(n)) - used)
+    pool = sorted(set(range(n)).difference(*sets))
     completions = 0
     for i, t in enumerate(sets):
         if t:
@@ -650,16 +642,17 @@ def _complete_family(family, factor: PsdFactor, s: int):
 class SpcaDsDiagnostics:
     rank: int
     extended_dim: int
-    circuits_enumerated: int
-    degenerate_circuits: int
-    hyperplanes: int
-    slice_hyperplanes: int
-    sweep_lines: int  # slab lines of the rank-2, d = 2 torus sweep; 0 elsewhere
     cells_enumerated: int
-    circulation_solves: int
     candidates_evaluated: int
-    completions_in_best: int
     stage_ms: dict
+    hyperplanes: int = 0
+    slice_hyperplanes: int = 0
+    circuits_enumerated: int = 0
+    degenerate_circuits: int = 0
+    sweep_lines: int = 0  # slab lines of the rank-2, d = 2 torus sweep
+    dropped_witnesses: int = 0  # torus sign keys with no arc clear of the margin
+    circulation_solves: int = 0
+    completions_in_best: int = 0
 
 
 @dataclass(frozen=True)
@@ -672,41 +665,30 @@ class SpcaDsSolution:
     diagnostics: SpcaDsDiagnostics
 
 
-def _evaluate_family(family, factor: PsdFactor) -> float:
-    if factor.rank == 0:
-        return 0.0
-    total = 0.0
-    for support in family:
-        rows = factor.rows(support)
-        gram = symmetrize(rows.T @ rows)
-        value, _ = solve_pca(gram, 1)
-        total += value
-    return total
+def _family_values(families, factor: PsdFactor) -> np.ndarray:
+    """Each family's objective, from one batched LAPACK call on the r x r
+    Grams of its supports."""
+    supports = [support for family in families for support in family]
+    members = np.zeros((len(supports), factor.n))
+    for row, support in enumerate(supports):
+        members[row, list(support)] = 1.0
+    r = factor.rank
+    outer = (factor.factor[:, :, None] * factor.factor[:, None, :]).reshape(factor.n, r * r)
+    values = top_eigenvalue_sums((members @ outer).reshape(len(supports), r, r), 1)
+    return values.reshape(len(families), -1).sum(axis=1)
 
 
 def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
-    """d = 1 is sparse PCA with support size min(s, n).
-
-    A single component's value only grows with its support, and the factor
-    is reused, so no arrangement or circulation of this module is needed.
-    """
+    """d = 1 is sparse PCA with support size min(s, n): a single component's
+    value only grows with its support."""
     solution = solve_spca(
         SpcaInstance(instance.kmatrix, 1, min(instance.s, instance.n), instance.factor)
     )
     diag = solution.diagnostics
     diagnostics = SpcaDsDiagnostics(
-        rank=instance.rank,
-        extended_dim=diag.extended_dim,
-        circuits_enumerated=0,
-        degenerate_circuits=0,
-        hyperplanes=diag.hyperplanes,
-        slice_hyperplanes=diag.hyperplanes,
-        sweep_lines=0,
-        cells_enumerated=diag.cells_enumerated,
-        circulation_solves=0,
-        candidates_evaluated=diag.candidates_evaluated,
-        completions_in_best=0,
-        stage_ms=diag.stage_ms,
+        rank=instance.rank, extended_dim=diag.extended_dim,
+        cells_enumerated=diag.cells_enumerated, candidates_evaluated=diag.candidates_evaluated,
+        stage_ms=diag.stage_ms, hyperplanes=diag.hyperplanes, slice_hyperplanes=diag.hyperplanes,
     )
     return SpcaDsSolution(
         supports=(solution.support,), x=solution.x, objective=solution.objective,
@@ -715,28 +697,28 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
 
 
 def _region_profits(instance: SpcaDsInstance, planes: CircuitHyperplanes,
-                    cell_mode: str) -> tuple[np.ndarray, int, int]:
-    """Arc profits (m, d, n) at one witness per region, the number of
-    hyperplanes that cut the realizable set, and the number of torus sweep
-    lines (0 off the torus)."""
+                    cell_mode: str) -> tuple[np.ndarray, dict]:
+    """Arc profits (m, d, n) at one witness per region, and the counts of
+    the enumeration for the diagnostics."""
     d, n = instance.d, instance.n
     if cell_mode == "exact" and instance.rank == 2 and d == 2:
         normals = np.array([h.normal for h in planes.hyperplanes])
-        angles, sweep_lines = _torus_sweep(normals) if normals.size else (np.zeros((1, d)), 0)
+        angles, lines, dropped = _torus_sweep(normals) if normals.size else (np.zeros((1, d)), 0, 0)
         y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
-        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), len(normals), sweep_lines
+        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), dict(
+            slice_hyperplanes=len(normals), sweep_lines=lines, dropped_witnesses=dropped)
     cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
     all_profits = np.vstack([c.witness for c in cells]) @ planes.arc_coeffs.T
-    return all_profits.reshape(-1, d, n), slice_hyperplanes, 0
+    return all_profits.reshape(-1, d, n), dict(slice_hyperplanes=slice_hyperplanes)
 
 
-def _families_by_covering(profits: np.ndarray, s: int) -> tuple[set, int]:
+def _families_by_covering(profits: np.ndarray, s: int,
+                          table: np.ndarray | None) -> tuple[set, int]:
     """Support families optimal at the regions' profit rows (m, d, n).
 
-    Solves the assignment at the first region not yet covered, then marks
-    every remaining region where that flow is already certified optimal
-    (`optimal_at_profits`), so there is about one solve per family rather
-    than one per region.  Returns the families and the number of solves.
+    Solves the assignment at the first region not yet covered and covers
+    every region where that flow is optimal (`optimal_at_profits` on
+    ``table``; one region needs none): about one solve per family.
     """
     _, d, n = profits.shape
     families = set()
@@ -750,7 +732,8 @@ def _families_by_covering(profits: np.ndarray, s: int) -> tuple[set, int]:
         solves += 1
         families.add(supports_from_circulation(circ, flow))
         uncovered[first] = False
-        uncovered[rest[optimal_at_profits(circ, flow, profits[rest])]] = False
+        if rest.size:
+            uncovered[rest[optimal_at_profits(circ, flow, profits[rest], table)]] = False
     return families, solves
 
 
@@ -758,16 +741,14 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     """Globally optimal disjoint-supports solution for the given instance.
 
     One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
-    unit-trace slice is a single point, so there is one region and no
-    circuit is built.  Otherwise ``cell_mode="exact"`` picks the fastest
-    exact region enumeration: the closed-form torus decomposition when the
-    factor has rank two and there are two components, else the chart
-    arrangement.  ``"chart"`` forces the chart arrangement (mainly for
-    cross-checking).  Circulations are solved one per family; the other
-    regions are certified by a batched Bellman-Ford.  Practical
-    problem sizes follow the region counts: rank two with d = 2 runs in
-    seconds at desk scale, while higher ranks or more components face the
-    full combinatorial growth of the candidate construction.
+    unit-trace slice is a single point: one region, no circuit.  Otherwise
+    ``cell_mode="exact"`` cuts the regions in closed form on the torus at
+    rank two with two components, else in the chart arrangement, which
+    ``"chart"`` forces (for cross-checking).  Circulations are solved one
+    per family; a solved flow covers the regions where none of its residual
+    circuits, read off the signed circuit table, gains.  Rank two with
+    d = 2 runs in seconds at desk scale; higher ranks or more components
+    face the full combinatorial growth of the region count.
     """
     if cell_mode not in ("exact", "chart"):
         raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
@@ -778,39 +759,36 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     stage_ms: dict = {}
 
     tick = time.perf_counter()
+    table, counts = None, {}
     if r <= 1:
         # Every block of the slice is the point y_i^2 = 1: one region, where
         # each component's arc profits are the squared row norms.
-        row_norms = np.sum(factor.factor * factor.factor, axis=1)
-        profits = np.tile(row_norms, (1, d, 1))
-        extended_dim, circuits, degenerate, hyperplanes, slice_hyperplanes = d * r, 0, 0, 0, 0
-        sweep_lines = 0
+        profits = np.tile(np.sum(factor.factor * factor.factor, axis=1), (1, d, 1))
     else:
         planes = build_circuit_hyperplanes(instance)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
-        profits, slice_hyperplanes, sweep_lines = _region_profits(instance, planes, cell_mode)
-        extended_dim, circuits = planes.extended_dim, planes.circuits_enumerated
-        degenerate, hyperplanes = planes.degenerate_circuits, len(planes.hyperplanes)
+        profits, counts = _region_profits(instance, planes, cell_mode)
+        table = planes.table
+        counts.update(circuits_enumerated=planes.circuits_enumerated,
+                      degenerate_circuits=planes.degenerate_circuits,
+                      hyperplanes=len(planes.hyperplanes))
     stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
-    families, solves = _families_by_covering(profits, s)
+    families, solves = _families_by_covering(profits, s, table)
     stage_ms["circulations"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
-    best = None  # (value, flat_key, completed_family, completions)
-    for family in sorted(families):
-        completed, completions = _complete_family(family, factor, s)
-        value = _evaluate_family(completed, factor)
-        flat_key = tuple(j for support in completed for j in support)
-        key = (-value, flat_key)
-        if best is None or key < best[0]:
-            best = (key, completed, completions)
+    completed = [_complete_family(family, factor, s) for family in sorted(families)]
+    values = _family_values([family for family, _ in completed], factor)
+    # The best value wins; ties go to the smallest flattened support list.
+    best = min(range(len(completed)), key=lambda k: (
+        -values[k], tuple(j for support in completed[k][0] for j in support)))
+    best_family, completions = completed[best]
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
-    _, best_family, completions = best
     x = np.zeros((n, d))
     objective = 0.0
     for i, support in enumerate(best_family):
@@ -825,18 +803,9 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     stage_ms["recovery"] = (time.perf_counter() - tick) * 1000.0
 
     diagnostics = SpcaDsDiagnostics(
-        rank=instance.rank,
-        extended_dim=extended_dim,
-        circuits_enumerated=circuits,
-        degenerate_circuits=degenerate,
-        hyperplanes=hyperplanes,
-        slice_hyperplanes=slice_hyperplanes,
-        sweep_lines=sweep_lines,
-        cells_enumerated=profits.shape[0],
-        circulation_solves=solves,
-        candidates_evaluated=len(families),
-        completions_in_best=completions,
-        stage_ms=stage_ms,
+        rank=r, extended_dim=d * r * (r + 1) // 2, cells_enumerated=profits.shape[0],
+        candidates_evaluated=len(families), stage_ms=stage_ms, circulation_solves=solves,
+        completions_in_best=completions, **counts,
     )
     return SpcaDsSolution(
         supports=best_family, x=x, objective=float(objective), diagnostics=diagnostics

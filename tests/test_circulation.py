@@ -6,9 +6,11 @@ from exactspca.circulation import (
     CirculationInstance,
     check_circulation,
     circuit_profit,
+    circuit_table,
     enumerate_undirected_circuits,
     is_optimal,
     optimal_at_profits,
+    residual_circuits,
     solve_max_profit,
     supports_from_circulation,
     zero_circulation,
@@ -22,6 +24,10 @@ from conftest import directed_simple_cycles, undirected_circuit_chis_bruteforce
 
 def _instance(d, n, s, profits):
     return CirculationInstance(d, n, s, np.asarray(profits, dtype=float))
+
+
+def _table(d, n):
+    return circuit_table(enumerate_undirected_circuits(d, n), d, n)
 
 
 class TestSolveMaxProfit:
@@ -166,7 +172,7 @@ class TestIsOptimal:
             else:
                 rows = rng.standard_normal((12, d, n))
                 rows[6:] += 2.0 * (2 * a0 - 1)
-            covered = optimal_at_profits(_instance(d, n, s, rows[0]), flow, rows)
+            covered = optimal_at_profits(_instance(d, n, s, rows[0]), flow, rows, _table(d, n))
             assert covered.shape == (12,)
             for profits, mark in zip(rows, covered):
                 inst = _instance(d, n, s, profits)
@@ -199,8 +205,8 @@ class TestIsOptimal:
             rows[6:] += 2.0 * (2 * a0 - 1)
             rows /= 2.0 ** np.ceil(np.log2(np.abs(rows).max(axis=(1, 2))))[:, None, None]
             inst = _instance(d, n, s, rows[0])
-            covered = optimal_at_profits(inst, flow, rows)
-            tiny = optimal_at_profits(inst, flow, rows * 2.0 ** -60)
+            covered = optimal_at_profits(inst, flow, rows, _table(d, n))
+            tiny = optimal_at_profits(inst, flow, rows * 2.0 ** -60, _table(d, n))
             np.testing.assert_array_equal(tiny, covered)
             masks.append(covered)
         masks = np.concatenate(masks)
@@ -304,6 +310,45 @@ class TestCircuits:
                 residual_profit = -sum(arcs[ai][2] for ai in cycle)
                 reference = circuit_profit(enumerated[canon], profits)
                 assert abs(abs(residual_profit) - abs(reference)) < 1e-12
+
+    @pytest.mark.parametrize("d,n,s", [(1, 3, 2), (2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)])
+    def test_table_reads_the_residual_cycles(self, rng, d, n, s):
+        # The table's rows for a flow are exactly the directed circuits of
+        # its residual graph, each signed as traversed.
+        table = _table(d, n)
+        for _ in range(6):
+            a0 = np.zeros((d, n), dtype=int)
+            for j in range(n):
+                i = int(rng.integers(-1, d))
+                if i >= 0 and a0[i].sum() < s:
+                    a0[i, j] = 1
+            flow = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+            inst = _instance(d, n, s, np.zeros((d, n)))
+            arcs = _residual_arcs(inst, flow)
+            cycles = set()
+            for cycle in directed_simple_cycles(inst.num_vertices, [(a[0], a[1]) for a in arcs]):
+                row = np.zeros(d * n)
+                for ai in cycle:
+                    key = arcs[ai][4]
+                    if key[0] == "a0":
+                        row[key[1] * n + key[2]] = key[3]
+                if row.any():
+                    cycles.add(tuple(row))
+            rows = residual_circuits(inst, flow, table)
+            assert len(rows) == len(cycles)
+            assert {tuple(row) for row in rows} == cycles
+
+    def test_table_hub_columns_conserve_flow(self):
+        table = _table(3, 3)
+        assert table.shape == (150, 9 + 3 + 3)
+        for circuit, row in zip(enumerate_undirected_circuits(3, 3), table):
+            expected = np.zeros(9)
+            for (i, j), sign in circuit.chi_items:
+                expected[i * 3 + j] = sign
+            np.testing.assert_array_equal(row[:9], expected)
+            hub_u, hub_w = row[9:12], row[12:]
+            # Through the hub the circuit uses two hub arcs; otherwise none.
+            assert np.abs(np.concatenate([hub_u, hub_w])).sum() == (2 if circuit.through_t else 0)
 
     def test_invalid_dimensions(self):
         with pytest.raises(InvalidParameters):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ class TestCommands:
         assert doc["problem"]["rank"] == r
         assert (doc["diagnostics"]["sweep_lines"] > 0) == swept
 
+    @pytest.mark.parametrize("r,d", [(2, 2), (2, 1), (1, 2)])
+    def test_solve_spca_ds_reports_dropped_witnesses(self, tmp_path, capsys, r, d):
+        # Torus sign keys whose arcs all fail the witness margin; only the
+        # rank-2, two-component sweep can drop any.
+        factor = np.random.default_rng(4).standard_normal((3, r))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code, doc = _run(
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "1"]
+        )
+        assert code == 0
+        dropped = doc["diagnostics"]["dropped_witnesses"]
+        assert isinstance(dropped, int) and dropped >= 0
+        if (r, d) != (2, 2):
+            assert dropped == 0
+
     @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (3, 2, 6)])
     def test_solve_spca_ds_reports_extended_dim(self, tmp_path, capsys, n, d, dim):
         # At rank 2, d = 1 is sparse PCA: the sectors of R^2 from n = 5 and
@@ -178,6 +194,23 @@ class TestExitCodes:
         rect = _write(tmp_path, "rect.csv", np.ones((2, 3)))
         assert main(["solve-spca", "--input", rect, "--d", "1", "--s", "1"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["covariance", "samples"])
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_input(self, tmp_path, capsys, kind, text):
+        # A file without data is an input problem, for either kind, and no
+        # numpy warning reaches stderr.
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            ingest(str(path), kind)
+        for command in ("solve-spca", "solve-spca-ds"):
+            argv = [command, "--input", str(path), "--kind", kind, "--d", "1", "--s", "1"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "no data" in err and "Warning" not in err
 
     def test_solver_failure(self, tmp_path, capsys):
         indefinite = _write(tmp_path, "ind.csv", [[1.0, 2.0], [2.0, 1.0]])

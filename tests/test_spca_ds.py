@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
+import exactspca.spca_ds as spca_ds_module
+from exactspca.arrangement import dedup_hyperplanes
+from exactspca.circulation import (
+    CirculationInstance,
+    enumerate_undirected_circuits,
+    is_optimal,
+    optimal_at_profits,
+    solve_max_profit,
+)
 from exactspca.errors import InvalidParameters
+from exactspca.extension import MonomialBasis, build_arc_functional, build_circuit_functional
 from exactspca.linalg import symmetrize
 from exactspca.oracle import brute_force_spca_ds
 from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
+    _region_profits,
     _sinusoid_coefficients,
-    _torus_region_witnesses,
+    _torus_sweep,
     build_circuit_hyperplanes,
     candidate_supports_from_cell,
     solve_spca_ds,
@@ -48,6 +59,69 @@ class TestCircuitHyperplanes:
         kmatrix = symmetrize(factor @ factor.T)
         planes = build_circuit_hyperplanes(_instance(kmatrix, 2, 1))
         assert planes.degenerate_circuits > 0
+
+    @pytest.mark.parametrize("d,n,r", [
+        (1, 2, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2), (3, 4, 2), (3, 4, 3),
+    ])
+    @pytest.mark.parametrize("kind", ["gaussian", "same", "negated", "repeated"])
+    def test_table_matches_per_circuit_functionals(self, d, n, r, kind):
+        # The table's product equals the per-circuit sums of arc
+        # functionals bit for bit, with the same degenerate circuits.  Integer
+        # factors with R_1 = R_0 or R_1 = -R_0, or a repeated Gaussian row,
+        # make circuits cancel exactly where the factor rows come out equal.
+        rng = np.random.default_rng(100 * d + 10 * n + r)
+        if kind == "gaussian" or kind == "repeated":
+            factor = rng.standard_normal((n, r))
+            if kind == "repeated":
+                factor[-1] = factor[0]
+        else:
+            factor = rng.integers(-3, 4, size=(n, r)).astype(float)
+            factor[1] = factor[0] if kind == "same" else -factor[0]
+        inst = _instance(symmetrize(factor @ factor.T), d, 1)
+        planes = build_circuit_hyperplanes(inst)
+        basis = MonomialBasis(inst.rank, d)
+        arcs = {
+            (i, j): build_arc_functional(basis, inst.factor.row(j), i)
+            for i in range(d) for j in range(n)
+        }
+        np.testing.assert_array_equal(
+            planes.arc_coeffs, [arcs[i, j].coeffs for i in range(d) for j in range(n)]
+        )
+        reference = [
+            build_circuit_functional(circuit, arcs, basis).coeffs
+            for circuit in enumerate_undirected_circuits(d, n)
+        ]
+        live = np.array([row for row in reference if np.any(row)]).reshape(-1, basis.dim)
+        assert planes.circuits_enumerated == len(reference)
+        assert planes.degenerate_circuits == len(reference) - len(live)
+        if kind == "gaussian":
+            assert planes.degenerate_circuits == 0
+        np.testing.assert_array_equal(planes.table[:, : d * n] @ planes.arc_coeffs, live)
+        expected = dedup_hyperplanes(live, basis.dim)
+        np.testing.assert_array_equal(
+            [h.normal for h in planes.hyperplanes], [h.normal for h in expected]
+        )
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_cover_with_duplicate_features_matches_is_optimal(self, s):
+        # Duplicate features make degenerate circuits of exactly zero profit,
+        # which the table leaves out; coverage still equals the Bellman-Ford
+        # certificate row by row.
+        factor = np.random.default_rng(12).standard_normal((3, 2))
+        factor[2] = factor[0]
+        inst = _instance(symmetrize(factor @ factor.T), 2, s)
+        planes = build_circuit_hyperplanes(inst)
+        assert planes.degenerate_circuits > 0
+        profits = _region_profits(inst, planes, "exact")[0]
+        covered = 0
+        for first in range(0, len(profits), 40):
+            circ = CirculationInstance(2, 3, s, profits[first])
+            flow = solve_max_profit(circ)
+            mask = optimal_at_profits(circ, flow, profits, planes.table)
+            expected = [is_optimal(CirculationInstance(2, 3, s, row), flow)[0] for row in profits]
+            np.testing.assert_array_equal(mask, expected)
+            covered += int(mask.sum())
+        assert 0 < covered < len(profits) * len(range(0, len(profits), 40))
 
 
 class TestCandidateFromCell:
@@ -158,6 +232,23 @@ class TestSolveSpcaDs:
             assert solution.diagnostics.candidates_evaluated > 1
             assert solution.objective == pytest.approx(
                 brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-8, abs=0.0
+            )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_tied_integer_torus_matches_oracle(self, scale):
+        # Integer factors with R_1 = -R_0 tie arcs and cancel circuits.
+        rng = np.random.default_rng(21)
+        for n, s in ((3, 1), (3, 2), (4, 1), (4, 3)):
+            inst = None
+            while inst is None or inst.rank != 2:
+                factor = rng.integers(-3, 4, size=(n, 2)).astype(float)
+                factor[1] = -factor[0]
+                kmatrix = scale * symmetrize(factor @ factor.T)
+                inst = _instance(kmatrix, 2, s)
+            solution = solve_spca_ds(inst)
+            assert solution.diagnostics.sweep_lines > 0
+            assert solution.objective == pytest.approx(
+                brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-9, abs=0.0
             )
 
     def test_chart_mode_agrees_with_torus_mode(self, rng):
@@ -319,6 +410,21 @@ class TestReductions:
                 brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=1e-8
             )
 
+    def test_rank_one_builds_no_circuit_table(self, monkeypatch):
+        # At rank <= 1 the one region needs no circuit: a wide rank-1 shape
+        # (1,408 circuits at d = 2, n = 11) must not enumerate them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank <= 1 built the circuit table")
+
+        monkeypatch.setattr(spca_ds_module, "enumerate_undirected_circuits", refuse)
+        monkeypatch.setattr(spca_ds_module, "circuit_table", refuse)
+        q = np.random.default_rng(3).standard_normal(11)
+        kmatrix = symmetrize(np.outer(q, q))
+        solution = solve_spca_ds(_instance(kmatrix, 2, 5))
+        assert solution.diagnostics.circuits_enumerated == 0
+        top = np.sort(np.diag(kmatrix))[::-1][:10].sum()
+        assert solution.objective == pytest.approx(top, rel=1e-10)
+
 
 class TestTorusWitnesses:
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3)])
@@ -331,7 +437,7 @@ class TestTorusWitnesses:
             a, b, c = _sinusoid_coefficients(normals, d)
             scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
             keys = set()
-            witnesses = _torus_region_witnesses(normals, d)
+            witnesses = _torus_sweep(normals)[0]
             for phis in witnesses:
                 cos, sin = np.cos(phis), np.sin(phis)
                 lifted = np.column_stack([cos * cos, cos * sin, sin * sin]).ravel()
@@ -369,7 +475,7 @@ def test_torus_witnesses_cover_grid_regions(rng, n, integer):
         normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
         a, b, c = _sinusoid_coefficients(normals, 2)
         scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
-        witnesses = _torus_region_witnesses(normals, 2)
+        witnesses = _torus_sweep(normals)[0]
         known = {row.tobytes() for row in (lifted(witnesses) @ normals.T) > 0.0}
         grid = (np.arange(256) + 0.5) * np.pi / 256
         seen = set()
@@ -403,7 +509,7 @@ def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, po
         lifted = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
         return {row.tobytes() for row in (lifted @ normals.T) > 0.0}
 
-    witnesses = _torus_region_witnesses(normals, 2)
+    witnesses = _torus_sweep(normals)[0]
     assert signs(np.array([point])) <= signs(witnesses)
 
 
@@ -415,7 +521,7 @@ def test_torus_witnesses_find_tangent_slab_region():
     alpha, eps = 0.307, 1e-4
     a0, b0, c = np.cos(2 * alpha), np.sin(2 * alpha), -(2.0 - eps)
     normal = np.array([[a0 + c, 2 * b0, c - a0, 1.0, 0.0, -1.0]])
-    witnesses = _torus_region_witnesses(normal, 2)
+    witnesses = _torus_sweep(normal)[0]
     cos, sin = np.cos(witnesses), np.sin(witnesses)
     values = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(witnesses), -1) @ normal.T
     assert sorted(bool(v) for v in values[:, 0] > 0.0) == [False, True]
