@@ -3,15 +3,14 @@
 Builds a random covariance of rank two, asks for two components supported on
 at most three shared features, and compares the exact solver with the
 enumeration oracle.  With as many components as the rank, every support
-scores trace(K_SS), so the solver takes the closed form and cuts no
-arrangement; one component at the same rank reads the candidates off the
-sectors between the sorted lines of the rank-two spannogram, in arrays.
-On the first four features alone (n - 1 <= r(r+1)/2) the lifted differences
-form the braid arrangement: every strict order is a cell, so every support
-is a candidate and nothing is cut.
+scores trace(K_SS), so the solver takes the closed form and reads no
+arrangement; one component at the same rank reads the candidates at the
+vertices of the rank-two spannogram, where two features tie.  On the first
+four features alone (n - 1 <= r(r+1)/2) the lifted differences are
+independent and form the braid arrangement: every strict order is a
+region, so every support is a candidate and the supports are generated
+directly.
 """
-
-from math import factorial
 
 import numpy as np
 
@@ -36,14 +35,14 @@ def describe(diag, features):
     if diag.extended_dim == 0:
         space = "closed form, no arrangement"
     elif diag.extended_dim == r:
-        space = f"sectors of the spannogram in R^{r}, read in arrays"
-    elif diag.cells_enumerated == factorial(features):
-        space = f"braid of the lift in R^{diag.extended_dim}, read without cutting"
+        space = f"vertices of the spannogram in R^{r}"
+    elif diag.extended_dim == features - 1:
+        space = f"braid of the lift in R^{diag.extended_dim}, every support generated"
     else:
-        space = f"lifted space of dimension {diag.extended_dim}"
+        space = f"vertices of the lift in R^{diag.extended_dim}"
     return (
-        f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} cells "
-        f"(predicted at most {diag.predicted_cells}), "
+        f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} vertices "
+        f"(predicted {diag.predicted_cells}), "
         f"{diag.candidates_evaluated} distinct candidates"
     )
 

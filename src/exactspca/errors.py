@@ -46,7 +46,8 @@ class InvalidParameters(ExactSpcaError):
 
 
 class TooLarge(ExactSpcaError):
-    """A brute-force enumeration would exceed its configured cap."""
+    """An enumeration would exceed its cap: the brute-force oracles' support
+    count, or the fills of one degenerate tie in the sparse-PCA vertex read."""
 
 
 class ParseError(ExactSpcaError):

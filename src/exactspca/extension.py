@@ -57,12 +57,15 @@ class MonomialBasis:
         return coords
 
     def row_block_coefficients(self, row) -> np.ndarray:
-        """Coefficients c with c @ ext_block(y) == (row @ y)**2 for one column."""
+        """Coefficients c with c @ ext_block(y) == (row @ y)**2 for one column.
+
+        A stack of rows, shape (..., r), gives one coefficient row each.
+        """
         row = np.asarray(row, dtype=float)
-        if row.shape != (self.r,):
-            raise DimensionMismatch(f"expected a length-{self.r} row, got {row.shape}")
-        coeffs = row[self._k] * row[self._kp]
-        coeffs[self._off_diagonal] *= 2.0
+        if row.shape[-1:] != (self.r,):
+            raise DimensionMismatch(f"expected length-{self.r} rows, got {row.shape}")
+        coeffs = row[..., self._k] * row[..., self._kp]
+        coeffs[..., self._off_diagonal] *= 2.0
         return coeffs
 
 

@@ -1,69 +1,63 @@
 """Exact sparse PCA for covariance matrices of low rank.
 
-The solver factors K = R @ R.T (r = numerical rank) and looks for the
-orderings of the per-feature quadratics ``norm(R_j @ Y)**2``: inside a
-region where that ordering is fixed, the top-s features form the one
-candidate support the region can contribute, and the best candidate under a
-small PCA evaluation is globally optimal.  The regions are cut in the
-smallest exact space the instance's shape allows:
+The solver factors K = R @ R.T (r = numerical rank).  A support S scores the
+sum of the d largest eigenvalues of R_S.T @ R_S, and an optimal S is a top-s
+set of the per-feature values ``norm(R_j @ Y)**2`` at an optimal Y, so the
+solver gathers candidate top-s sets and scores them all:
 
 - **d >= r (or s = n): closed form.**  Every support S then scores
   trace(K_SS), so the s features with the largest squared row norms are the
-  one candidate and no arrangement is cut.
-- **n - 1 <= r(r+1)/2 with independent lifted differences: the braid.**  The
-  quadratics become linear functionals c_j of the r(r+1)/2 pairwise products
-  of one column.  When the differences c_j - c_0 are linearly independent,
-  the map z -> (c_j @ z)_j reaches every strict order of the n values, so the
-  difference arrangement is the braid arrangement: its n! cells are the
-  strict orders and every support is a candidate (Stanley, "An Introduction
-  to Hyperplane Arrangements", 2004, Lecture 1).  Nothing is cut.  The rank
-  test decides only the cost: all supports always contain the optimum, and
-  dependent differences (R_j = +-R_k, ties) fall through to the spaces below.
-- **d = 1: the spannogram in R^r.**  (R_j @ y)**2 - (R_k @ y)**2 factors as
-  ((R_j - R_k) @ y) * ((R_j + R_k) @ y), so the n(n-1) planes R_j -+ R_k
-  fix the ordering on each cell (Asteris, Papailiopoulos and Karystinos,
-  "The sparse principal component of a constant-rank matrix", 2014).
-- **Otherwise: one lifted block.**  The difference hyperplanes c_j - c_k of
-  the lift are cut.  The functional of d columns repeats the block d times,
-  so one block has the same cells.
+  one candidate.
+- **Otherwise: the vertices of an arrangement.**  The top-s set changes only
+  where features at positions s and s + 1 tie.  Next to a point where a
+  group of features ties across position s, the top-s sets are the features
+  above the tie plus every fill of the rest of s from the tied group, so it
+  suffices to read one such point on the boundary of every region of
+  constant top-s set: a vertex, where enough features tie to fix the point
+  (Asteris, Papailiopoulos and Karystinos, "The sparse principal component
+  of a constant-rank matrix", IEEE Trans. IT 2014).  Two spaces carry them.
 
-Past the braid, for d = 1 both arrangements are exact.  At rank 2 the cells
-are the sectors between the sorted angles of the n(n-1) lines:
-``plane_sectors`` gives each sector's mid-angle witness and closed-form
-margin, and the witnesses are scored in fixed-size blocks, so no hyperplane,
-cell or sign vector is built and no near-parallel lines are merged.  At
-rank 3 the spannogram is always cut: ``enumerate_cells`` reads the cells of
-R^3 off in closed form, with no insertion work.  At rank >= 4 the one that
-predicts less work for ``enumerate_cells`` is cut.  Inserting hyperplane h
-tests every cell of the first h - 1, so the work is the sum of the cell
-bounds of the partial arrangements: the generic count for the spannogram,
-capped at n! for the lift (each cell of a difference arrangement fixes a
-strict order of the n functionals).  The spannogram has twice the
-hyperplanes in fewer dimensions; it wins from n = 9 at rank 4.
+  - *The spannogram in R^r (d = 1).*  (R_j @ y)**2 = (R_k @ y)**2 on the
+    planes R_j -+ R_k.  The vertices are the null vectors of the rows
+    R_t0 - sigma_i R_ti, over every r-subset T and signs sigma, and of R_T
+    over every (r - 1)-subset (ties at level 0): C(n, r) 2^(r-1) +
+    C(n, r - 1) points.  They cover every region: from a boundary point,
+    move where the tied group stays tied until a feature joins it or it
+    reaches 0; there r (or r - 1 at 0) features tie, with the set a fill.
+  - *The lift (any d).*  The values are linear functionals c_j of the
+    r(r+1)/2 pairwise products of each column, ordered by their differences
+    alone.  In the k-dimensional span of the c_j - c_0, a region is a
+    pointed convex cone whose extreme rays are where k of the features tie:
+    the null vector of the k - 1 differences of a k-subset, and its
+    negation, 2 C(n, k) points.  At k = n - 1 that is the braid arrangement
+    (every strict order is a region), so every support is a candidate and
+    the supports are generated directly.
 
-Candidates are scored by the top eigenvalues of their r x r Gram matrices,
-stacked and handed to LAPACK in fixed-size chunks.
+  For d = 1 the space with fewer predicted candidate rows (points times
+  C(g, g // 2), g = r or k) is read.  Features that share one functional,
+  or add less than half the tie band to any score, are interchangeable: a
+  fill takes a quota of each such class, in index order.
+
+Vertices are read in fixed-size blocks, candidates deduplicated as packed
+bitmasks and scored in LAPACK batches of r x r Grams; scores within 1e-12
+(relative) of the best tie, and the lex-smallest support wins.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from functools import partial
-from math import factorial, inf
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
+from typing import Iterator
 
 import numpy as np
 
-from .arrangement import (
-    dedup_hyperplanes,
-    enumerate_cells,
-    expected_generic_cell_count,
-    plane_sectors,
-)
-from .errors import InvalidParameters
-from .extension import MonomialBasis, build_row_functional
+# The vertex read replaces the cuts through these; the benchmark's tracer wraps them.
+from .arrangement import dedup_hyperplanes, enumerate_cells  # noqa: F401
+from .errors import InvalidParameters, TooLarge
+from .extension import MonomialBasis, build_row_functional  # noqa: F401
 from .linalg import (
     DEFAULT_RANK_TOL,
     PsdFactor,
@@ -75,7 +69,11 @@ from .linalg import (
 )
 
 _SCORE_CHUNK = 1024  # candidate Gram matrices per batched LAPACK call
-_SECTOR_BLOCK = 256  # R^2 sectors scored at once on the rank-2 spannogram (cache-sized)
+_VERTEX_BLOCK = 1024  # vertices (or generated supports) read at once
+_TIE_TOL = 1e-9  # values this close, relative to the largest reachable, tie
+_RANK_TOL = 1e-10  # floor of a tie system's volume, relative to its row norms
+_BEST_TOL = 1e-12  # scores this close, relative to the best, tie for the optimum
+_FILL_LIMIT = 1 << 22  # fills built at once for one kind of tie, past which it is too degenerate
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,14 @@ class SpcaInstance:
 def _top_masks(values: np.ndarray, s: int) -> np.ndarray:
     """Boolean rows marking the s largest entries of each row, ties to the
     smaller index."""
-    n = values.shape[1]
-    threshold = np.partition(values, n - s, axis=1)[:, n - s : n - s + 1]
-    mask = values >= threshold
-    tied_rows = np.count_nonzero(mask, axis=1) > s
-    if np.any(tied_rows):
-        part, cut = values[tied_rows], threshold[tied_rows]
-        above, tied = part > cut, part == cut
-        room = s - np.count_nonzero(above, axis=1, keepdims=True)
-        mask[tied_rows] = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    return mask
+    return _index_masks(np.argsort(-values, axis=1, kind="stable")[:, :s], values.shape[1])
+
+
+def _index_masks(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (m, n) rows marking each row of ``subsets``."""
+    masks = np.zeros((len(subsets), n), dtype=bool)
+    masks[np.arange(len(subsets))[:, None], subsets] = True
+    return masks
 
 
 def _top_sets(values: np.ndarray, s: int) -> np.ndarray:
@@ -148,14 +144,9 @@ def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CandidateSupports:
-    """Deduplicated candidate supports plus enumeration bookkeeping.
-
-    ``extended_dim`` is the dimension of the space actually cut (0 for the
-    closed form) and ``predicted_cells`` bounds ``cells_enumerated`` before
-    enumeration starts.  ``cell_signs(support)`` is the sign vector, on the
-    hyperplanes cut (at rank 2 every line offered, near-parallel ones
-    included), of one cell whose top-s set is ``support``.
-    """
+    """Deduplicated, sorted candidate supports plus enumeration bookkeeping:
+    the dimension of the space read (0 for the closed form), the vertices
+    read and their count, computed before any is read."""
 
     supports: tuple[tuple[int, ...], ...]
     cells_enumerated: int
@@ -163,171 +154,249 @@ class CandidateSupports:
     extended_dim: int
     predicted_cells: int
     duplicate_feature_pairs: tuple[tuple[int, int], ...]
-    cell_signs: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
-        compare=False, repr=False, default=lambda support: ()
-    )
 
 
-def _insertion_bounds(planes: int, dim: int, cap: float) -> tuple[int, int]:
-    """Bounds on the cells of ``planes`` central hyperplanes in R^dim and on
-    the cells ``enumerate_cells`` tests while inserting them one by one.
+def _subsets(n: int, m: int, size: int) -> Iterator[np.ndarray]:
+    """The m-subsets of range(n) in lex order, as (<= size, m) index blocks."""
+    combos = itertools.combinations(range(n), m)
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, size)),
+                            dtype=np.intp)
+        if not block.size:
+            return
+        yield block.reshape(-1, m)
+        if block.size < size * m:
+            return
 
-    No partial arrangement has more cells than the generic count or than
-    ``cap``, a bound on the full arrangement (inserting never merges cells).
+
+@lru_cache(maxsize=1024)
+def _fill_count(sizes: tuple[int, ...], need: int) -> int:
+    """The number of rows ``_fill_table`` builds, counted without them."""
+    ways = [1] + [0] * need  # ways[t]: quotas of the classes so far that sum to t
+    for size in sizes:
+        ways = [sum(ways[max(0, t - size):t + 1]) for t in range(need + 1)]
+    return ways[need]
+
+
+@lru_cache(maxsize=256)
+def _fill_table(sizes: tuple[int, ...], need: int) -> np.ndarray:
+    """Every way to take ``need`` of the tied positions, as (fills, need).
+
+    The positions run class by class, ``sizes`` long.  Each class gives a
+    quota and the fill takes that many of its first positions, so with
+    classes of one the fills are the C(tied, need) combinations.  Cached,
+    so read-only.
     """
-    cells = [min(cap, expected_generic_cell_count(h, dim)) for h in range(planes + 1)]
-    return int(cells[-1]), int(sum(cells[:-1]))
+    later = [*np.cumsum(sizes[::-1])[::-1].tolist()[1:], 0]  # positions after each class
+    quotas = np.zeros((1, 0), dtype=np.intp)
+    for size, after in zip(sizes, later):
+        quotas = np.column_stack([np.repeat(quotas, size + 1, axis=0),
+                                  np.tile(np.arange(size + 1), len(quotas))])
+        total = quotas.sum(axis=1)
+        quotas = quotas[(total <= need) & (total + after >= need)]
+    rank = np.arange(sum(sizes)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    table = np.nonzero(rank < np.repeat(quotas, sizes, axis=1))[1].reshape(len(quotas), need)
+    table.flags.writeable = False
+    return table
 
 
-def _choose_space(n: int, r: int, d: int, pairs: int) -> tuple[bool, int, int]:
-    """(spannogram?, dimension, predicted cells) of the space to cut at
-    rank >= 3.
+def _spannogram_systems(rows: np.ndarray):
+    """(tie systems, subsets) blocks of the spannogram in R^r: the rows
+    R_t0 - sigma_i R_ti of every r-subset T and signs sigma, and the rows R_T
+    of every (r - 1)-subset (padded with its first feature)."""
+    n, r = rows.shape
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=r - 1))).reshape(-1, r - 1, 1)
+    size = max(1, _VERTEX_BLOCK >> (r - 1))
+    empty = np.empty((0, r), dtype=np.intp)
+    for subsets, zeros in itertools.zip_longest(_subsets(n, r, size), _subsets(n, r - 1, size),
+                                                fillvalue=empty):
+        zeros = zeros[:, :r - 1]
+        base = rows[subsets][:, None]
+        systems = (base[:, :, :1] - signs * base[:, :, 1:]).reshape(-1, r - 1, r)
+        padded = zeros[:, [0, *range(r - 1)]]
+        yield (np.concatenate([systems, rows[zeros]]),
+               np.concatenate([np.repeat(subsets, len(signs), axis=0), padded]))
 
-    ``pairs`` counts the feature pairs with distinct functionals: the lift
-    offers one hyperplane for each and the spannogram two.  In R^3 the
-    spannogram costs no insertion work; above, the predicted insertion work
-    decides.
+
+def _vertex_masks(values: np.ndarray, tied_sets: np.ndarray, tol: float, s: int,
+                  heads: np.ndarray) -> list[np.ndarray]:
+    """Support masks next to the vertices (rows of ``values``) whose tie
+    straddles position s.
+
+    A vertex's subset ties, with every feature within ``tol`` of the band
+    its values span.  When fewer than s features lie above the band and more
+    than s reach it, the features above plus every fill of the rest of s
+    from the tied ones are candidates.  Features of one class (one entry of
+    ``heads``) are interchangeable, so a fill takes a quota of each class,
+    in index order.  The fills are counted before they are built, and when
+    they are many, coincident vertices (the same features above and tied)
+    are read once.
     """
-    lift_dim = r * (r + 1) // 2
-    lift_cells, lift_work = _insertion_bounds(pairs, lift_dim, factorial(n))
-    if d == 1:
-        span_cells, span_work = _insertion_bounds(2 * pairs, r, inf)
-        if r == 3 or span_work < lift_work:
-            return True, r, span_cells
-    return False, lift_dim, lift_cells
+    n = values.shape[1]
+    members = values[np.arange(len(values))[:, None], tied_sets]
+    higher = values > members.max(axis=1, keepdims=True) + tol
+    band = ~higher & (values >= members.min(axis=1, keepdims=True) - tol)
+    counts = band.sum(axis=1)
+    need = s - higher.sum(axis=1)
+    straddles = (need > 0) & (need < counts)
+    masks = []
+    for group, fill in set(zip(counts[straddles].tolist(), need[straddles].tolist())):
+        rows = np.flatnonzero(straddles & (counts == group) & (need == fill))
+        tied = np.nonzero(band[rows])[1].reshape(-1, group)
+        classes = heads[tied]
+        kinds, which = np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+        if (classes != tied).any():  # order class by class, each in index order
+            classes, tied = np.divmod(np.sort(classes * n + tied, axis=1), n)
+            joins = classes[:, 1:] == classes[:, :-1]  # in the class of the one before
+            # Rows with other runs of classes take other tables.
+            kinds, which = np.unique(_row_keys(joins), return_index=True, return_inverse=True)[1:]
+        for kind, runs in enumerate(classes[kinds].tolist()):
+            sizes = tuple(len(list(run)) for _, run in itertools.groupby(runs))
+            picked = np.flatnonzero(which == kind)
+            fills = _fill_count(sizes, fill)
+            if len(picked) * fills > _VERTEX_BLOCK:  # read coincident vertices once
+                key = higher[rows[picked]] + 2 * band[rows[picked]].view(np.int8)
+                picked = picked[np.unique(_row_keys(key), return_index=True)[1]]
+            if len(picked) * fills > _FILL_LIMIT:
+                raise TooLarge(f"{len(picked)} vertices tie {group} features, {fill} to fill")
+            table = _fill_table(sizes, fill)
+            picks = tied[picked][:, table].reshape(-1, fill)
+            mask = np.repeat(higher[rows[picked]], len(table), axis=0)  # one row per (vertex, fill)
+            mask[np.arange(len(mask))[:, None], picks] = True
+            masks.append(mask)
+    return masks
 
 
-def _sector_tops(rows: np.ndarray, normals: np.ndarray, s: int):
-    """(top-s sets, one witness each, sectors kept) over the sectors that the
-    lines with these R^2 normals cut.
+def _row_keys(array: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value, so that 1-D ``np.unique``
+    (far cheaper than its ``axis=0``) and sets compare whole rows."""
+    array = np.ascontiguousarray(array)
+    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).ravel()
 
-    The mirror half-turn repeats every (R_j @ y)**2, so one half-turn is
-    scored, ``_SECTOR_BLOCK`` sectors at a time.  The top-s set changes only
-    where a line swaps the features at positions s and s + 1, so within a
-    block each run of equal sets keeps only its first sector; sets repeated
-    across blocks are left to the caller's deduplication.
+
+def _fresh(masks: np.ndarray, seen: set) -> np.ndarray:
+    """The rows of ``masks`` not yet in ``seen``, once each; their packed
+    bits are added to ``seen``."""
+    keys = _row_keys(np.packbits(masks, axis=1)).tolist()
+    fresh = {key: row for row, key in enumerate(keys) if key not in seen}  # one row a key
+    seen.update(fresh)
+    return masks[list(fresh.values())]
+
+
+def _read_vertices(blocks, features: np.ndarray, lift: bool, norms: np.ndarray, s: int,
+                   heads: np.ndarray):
+    """Deduplicated candidate support masks, one block per block of tie systems.
+
+    A vertex is the null vector of its (m, g - 1, g) system, from cofactors;
+    their norm, the product of the singular values, below ``_RANK_TOL`` of
+    the product of the row norms marks a rank-deficient system (R_j = +-R_k,
+    repeated rows), whose vertices other subsets reach.  The lift reads each
+    null vector and its negation; the spannogram reads |R_j @ y| (squares
+    would tie rows of tiny norm near 0), within ``_TIE_TOL`` of the largest
+    a unit point reaches.  Features with one of ``heads`` form a class.  The
+    lift's first vertex and its negation add their top-s sets (at k = 1 they
+    are the regions, untied); with no vertex read, the row ``norms`` do.
     """
-    witnesses, _ = plane_sectors(normals)
-    masks, kept = [], []
-    for start in range(0, len(witnesses), _SECTOR_BLOCK):
-        block = witnesses[start:start + _SECTOR_BLOCK]
-        mask = _top_masks((block @ rows.T) ** 2, s)
-        starts = np.ones(len(mask), dtype=bool)
-        starts[1:] = np.any(mask[1:] != mask[:-1], axis=1)
-        masks.append(mask[starts])
-        kept.append(block[starts])
-    tops = np.nonzero(np.concatenate(masks))[1].reshape(-1, s)
-    return tops, np.concatenate(kept), len(witnesses)
+    tol = _TIE_TOL * np.sqrt(np.max(np.sum(features * features, axis=1)))
+    seen: set = set()
+    for systems, subsets in blocks:
+        g = systems.shape[2]
+        # Row i of the table drops column i.
+        minors = systems[:, :, _fill_table((1,) * g, g - 1)].transpose(0, 2, 1, 3)
+        # 1 x 1 minors (rank 2) are their entries, with no LAPACK call.
+        cofactors = minors[:, :, 0, 0] if g == 2 else np.linalg.det(minors)
+        cofactors[:, 1::2] *= -1.0
+        volume = (cofactors * cofactors).sum(axis=1)  # squared, as are the row norms
+        keep = volume > _RANK_TOL**2 * np.prod((systems * systems).sum(axis=2), axis=1)
+        values = (cofactors[keep] / np.sqrt(volume[keep, None])) @ features.T
+        tied = subsets[keep]
+        if lift:  # each null vector, then its negation
+            values = np.stack([values, -values], axis=1).reshape(-1, len(features))
+            tied = np.repeat(tied, 2, axis=0)
+        masks = _vertex_masks(values if lift else np.abs(values), tied, tol, s, heads)
+        if lift and not seen and len(values):
+            masks.append(_top_masks(values[:2], s))
+        if masks:
+            yield _fresh(np.concatenate(masks), seen)
+    if not seen:
+        yield _top_masks(norms[None, :], s)
 
 
-def _braid_signs(n: int, support) -> tuple[int, ...]:
-    """Signs, on the planes t_j = t_k (j < k in ``np.triu_indices`` order), of
-    the strict order that puts ``support`` first and ranks each part by index.
-
-    t_j > t_k for every j < k except where j is outside the support and k
-    inside it.
-    """
-    inside = np.zeros(n, dtype=bool)
-    inside[list(support)] = True
-    first, second = np.triu_indices(n, 1)
-    return tuple(np.where(inside[second] & ~inside[first], -1, 1).tolist())
-
-
-def _lifted_coefficients(instance: SpcaInstance) -> np.ndarray:
-    """(n, r(r+1)/2): row j is c_j, with c_j @ ext(y) == (R_j @ y)**2."""
-    basis = MonomialBasis(instance.rank, 1)
-    return np.vstack(
-        [build_row_functional(basis, instance.factor.row(j), tag=f"row:{j}").coeffs
-         for j in range(instance.n)]
-    )
+def _candidate_blocks(instance: SpcaInstance) -> tuple[dict, Iterator[np.ndarray]]:
+    """The enumeration counts, known before any vertex is read, and the
+    deduplicated candidate supports as blocks of (m, n) boolean masks."""
+    n, d, s, r = instance.n, instance.d, instance.s, instance.rank
+    rows = instance.factor.factor  # (n, r)
+    norms = np.sum(rows * rows, axis=1)
+    if r <= d or s == n:
+        # At most d columns span every R_S, so each support scores trace(K_SS).
+        counts = dict(cells_enumerated=1, hyperplanes=0, extended_dim=0,
+                      predicted_cells=1, duplicate_feature_pairs=())
+        return counts, iter([_top_masks(norms[None, :], s)])
+    coeffs = MonomialBasis(r, 1).row_block_coefficients(rows)  # c_j @ ext(y) == (R_j @ y)**2
+    # c_j = c_k (R_j = +-R_k): the two features share one functional, so no
+    # hyperplane separates them.
+    same = (coeffs[:, None] == coeffs).all(axis=2)
+    first, second = np.nonzero(same & (np.arange(n)[:, None] < np.arange(n)))
+    pairs = n * (n - 1) // 2 - len(first)
+    # Rows adding less than half the tie band to any score form one class,
+    # and the lift reads them as zero rows: exact for K without them, so
+    # within s times that band of the optimum.
+    faint = norms <= _TIE_TOL / 2 * norms.max()
+    heads = np.argmax(same | (faint[:, None] & faint), axis=0)  # each feature's first classmate
+    coeffs[faint] = 0.0
+    _, sv, vt = np.linalg.svd(coeffs[1:] - coeffs[0], full_matrices=False)
+    k = int(np.count_nonzero(sv > sv[0] * max(coeffs.shape) * np.finfo(float).eps))
+    span_points = comb(n, r) * 2 ** (r - 1) + comb(n, r - 1)
+    if d == 1 and span_points * comb(r, r // 2) < 2 * comb(n, k) * comb(k, k // 2):
+        dim, points, hyperplanes = r, span_points, 2 * pairs
+        blocks = _read_vertices(_spannogram_systems(rows), rows, False, norms, s, heads)
+    elif k == n - 1:
+        # The braid: the fills of its 2n vertices are every support.
+        dim, points, hyperplanes = k, 2 * n, pairs
+        blocks = (_index_masks(subsets, n) for subsets in _subsets(n, s, _VERTEX_BLOCK))
+    else:
+        dim, points, hyperplanes = k, 2 * comb(n, k), pairs
+        lifted = (coeffs - coeffs[0]) @ vt[:k].T  # c_j - c_0 in their span
+        # The k - 1 differences of every k-subset.
+        systems = ((lifted[t[:, 1:]] - lifted[t[:, :1]], t)
+                   for t in _subsets(n, k, _VERTEX_BLOCK // 2))
+        blocks = _read_vertices(systems, lifted, True, norms, s, heads)
+    duplicates = tuple(zip(first.tolist(), second.tolist()))
+    return dict(cells_enumerated=points, hyperplanes=hyperplanes, extended_dim=dim,
+                predicted_cells=points, duplicate_feature_pairs=duplicates), blocks
 
 
 def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:
-    """Candidate supports, one per cell of the chosen space, deduplicated.
+    """Candidate supports, deduplicated and sorted; one of them is optimal."""
+    counts, blocks = _candidate_blocks(instance)
+    masks = np.concatenate(list(blocks))
+    supports = np.unique(np.nonzero(masks)[1].reshape(-1, instance.s), axis=0)
+    counts["hyperplane_count"] = counts.pop("hyperplanes")
+    return CandidateSupports(supports=tuple(map(tuple, supports.tolist())), **counts)
 
-    The candidate family is guaranteed to contain an optimal support; many
-    cells collapse onto the same top-s set, hence the deduplication.  One
-    witness is kept per support, so ``cell_signs`` costs one product.
+
+def _best_support(blocks, factor: np.ndarray, d: int, s: int) -> tuple[tuple[int, ...], int]:
+    """(winning support, candidates scored) over the blocks of support masks.
+
+    A mask's r x r Gram matrix is its sum of the rows' outer products.  Only
+    the candidates within ``_BEST_TOL`` of the running best are kept, and the
+    lex-smallest of those within it of the final best wins, so ties do not
+    hang on the last bits of the eigensolver.
     """
-    n, d, s, r = instance.n, instance.d, instance.s, instance.rank
-    rows = instance.factor.factor  # (n, r)
-    if r <= d or s == n:
-        # At most d columns span every R_S, so each support scores trace(K_SS).
-        norms = np.sum(rows * rows, axis=1)
-        support = tuple(_top_sets(norms[None, :], s)[0].tolist())
-        return CandidateSupports(
-            supports=(support,),
-            cells_enumerated=1,
-            hyperplane_count=0,
-            extended_dim=0,
-            predicted_cells=1,
-            duplicate_feature_pairs=(),
-        )
-    lift_dim = r * (r + 1) // 2
-    coeffs = _lifted_coefficients(instance) if n - 1 <= lift_dim else None
-    if coeffs is not None and np.linalg.matrix_rank(coeffs[1:] - coeffs[0]) == n - 1:
-        return CandidateSupports(
-            supports=tuple(itertools.combinations(range(n), s)),
-            cells_enumerated=factorial(n),
-            hyperplane_count=n * (n - 1) // 2,
-            extended_dim=lift_dim,
-            predicted_cells=factorial(n),
-            duplicate_feature_pairs=(),
-            cell_signs=partial(_braid_signs, n),
-        )
-    first, second = np.triu_indices(n, 1)
-    minus = rows[first] - rows[second]
-    plus = rows[first] + rows[second]
-    # R_j = +-R_k: the two features share one functional, so neither space
-    # offers a hyperplane for the pair.
-    same = ~np.any(minus, axis=1) | ~np.any(plus, axis=1)
-    lines = np.stack([minus[~same], plus[~same]], axis=1).reshape(-1, r)  # the spannogram's
-    if r == 2:
-        # d = 1, as d >= 2 is the closed form: the cells are the sectors
-        # between the sorted lines, scored in blocks.
-        tops, witnesses, sectors = _sector_tops(rows, lines, s)
-        normals, dim, predicted, cell_count = lines, 2, 2 * len(lines), 2 * sectors
-    else:
-        spannogram, dim, predicted = _choose_space(n, r, d, int(np.count_nonzero(~same)))
-        if spannogram:
-            offered = lines
-
-            def score(witnesses):
-                return (witnesses @ rows.T) ** 2
-
-        else:
-            if coeffs is None:
-                coeffs = _lifted_coefficients(instance)
-            offered = coeffs[first][~same] - coeffs[second][~same]
-
-            def score(witnesses):
-                return witnesses @ coeffs.T
-
-        hyperplanes = dedup_hyperplanes(offered, dim)
-        cells = enumerate_cells(hyperplanes, dim)
-        witnesses = np.vstack([c.witness for c in cells])
-        cell_count = len(cells)
-        del cells  # one sign tuple per cell: the bulk of the memory on large shapes
-        tops = _top_sets(score(witnesses), s)
-        normals = np.array([h.normal for h in hyperplanes]).reshape(-1, dim)
-    # Sorted rows, each with the first cell that reaches it.
-    tops, first_cell = np.unique(tops, axis=0, return_index=True)
-    supports = tuple(tuple(row) for row in tops.tolist())
-    witnesses = witnesses[first_cell]
-
-    def cell_signs(support):
-        values = normals @ witnesses[supports.index(support)]
-        return tuple(np.where(values > 0.0, 1, -1).tolist())
-
-    return CandidateSupports(
-        supports=supports,
-        cells_enumerated=cell_count,
-        hyperplane_count=len(normals),
-        extended_dim=dim,
-        predicted_cells=predicted,
-        duplicate_feature_pairs=tuple(zip(first[same].tolist(), second[same].tolist())),
-        cell_signs=cell_signs,
-    )
+    n, r = factor.shape
+    outer = (factor[:, :, None] * factor[:, None, :]).reshape(n, r * r)
+    best, scored, kept = -np.inf, 0, []
+    for masks in blocks:
+        for start in range(0, len(masks), _SCORE_CHUNK):
+            chunk = masks[start:start + _SCORE_CHUNK]
+            values = top_eigenvalue_sums((chunk @ outer).reshape(len(chunk), r, r), d)
+            scored += len(chunk)
+            best = max(best, float(values.max()))
+            near = values >= best - _BEST_TOL * abs(best)
+            kept.append((values[near], chunk[near]))
+    near = [chunk[values >= best - _BEST_TOL * abs(best)] for values, chunk in kept]
+    return min(map(tuple, np.nonzero(np.concatenate(near))[1].reshape(-1, s).tolist())), scored
 
 
 @dataclass(frozen=True)
@@ -338,7 +407,6 @@ class SpcaDiagnostics:
     predicted_cells: int
     cells_enumerated: int
     candidates_evaluated: int
-    best_cell_signs: tuple[int, ...] | None
     nonzero_rows: int
     duplicate_feature_pairs: tuple[tuple[int, int], ...]
     stage_ms: dict
@@ -358,34 +426,15 @@ def solve_spca(instance: SpcaInstance) -> SpcaSolution:
     """Globally optimal sparse PCA solution for the given instance."""
     n, d, s = instance.n, instance.d, instance.s
     stage_ms: dict = {}
-    if instance.rank == 0:
-        # K is numerically zero: every feasible X attains the optimum 0.
-        support = tuple(range(s))
-        x = np.zeros((n, d))
-        for col, j in enumerate(support[:d]):
-            x[j, col] = 1.0
-        diagnostics = SpcaDiagnostics(
-            rank=0, extended_dim=0, hyperplanes=0, predicted_cells=1, cells_enumerated=1,
-            candidates_evaluated=1, best_cell_signs=(), nonzero_rows=d,
-            duplicate_feature_pairs=(), stage_ms=stage_ms,
-        )
-        return SpcaSolution(support=support, x=x, objective=0.0, diagnostics=diagnostics)
-
     tick = time.perf_counter()
-    candidates = enumerate_candidate_supports(instance)
+    counts, blocks = _candidate_blocks(instance)
     stage_ms["candidates"] = (time.perf_counter() - tick) * 1000.0
 
+    # The blocks are generated as they are scored, so "evaluation" carries
+    # the vertex read.
     tick = time.perf_counter()
-    # Supports are sorted and argmax takes the first maximum, so ties keep
-    # the lex-smallest.
-    supports = np.array(candidates.supports, dtype=int).reshape(-1, s)
-    values = np.empty(len(supports))
-    for start in range(0, len(supports), _SCORE_CHUNK):
-        block = instance.factor.factor[supports[start:start + _SCORE_CHUNK]]  # (c, s, r)
-        values[start:start + _SCORE_CHUNK] = top_eigenvalue_sums(
-            block.transpose(0, 2, 1) @ block, instance.num_components_reduced
-        )
-    best_support = candidates.supports[int(np.argmax(values))]
+    best_support, scored = _best_support(blocks, instance.factor.factor,
+                                         instance.num_components_reduced, s)
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()
@@ -397,15 +446,10 @@ def solve_spca(instance: SpcaInstance) -> SpcaSolution:
 
     diagnostics = SpcaDiagnostics(
         rank=instance.rank,
-        extended_dim=candidates.extended_dim,
-        hyperplanes=candidates.hyperplane_count,
-        predicted_cells=candidates.predicted_cells,
-        cells_enumerated=candidates.cells_enumerated,
-        candidates_evaluated=len(candidates.supports),
-        best_cell_signs=candidates.cell_signs(best_support),
+        candidates_evaluated=scored,
         nonzero_rows=int(np.count_nonzero(np.any(x != 0.0, axis=1))),
-        duplicate_feature_pairs=candidates.duplicate_feature_pairs,
         stage_ms=stage_ms,
+        **counts,
     )
     return SpcaSolution(
         support=best_support, x=x, objective=float(objective), diagnostics=diagnostics

@@ -782,9 +782,10 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     tick = time.perf_counter()
     completed = [_complete_family(family, factor, s) for family in sorted(families)]
     values = _family_values([family for family, _ in completed], factor)
-    # The best value wins; ties go to the smallest flattened support list.
-    best = min(range(len(completed)), key=lambda k: (
-        -values[k], tuple(j for support in completed[k][0] for j in support)))
+    # Values within 1e-12 (relative) of the best tie, so the eigensolver's
+    # last bits do not choose; ties go to the smallest flattened support list.
+    tied = np.flatnonzero(values >= values.max() - 1e-12 * abs(values.max()))
+    best = min(tied, key=lambda k: tuple(j for support in completed[k][0] for j in support))
     best_family, completions = completed[best]
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 

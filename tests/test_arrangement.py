@@ -144,8 +144,8 @@ def _top_set(values, s):
 def test_braid_parity_with_insertion(rng, r, n):
     # With n - 1 <= r(r+1)/2 generic functionals the difference arrangement
     # of the lift is the braid arrangement: one cell per strict order, so
-    # every support is the top-s set of a cell, which the solver reads
-    # without cutting.  Its signs for the winner belong to such a cell.
+    # every support is the top-s set of a cell, and the solver generates
+    # them all from the 2n vertices without cutting.
     factor = rng.standard_normal((n, r))
     coeffs = _lifted(factor)
     first, second = np.triu_indices(n, 1)
@@ -160,21 +160,23 @@ def test_braid_parity_with_insertion(rng, r, n):
     # the lifted coordinates but not which orders are cells.
     solution = spca.solve_spca(spca.SpcaInstance.build(symmetrize(factor @ factor.T), 1, 2))
     diag = solution.diagnostics
-    assert diag.cells_enumerated == len(cells)
-    assert _top_set(values[diag.best_cell_signs], 2) == solution.support
+    assert diag.extended_dim == n - 1
+    assert diag.cells_enumerated == 2 * n
+    assert diag.candidates_evaluated == math.comb(n, 2)
+    assert solution.support in {_top_set(v, 2) for v in values.values()}
 
 
 @pytest.mark.parametrize("r,d,n", [(3, 2, 6), (4, 1, 6), (4, 3, 5)])
 def test_tied_lift_takes_insertion(rng, monkeypatch, r, d, n):
     # R_1 = -R_0 gives two features one functional, so the differences are
-    # dependent: the lift is cut by insertion and must still be exact.
-    dims = []
+    # dependent and the solver reads the vertices of a smaller lift.  The
+    # lift cut by insertion is the reference: every top-s set of its cells
+    # must be a candidate, and the solver cuts nothing itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex read must not cut cells")
 
-    def spy(hyperplanes, dim, *args, **kwargs):
-        dims.append(dim)
-        return enumerate_cells(hyperplanes, dim, *args, **kwargs)
-
-    monkeypatch.setattr(spca, "enumerate_cells", spy)
+    monkeypatch.setattr(spca, "enumerate_cells", refuse)
+    monkeypatch.setattr(spca, "dedup_hyperplanes", refuse)
     for trial in range(3):
         while True:
             factor = rng.integers(-2, 3, size=(n, r)).astype(float)
@@ -182,13 +184,23 @@ def test_tied_lift_takes_insertion(rng, monkeypatch, r, d, n):
             if np.linalg.matrix_rank(factor) == r:
                 break
         kmatrix = symmetrize(factor @ factor.T)
-        s = d + trial % (n - d)
-        solution = spca.solve_spca(spca.SpcaInstance.build(kmatrix, d, s))
-        assert dims.pop() == solution.diagnostics.extended_dim == r * (r + 1) // 2
-        assert solution.diagnostics.cells_enumerated < math.factorial(n)
-        report = brute_force_spca(kmatrix, d, s)
-        assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
-        assert solution.support in report.argmax_supports
+        inst = spca.SpcaInstance.build(kmatrix, d, d)
+        coeffs = _lifted(inst.factor.factor)
+        first, second = np.triu_indices(n, 1)
+        offered = coeffs[first] - coeffs[second]
+        offered = offered[np.any(np.abs(offered) > 1e-12, axis=1)]
+        cells = enumerate_cells(dedup_hyperplanes(offered, offered.shape[1]), offered.shape[1])
+        values = np.vstack([c.witness for c in cells]) @ coeffs.T
+        for s in range(d, n):
+            inst = spca.SpcaInstance.build(kmatrix, d, s)
+            result = spca.enumerate_candidate_supports(inst)
+            assert result.extended_dim < n - 1
+            candidates = set(result.supports)
+            assert {_top_set(v, s) for v in values} <= candidates
+            solution = spca.solve_spca(inst)
+            report = brute_force_spca(kmatrix, d, s)
+            assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
+            assert solution.support in report.argmax_supports
 
 
 def test_no_hyperplanes_single_cell():

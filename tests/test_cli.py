@@ -81,7 +81,8 @@ class TestCommands:
         path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
         code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
         assert code == 0
-        assert 1 <= doc["diagnostics"]["cells"] <= doc["diagnostics"]["predicted_cells"]
+        # The vertex count is computed before any vertex is read.
+        assert 1 <= doc["diagnostics"]["cells"] == doc["diagnostics"]["predicted_cells"]
         assert doc["diagnostics"]["extended_dim"] == 2
         assert doc["solver"]["mode"] == "exact"
 
@@ -218,6 +219,16 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 4
 
+
+    def test_too_degenerate_tie(self, tmp_path, capsys):
+        # 30 features tie at one vertex with 15 to fill: C(30, 15) fills.
+        factor = np.zeros((36, 3))
+        factor[:30, :2] = np.random.default_rng(0).standard_normal((30, 2))
+        factor[30:, 2] = 3.0
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code = main(["solve-spca", "--input", path, "--d", "1", "--s", "21"])
+        assert "fill" in capsys.readouterr().err
+        assert code == 4
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_input(self, tmp_path, capsys, bad):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from exactspca.errors import InvalidParameters
+from exactspca.errors import InvalidParameters, TooLarge
 from exactspca.extension import MonomialBasis, build_row_functional
-from exactspca.linalg import symmetrize
+from exactspca.linalg import solve_pca, symmetrize
 from exactspca.oracle import brute_force_spca
 from exactspca.spca import (
     SpcaInstance,
+    _top_sets,
     candidate_support_from_point,
     enumerate_candidate_supports,
     solve_spca,
@@ -47,8 +48,6 @@ class TestCandidateFromPoint:
 
     def test_top_sets_match_stable_argsort(self, rng):
         # Small integers tie often, also across position s.
-        from exactspca.spca import _top_sets
-
         values = rng.integers(0, 4, size=(500, 9)).astype(float)
         for s in range(1, 10):
             expected = np.sort(np.argsort(-values, axis=1, kind="stable")[:, :s], axis=1)
@@ -186,7 +185,6 @@ class TestSolveSpca:
         solution = solve_spca(_instance(kmatrix, 2, 3))
         diag = solution.diagnostics
         assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
-        assert diag.best_cell_signs is not None
         # The structured arrangement can only have fewer cells than a generic
         # one with the same hyperplane count and dimension.
         bound = expected_generic_cell_count(diag.hyperplanes, diag.extended_dim)
@@ -227,9 +225,13 @@ class TestSolveSpca:
         kmatrix = random_low_rank_psd(rng, 6, 3)
         solution = solve_spca(_instance(kmatrix, 2, 3))
         diag = solution.diagnostics
-        assert diag.extended_dim == 6  # one lifted block of r(r+1)/2
-        assert diag.hyperplanes > 0
-        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
+        # Five independent lifted differences: the braid, whose 2n vertices
+        # each tie n - 1 features, and their fills are every support.
+        assert diag.extended_dim == 5
+        assert diag.hyperplanes == 15
+        assert diag.cells_enumerated == 12
+        assert diag.candidates_evaluated == math.comb(6, 3)
+        assert diag.candidates_evaluated <= diag.cells_enumerated * math.comb(5, 2)
         bound = expected_generic_cell_count(diag.hyperplanes, diag.extended_dim)
         assert diag.cells_enumerated <= bound
 
@@ -246,56 +248,96 @@ def _factor_for_path(rng, n, r, integer):
             return factor
 
 
-# (n, r, d, dimension cut): the closed form (r <= d), the spannogram in R^r,
-# the lift of one r(r+1)/2 block for d = 1 at rank >= 4 where it predicts
-# less work, and the one-block lift for 1 < d < r.  With n - 1 <= r(r+1)/2
-# the lift is the braid arrangement, whose cells are read, not cut, unless
-# the factor has R_1 = -R_0: so the Gaussian trials of the lifted and braid
-# shapes take the braid and their integer trials cut the lift by insertion.
+def _lift_rank(factor):
+    """k: the rank of the lifted differences c_j - c_0 (rotation invariant)."""
+    coeffs = MonomialBasis(factor.shape[1], 1).row_block_coefficients(factor)
+    return int(np.linalg.matrix_rank(coeffs[1:] - coeffs[0]))
+
+
+def _expected_dim(factor, space):
+    """The ``extended_dim`` of a shape: 0, r on the spannogram, k in the lift."""
+    return {"closed": 0, "spannogram": factor.shape[1], "lift": _lift_rank(factor)}[space]
+
+
+def _variant_factor(rng, n, r, variant):
+    """A tied integer factor (R_1 = -R_0) and the scale of its K: near-ties
+    perturb the factor by 1e-12, tiny copies scale K by 1e-16."""
+    factor = _factor_for_path(rng, n, r, True)
+    if variant == "near-tie":
+        factor = factor + 1e-12 * rng.standard_normal(factor.shape)
+    return factor, 1e-16 if variant == "tiny" else 1.0
+
+
+def _assert_optimal(kmatrix, d, s, solution):
+    """The objective is the oracle's (relative 1e-8, so scale-free) and the
+    support attains it."""
+    report = brute_force_spca(kmatrix, d, s)
+    assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=0.0)
+    support = list(solution.support)
+    value, _ = solve_pca(kmatrix[np.ix_(support, support)], d)
+    assert value == pytest.approx(report.objective, rel=1e-8, abs=0.0)
+
+
+# (n, r, d, space read): the closed form (r <= d), the spannogram in R^r, and
+# the lift in the k-dimensional span of the lifted differences.  For d = 1
+# the space with fewer predicted candidate rows is read.  The Gaussian
+# trials of the lifted and braid shapes have k = n - 1, the braid, whose
+# supports are generated; their integer trials (R_1 = -R_0) read the
+# vertices of a smaller lift.
 PATHS = [
-    pytest.param(6, 1, 1, 0, id="closed-form-rank1"),
-    pytest.param(6, 2, 2, 0, id="closed-form-rank2"),
-    pytest.param(7, 2, 1, 2, id="spannogram-r2"),
-    pytest.param(8, 3, 1, 3, id="spannogram-r3"),
-    pytest.param(6, 4, 1, 10, id="lifted-d1"),
-    pytest.param(6, 3, 2, 6, id="lifted-block"),
-    pytest.param(5, 4, 3, 10, id="braid"),
+    pytest.param(6, 1, 1, "closed", id="closed-form-rank1"),
+    pytest.param(6, 2, 2, "closed", id="closed-form-rank2"),
+    pytest.param(7, 2, 1, "spannogram", id="spannogram-r2"),
+    pytest.param(8, 3, 1, "spannogram", id="spannogram-r3"),
+    pytest.param(6, 4, 1, "lift", id="lifted-d1"),
+    pytest.param(6, 3, 2, "lift", id="lifted-block"),
+    pytest.param(5, 4, 3, "lift", id="braid"),
 ]
 
 
 class TestPaths:
     @pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
-    @pytest.mark.parametrize("n,r,d,dim", PATHS)
-    def test_matches_oracle(self, rng, n, r, d, dim, integer):
+    @pytest.mark.parametrize("n,r,d,space", PATHS)
+    def test_matches_oracle(self, rng, n, r, d, space, integer):
         for trial in range(3):
             factor = _factor_for_path(rng, n, r, integer)
             kmatrix = symmetrize(factor @ factor.T)
             s = d + trial % (n - d)
             solution = solve_spca(_instance(kmatrix, d, s))
-            assert solution.diagnostics.extended_dim == dim
+            assert solution.diagnostics.extended_dim == _expected_dim(factor, space)
             report = brute_force_spca(kmatrix, d, s)
             assert solution.objective == pytest.approx(
                 report.objective, rel=1e-8, abs=1e-8
             )
             assert solution.support in report.argmax_supports
 
-    @pytest.mark.parametrize("n,r,d,dim", PATHS)
-    def test_cells_within_prediction(self, rng, n, r, d, dim):
+    @pytest.mark.parametrize("variant", ["near-tie", "tiny"])
+    @pytest.mark.parametrize("n,r,d,space", PATHS)
+    def test_matches_oracle_near_ties_and_tiny(self, rng, n, r, d, space, variant):
+        for trial in range(3):
+            factor, scale = _variant_factor(rng, n, r, variant)
+            kmatrix = symmetrize(scale * (factor @ factor.T))
+            s = d + trial % (n - d)
+            _assert_optimal(kmatrix, d, s, solve_spca(_instance(kmatrix, d, s)))
+
+    @pytest.mark.parametrize("n,r,d,space", PATHS)
+    def test_cells_within_prediction(self, rng, n, r, d, space):
         for _ in range(3):
             factor = _factor_for_path(rng, n, r, False)
             kmatrix = symmetrize(factor @ factor.T)
             result = enumerate_candidate_supports(_instance(kmatrix, d, d + 1))
-            assert result.extended_dim == dim
-            assert 1 <= result.cells_enumerated <= result.predicted_cells
+            assert result.extended_dim == _expected_dim(factor, space)
+            # The vertex count is known before any vertex is read.
+            assert 1 <= result.cells_enumerated == result.predicted_cells
 
-    @pytest.mark.parametrize("n,r,d,dim", [p for p in PATHS if p.values[3] > 0])
-    def test_every_ranking_has_its_candidate(self, rng, n, r, d, dim):
-        # Each cell must fix the ranking of the n quadratics, so the top-s set
-        # at any sampled Y is one of the candidates.
+    @pytest.mark.parametrize("n,r,d,space", [p for p in PATHS if p.values[3] != "closed"])
+    def test_every_ranking_has_its_candidate(self, rng, n, r, d, space):
+        # Every region of constant top-s set has a straddling vertex, so the
+        # top-s set at any sampled Y is one of the candidates.
         factor = _factor_for_path(rng, n, r, False)
         inst = _instance(symmetrize(factor @ factor.T), d, 3)
         result = enumerate_candidate_supports(inst)
-        assert result.extended_dim == dim
+        assert result.extended_dim == _expected_dim(factor, space)
         rows = inst.factor.factor
         for _ in range(2000):
             values = np.sum((rows @ rng.standard_normal((r, d))) ** 2, axis=1)
@@ -303,20 +345,15 @@ class TestPaths:
             assert top in result.supports
 
     def test_space_choice_for_one_component(self, rng):
-        # Up to n = r(r+1)/2 + 1 generic features read the braid of the lift.
-        # Above it ranks 2 and 3 always cut the spannogram, whose cells come
-        # in closed form.  At rank 4 (from n = 12, or below with ties) the
-        # space with fewer predicted cell tests is cut: the lift up to n = 8,
-        # the spannogram above.  Solving tied shapes that large takes about a
-        # minute, so that choice is read off the model.
-        from exactspca.spca import _choose_space
-
+        # d = 1 reads the space with fewer predicted candidate rows, vertices
+        # times C(g, g // 2).  Up to n = r(r+1)/2 + 1 generic features that is
+        # the braid of the lift (k = n - 1), above it the spannogram in R^r;
+        # rank 5 at n = 20 reads the spannogram's 252,909 vertices, not the
+        # lift's 31,008 that each tie 15 features.
         for n, r, dim in ((4, 2, 3), (5, 2, 2), (7, 2, 2), (7, 3, 6), (8, 3, 3),
-                          (9, 3, 3), (11, 4, 10)):
+                          (9, 3, 3), (11, 4, 10), (12, 4, 4)):
             kmatrix = random_low_rank_psd(rng, n, r)
             assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
-        for n, dim in ((8, 10), (9, 4)):
-            assert _choose_space(n, 4, 1, n * (n - 1) // 2)[1] == dim
 
     def test_rank3_spannogram_reach(self, rng):
         # 132 planes in R^3: by insertion this shape took half a minute.
@@ -328,55 +365,75 @@ class TestPaths:
         assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
         assert solution.support in report.argmax_supports
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_insertion_bounds_count_generic_prefixes(self, rng, dim):
-        # On generic hyperplanes the predicted cell tests are exactly the
-        # cells of each prefix the next insertion splits.
-        from exactspca.arrangement import enumerate_cells
-        from exactspca.spca import _insertion_bounds
-
-        normals = rng.standard_normal((7, dim))
-        prefix_cells = [len(enumerate_cells(normals[:h], dim)) for h in range(8)]
-        assert _insertion_bounds(7, dim, np.inf) == (prefix_cells[-1], sum(prefix_cells[:-1]))
-        assert _insertion_bounds(7, dim, 10)[0] == 10
-
     @pytest.mark.parametrize("n,r,d", [(9, 4, 1), (11, 4, 3), (7, 3, 2), (4, 2, 1)])
     def test_braid_cuts_nothing(self, rng, monkeypatch, n, r, d):
         # By insertion rank 4, d = 1 took 5.6 s at n = 8 and 53 s at n = 9
-        # (2-vCPU VM); the braid reads every support without cutting.
+        # (2-vCPU VM).  With k = n - 1 independent lifted differences the
+        # fills of the 2n vertices are every support, generated directly.
         def refuse(*args, **kwargs):
             raise AssertionError("the braid must not cut cells")
 
         monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
+        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
         kmatrix = random_low_rank_psd(rng, n, r)
         s = d + 1
         solution = solve_spca(_instance(kmatrix, d, s))
         diag = solution.diagnostics
-        assert diag.extended_dim == r * (r + 1) // 2
-        assert diag.cells_enumerated == diag.predicted_cells == math.factorial(n)
+        assert diag.extended_dim == n - 1
+        assert diag.cells_enumerated == diag.predicted_cells == 2 * n
         assert diag.hyperplanes == n * (n - 1) // 2
         assert diag.candidates_evaluated == math.comb(n, s)
         report = brute_force_spca(kmatrix, d, s)
         assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
         assert solution.support in report.argmax_supports
 
-    def test_cut_cell_signs_belong_to_the_winner(self, rng):
-        # The one witness kept per support gives the signs of a cell of the
-        # cut arrangement whose top-s set is the winning support.
+    @pytest.mark.parametrize("n,s", [(16, 4), (16, 8)])
+    def test_rank4_reach(self, rng, monkeypatch, n, s):
+        # By insertion rank 4, d = 1 did not finish n = 12 in 600 s; the
+        # spannogram's C(n, 4) 8 + C(n, 3) vertices are read in blocks.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the vertex read must not cut cells")
+
+        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
+        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
+        kmatrix = random_low_rank_psd(rng, n, 4)
+        solution = solve_spca(_instance(kmatrix, 1, s))
+        diag = solution.diagnostics
+        assert diag.extended_dim == 4
+        assert diag.cells_enumerated == diag.predicted_cells == math.comb(n, 4) * 8 + math.comb(n, 3)
+        assert diag.hyperplanes == n * (n - 1)
+        _assert_optimal(kmatrix, 1, s, solution)
+
+    @pytest.mark.parametrize("r,n", [(3, 7), (4, 6)])
+    def test_vertices_cover_the_cut_spannogram(self, rng, r, n):
+        # Insertion parity for d = 1: every top-s set of a cell of the cut
+        # spannogram is a vertex candidate, on tied integer factors whose
+        # lift (k < n - 1) is not the braid.
         from exactspca.arrangement import dedup_hyperplanes, enumerate_cells
 
-        rows = rng.standard_normal((8, 2))
-        inst = _instance(symmetrize(rows @ rows.T), 1, 3)
-        solution = solve_spca(inst)
-        assert solution.diagnostics.extended_dim == 2
+        factor = _factor_for_path(rng, n, r, True)
+        inst = _instance(symmetrize(factor @ factor.T), 1, 1)
         rows = inst.factor.factor
-        first, second = np.triu_indices(8, 1)
-        normals = np.stack([rows[first] - rows[second], rows[first] + rows[second]], axis=1)
-        cells = enumerate_cells(dedup_hyperplanes(normals.reshape(-1, 2), 2), 2)
-        tops = {c.signs: tuple(sorted(np.argsort(-(rows @ c.witness) ** 2,
-                                                  kind="stable")[:3].tolist()))
-                for c in cells}
-        assert tops[solution.diagnostics.best_cell_signs] == solution.support
+        cells = enumerate_cells(dedup_hyperplanes(_spannogram_lines(rows), r), r)
+        values = (np.vstack([c.witness for c in cells]) @ rows.T) ** 2
+        for s in range(1, n):
+            result = enumerate_candidate_supports(_instance(inst.kmatrix, 1, s))
+            assert result.extended_dim < n - 1
+            candidates = set(result.supports)
+            for top in _top_sets(values, s).tolist():
+                assert tuple(top) in candidates
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_one_dimensional_lift_reads_both_rays(self, scale):
+        # R_1 = -R_0 and R_2 orthogonal: two functionals, so k = 1 and the
+        # regions are the rays +-w.  On one of them {0, 1} is the top-2 set
+        # with no tie at position 2, and it is the optimum (2 against 1.5).
+        factor = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, np.sqrt(1.5)]])
+        kmatrix = symmetrize(scale * (factor @ factor.T))
+        solution = solve_spca(_instance(kmatrix, 1, 2))
+        assert solution.diagnostics.extended_dim == 1
+        assert solution.support == (0, 1)
+        _assert_optimal(kmatrix, 1, 2, solution)
 
     def test_spannogram_records_opposite_rows(self, rng):
         # Rows 5 and 6 are small, so pivoting never picks them and their
@@ -420,17 +477,9 @@ class TestPlaneSectors:
         diag = solution.diagnostics
         assert diag.extended_dim == 2
         assert diag.hyperplanes == n * (n - 1)
-        assert diag.predicted_cells == 2 * diag.hyperplanes
-        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated <= diag.predicted_cells
-        # The winner's signs are taken over the offered lines, and a point
-        # with those signs ranks the winning support on top.
-        lines = _spannogram_lines(inst.factor.factor)
-        assert len(diag.best_cell_signs) == len(lines)
-        from exactspca.arrangement import witness_for_signs
-
-        point = witness_for_signs(lines, diag.best_cell_signs, 2)
-        values = (inst.factor.factor @ point) ** 2
-        assert tuple(sorted(np.argsort(-values)[:s].tolist())) == solution.support
+        # One vertex per line, and one per feature at level 0.
+        assert diag.predicted_cells == diag.cells_enumerated == n * n
+        assert 1 <= diag.candidates_evaluated <= diag.cells_enumerated
         if n <= 10:
             report = brute_force_spca(kmatrix, 1, s)
             assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
@@ -496,3 +545,104 @@ class TestPlaneSectors:
         lower = np.max(np.linalg.eigvalsh(blocks.transpose(0, 2, 1) @ blocks)[:, -1])
         upper = np.linalg.eigvalsh(kmatrix)[-1]
         assert lower - 1e-8 * upper <= solution.objective <= upper * (1 + 1e-10)
+
+
+class TestIdenticalFeatures:
+    """Features with one functional (zero rows, R_j = +-R_k), or within the
+    tie band of a zero row, tie everywhere: each such class fills in order."""
+
+    def test_fills_take_identical_features_in_order(self, rng):
+        # 30 zero rows and copies of row 0 tie at every level-0 vertex; every
+        # combination of them would be C(31, 11) fills per vertex.
+        factor = np.vstack([rng.standard_normal((10, 2)), np.zeros((30, 2))])
+        factor[[10, 11, 12]] = [factor[0], -factor[0], factor[0]]
+        kmatrix = symmetrize(factor @ factor.T)
+        solution = solve_spca(_instance(kmatrix, 1, 20))
+        assert solution.diagnostics.candidates_evaluated < 100
+        assert solution.objective == pytest.approx(np.linalg.eigvalsh(kmatrix)[-1], rel=1e-10)
+        assert solution.support == tuple(range(20))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-10])
+    def test_rows_of_tiny_norm_fill_in_order(self, rng, scale):
+        # 30 rows that add under 1e-9 to any score form one class.  Those of
+        # 1e-10 the others' norm tie with 0 at every level-0 vertex without
+        # being equal: every combination would be C(30, 10) fills, past the
+        # cap.  Any 10 of them score within 1e-11 of each other.
+        factor = np.vstack([rng.standard_normal((10, 2)), scale * rng.standard_normal((30, 2))])
+        kmatrix = symmetrize(factor @ factor.T)
+        solution = solve_spca(_instance(kmatrix, 1, 20))
+        assert solution.diagnostics.candidates_evaluated < 100
+        assert solution.objective == pytest.approx(np.linalg.eigvalsh(kmatrix)[-1], rel=1e-10)
+        assert solution.support[:10] == tuple(range(10))
+
+    @pytest.mark.parametrize("r, scale", [(2, 1e-6), (2, 1e-10), (3, 1e-6), (3, 1e-10),
+                                          (4, 1e-6)])
+    def test_rows_of_tiny_norm_match_oracle(self, rng, r, scale):
+        # The lift compares squares, in which rows of 1e-6 the others' norm
+        # span directions of 1e-12: read as such, every k-subset of the
+        # rank-4 lift held two of them and was dropped as rank-deficient.
+        for _ in range(3):
+            factor = np.vstack([rng.standard_normal((6, r)), scale * rng.standard_normal((6, r))])
+            kmatrix = symmetrize(factor @ factor.T)
+            for d in range(1, r):
+                for s in range(d, 12):
+                    _assert_optimal(kmatrix, d, s, solve_spca(_instance(kmatrix, d, s)))
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_block_diagonal_ties_read_once(self, rng, duplicate):
+        # A rank-2 block of 20 features and a rank-1 block: every level-0
+        # vertex orthogonal to the first block is one point where its 20
+        # features tie, reached from about 4,700 subsets; it is read once,
+        # also when two of the 20 are one feature (a class of two).
+        factor = np.zeros((26, 3))
+        factor[:20, :2] = rng.standard_normal((20, 2))
+        factor[20:, 2] = 3.0 * rng.standard_normal(6)
+        if duplicate:
+            factor[1] = factor[0]
+        solution = solve_spca(_instance(symmetrize(factor @ factor.T), 1, 14))
+        assert solution.diagnostics.candidates_evaluated < 200_000
+        small = factor[[*range(8), *range(20, 24)]]
+        kmatrix = symmetrize(small @ small.T)
+        for s in range(1, 12):
+            _assert_optimal(kmatrix, 1, s, solve_spca(_instance(kmatrix, 1, s)))
+
+    def test_too_many_fills_raise(self, rng):
+        # 30 features of a rank-2 block tie at 0 where the rank-1 block
+        # peaks, and s = 21 leaves 15 of them to fill: C(30, 15) > 2^22.
+        factor = np.zeros((36, 3))
+        factor[:30, :2] = rng.standard_normal((30, 2))
+        factor[30:, 2] = 3.0 * rng.standard_normal(6)
+        with pytest.raises(TooLarge):
+            solve_spca(_instance(symmetrize(factor @ factor.T), 1, 21))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_match_oracle(self, rng, r):
+        for _ in range(3):
+            factor = np.vstack([rng.standard_normal((6, r)), np.zeros((3, r))])
+            factor[[6, 7]] = [factor[0], -factor[1]]
+            kmatrix = symmetrize(factor @ factor.T)
+            for d in range(1, r):
+                for s in range(d, 9):
+                    _assert_optimal(kmatrix, d, s, solve_spca(_instance(kmatrix, d, s)))
+
+
+class TestTies:
+    """Tied supports: the lex-smallest of those within 1e-12 of the best."""
+
+    def test_ties_go_to_the_lex_smallest_support(self):
+        # Integer factors with R_1 = -R_0 tie features 0 and 1 everywhere,
+        # and often others; the batched eigensolver's last bits used to pick
+        # among them (n = 5, r = 3, d = 1, s = 1 returned (3,) for (0,)).
+        rng = np.random.default_rng(11)
+        for n, r, _ in itertools.product(range(4, 8), (2, 3), range(3)):
+            factor = _factor_for_path(rng, n, r, True)
+            for scale in (1.0, 1e-16):
+                kmatrix = symmetrize(scale * (factor @ factor.T))
+                for d in range(1, r):
+                    for s in range(d, n + 1):
+                        solution = solve_spca(_instance(kmatrix, d, s))
+                        values = {sup: solve_pca(kmatrix[np.ix_(sup, sup)], d)[0]
+                                  for sup in itertools.combinations(range(n), s)}
+                        best = max(values.values())
+                        tied = [sup for sup, v in values.items() if v >= best - 1e-12 * abs(best)]
+                        assert solution.support == min(tied)

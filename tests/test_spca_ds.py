@@ -251,6 +251,29 @@ class TestSolveSpcaDs:
                 brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-9, abs=0.0
             )
 
+    def test_ties_do_not_hang_on_last_bits(self, monkeypatch):
+        # Integer factors with R_1 = -R_0 give tied families.  Nudging every
+        # family's value by a few ulps, as another eigensolver would, must not
+        # change the answer: ties go to the smallest flattened family.
+        rng = np.random.default_rng(11)
+        exact = spca_ds_module._family_values
+        for n, s in [(3, 1), (4, 1), (4, 2)] * 3:
+            inst = None
+            while inst is None or inst.rank != 2:
+                factor = rng.integers(-2, 3, size=(n, 2)).astype(float)
+                factor[1] = -factor[0]
+                inst = _instance(symmetrize(factor @ factor.T), 2, s)
+            expected = solve_spca_ds(inst).supports
+            for sign in (1.0, -1.0):
+                def nudged(families, factor, sign=sign):
+                    values = exact(families, factor)
+                    ramp = sign * np.arange(len(values)) * 4e-16 * np.max(np.abs(values))
+                    return values + ramp
+
+                monkeypatch.setattr(spca_ds_module, "_family_values", nudged)
+                assert solve_spca_ds(inst).supports == expected
+                monkeypatch.undo()
+
     def test_chart_mode_agrees_with_torus_mode(self, rng):
         for n in (2, 3):
             kmatrix = random_low_rank_psd(rng, n, 2)
