@@ -17,6 +17,9 @@ feasibility of a candidate sign vector (the hull point doubles as a witness
 direction).  Ambiguous cases fall back to a maximize-minimum-margin LP over
 the unit box.  Central symmetry halves the work: only cells with a positive
 sign on the first hyperplane are enumerated, the rest are mirrored.
+Affine cells inside a bounded region are the cells of the homogenized
+arrangement, one dimension up, on the positive side of the lifting
+coordinate.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from math import comb
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 
 from .errors import Degenerate, InvalidParameters
 
@@ -422,288 +424,37 @@ def enumerate_cells(hyperplanes, dim: int, min_margin: float = MIN_MARGIN) -> li
     return cells
 
 
-def _normalize_affine(rows, dim: int) -> np.ndarray:
-    """Stack (a, b) rows of affine functionals a.t + b, scaled to unit a."""
-    out = []
-    for row in rows:
-        row = np.asarray(row, dtype=float)
-        if row.shape != (dim + 1,):
-            raise InvalidParameters(
-                f"affine row shape {row.shape} does not match dim {dim}"
-            )
-        norm = float(np.linalg.norm(row[:dim]))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise Degenerate("affine row with zero or non-finite normal part")
-        out.append(row / norm)
-    return np.array(out).reshape(len(out), dim + 1)
-
-
-def _tighten_box(lo, hi, rows, sweeps: int = 3):
-    """Shrink [lo, hi] using the halfspaces a.t + b >= 0; None when empty.
-
-    Jacobi-style interval propagation, vectorized over rows: each sweep
-    recomputes every variable bound implied by every constraint given the
-    current box, then clips.  The result always still contains the feasible
-    set, so it is safe to use as a pruning certificate.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    rows = np.atleast_2d(rows)
-    a = rows[:, :-1]
-    b = rows[:, -1]
-    pos = a > 0.0
-    nonzero = a != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(sweeps):
-            contrib_hi = np.where(pos, a * hi, a * lo)
-            rest = contrib_hi.sum(axis=1, keepdims=True) - contrib_hi
-            bound = np.where(nonzero, (-b[:, None] - rest) / np.where(nonzero, a, 1.0), np.nan)
-            new_lo = np.where(pos, bound, -np.inf)
-            new_hi = np.where(~pos & nonzero, bound, np.inf)
-            lo = np.maximum(lo, new_lo.max(axis=0, initial=-np.inf))
-            hi = np.minimum(hi, new_hi.min(axis=0, initial=np.inf))
-            if np.any(lo > hi + 1e-12):
-                return None
-    return lo, hi
-
-
-def _affine_interior_point(rows, min_margin: float):
-    """Strict interior point of {t : a.t + b > 0 for all rows}, or None.
-
-    Homogenizing with a positive scale coordinate reduces the question to a
-    central cone, decided by `_cone_interior_point`.
-    """
-    dim = rows.shape[1] - 1
-    tau = np.zeros(dim + 1)
-    tau[-1] = 1.0
-    system = np.vstack([rows, tau])
-    system = system / np.linalg.norm(system, axis=1, keepdims=True)
-    got = _cone_interior_point(system, min_margin)
-    if got is None:
-        return None
-    z = got[0]
-    t = z[:dim] / z[dim]
-    margin = float(np.min(rows[:, :dim] @ t + rows[:, dim]))
-    if margin <= min_margin:
-        return None
-    return t, margin
-
-
-_MERGED_LP_CHUNK = 2000
-
-UNDECIDED = object()  # sentinel: merged solve failed for this item
-
-
-def _merged_margin_lp(base_rows, plane_rows, sign_matrix, sides,
-                      box_lo, box_hi, min_margin):
-    """Solve many independent max-margin problems in one LP.
-
-    Item j maximizes m over {t in the box : sigma_i (a_i . t + b_i) >= m}
-    with rows [base_rows; plane_rows * sign_matrix[j]; sides[j] * new_row]
-    (the new row is the last entry of ``plane_rows``).  Because the items
-    share no variables, one merged solve returns every item's exact optimum.
-
-    Returns a list with (witness, margin) per feasible item, None per
-    infeasible item, and the `UNDECIDED` sentinel when the merged solve
-    failed (the caller must then decide those items individually).
-    """
-    count, h = sign_matrix.shape
-    dim = base_rows.shape[1] - 1
-    results: list = [UNDECIDED] * count
-    for start in range(0, count, _MERGED_LP_CHUNK):
-        chunk = slice(start, min(start + _MERGED_LP_CHUNK, count))
-        signs_full = np.hstack([
-            np.ones((chunk.stop - chunk.start, base_rows.shape[0])),
-            sign_matrix[chunk],
-            sides[chunk, None],
-        ])
-        rows_all = np.vstack([base_rows, plane_rows])  # (R + h + 1, dim + 1)
-        c_items = chunk.stop - chunk.start
-        m_rows = rows_all.shape[0]
-        # Signed constraint rows per item: -sigma a . t + m <= sigma b.
-        signed = signs_full[:, :, None] * rows_all[None, :, :]
-        num_vars = c_items * (dim + 1)
-        num_cons = c_items * m_rows
-        data = np.concatenate(
-            [-signed[:, :, :dim].reshape(-1), np.ones(num_cons)]
-        )
-        rix = np.concatenate(
-            [np.repeat(np.arange(num_cons), dim), np.arange(num_cons)]
-        )
-        var_base = (np.arange(c_items) * (dim + 1))[:, None, None]
-        t_cols = var_base + np.arange(dim)[None, None, :]
-        t_cols = np.broadcast_to(t_cols, (c_items, m_rows, dim)).reshape(-1)
-        m_cols = np.repeat(np.arange(c_items) * (dim + 1) + dim, m_rows)
-        cix = np.concatenate([t_cols, m_cols])
-        a_ub = scipy.sparse.coo_matrix(
-            (data, (rix, cix)), shape=(num_cons, num_vars)
-        ).tocsc()
-        b_ub = signed[:, :, dim].reshape(-1)
-        cost = np.zeros(num_vars)
-        cost[dim :: dim + 1] = -1.0
-        bounds = []
-        for _ in range(c_items):
-            bounds.extend((float(box_lo[k]), float(box_hi[k])) for k in range(dim))
-            bounds.append((None, 1.0))
-        res = scipy.optimize.linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
-        )
-        if not res.success:
-            continue  # leaves UNDECIDED; caller falls back item by item
-        x = res.x
-        for local in range(c_items):
-            offset = local * (dim + 1)
-            margin = float(x[offset + dim])
-            if margin > min_margin:
-                results[start + local] = (x[offset : offset + dim].copy(), margin)
-            else:
-                results[start + local] = None
-    return results
-
-
 def enumerate_affine_cells(planes, region, dim: int,
-                           min_margin: float = MIN_MARGIN,
-                           keep_cell=None) -> list[Cell]:
+                           min_margin: float = MIN_MARGIN) -> list[Cell]:
     """Cells cut by affine hyperplanes inside a bounded convex region.
 
     ``planes`` are (a, b) rows for the cutting hyperplanes {t : a.t + b = 0};
     ``region`` are (a, b) rows for halfspaces {t : a.t + b >= 0} whose
     intersection is bounded with nonempty interior.  Cells are the maximal
-    open subsets of the region interior with fixed plane signs; each carries
-    a strict interior witness.  Per-cell bounding boxes decide most
-    cell-plane incidences by interval arithmetic alone.
+    open subsets of the region interior with fixed plane signs, sorted by
+    sign vector; each carries a strict interior witness and its margin, the
+    smallest |a.t + b| over all rows scaled to a unit a-part.
 
-    ``keep_cell(lo, hi) -> bool``, when given, may discard a cell (and hence
-    its refinements) from its bounding box alone; callers use it to drop
-    cells that provably cannot matter to them.
+    Each row lifts to the central hyperplane (a, b) in (t, tau), and the row
+    tau joins them: the cells of that central arrangement positive on tau and
+    on every region row are the affine cells, their witnesses scaled to
+    tau = 1.  Raises `InvalidParameters` when the region has no cell.
     """
-    plane_rows = _normalize_affine(planes, dim)
-    region_rows = _normalize_affine(region, dim)
-    p = plane_rows.shape[0]
-    got = _affine_interior_point(region_rows, min_margin)
-    if got is None:
+    planes, region = list(planes), list(region)
+    rows = _unit_normals(planes + region, dim + 1)
+    scale = np.linalg.norm(rows[:, :dim], axis=1)
+    if not np.all(scale > 0.0):
+        raise Degenerate("affine row with a zero normal part")
+    rows = rows / scale[:, None]
+    tau = np.eye(dim + 1)[dim]
+    cells = []
+    for cell in enumerate_cells(np.vstack([rows, tau]), dim + 1, min_margin):
+        if min(cell.signs[len(planes):]) < 0:
+            continue
+        t = cell.witness[:dim] / cell.witness[dim]
+        values = rows[:, :dim] @ t + rows[:, dim]
+        cells.append(Cell(signs=cell.signs[: len(planes)], witness=t,
+                          margin=float(np.min(np.abs(values)))))
+    if not cells:
         raise InvalidParameters("region has empty or too-thin interior")
-    seed_witness, seed_margin = got
-    # A generous starting box shrunk by interval propagation on the region.
-    radius = 10.0 * (1.0 + float(np.linalg.norm(seed_witness)))
-    box = (np.full(dim, -radius) + seed_witness, np.full(dim, radius) + seed_witness)
-    tightened = _tighten_box(box[0], box[1], region_rows, sweeps=6)
-    if tightened is not None:
-        box = tightened
-    if p == 0:
-        return [Cell(signs=(), witness=seed_witness, margin=seed_margin)]
-
-    witnesses = [seed_witness]
-    margins = [seed_margin]
-    signs: list[tuple[int, ...]] = [()]
-    boxes_lo = [box[0]]
-    boxes_hi = [box[1]]
-
-    for h in range(p):
-        a = plane_rows[h, :dim]
-        b = plane_rows[h, dim]
-        lo_mat = np.vstack(boxes_lo)
-        hi_mat = np.vstack(boxes_hi)
-        span_lo = np.where(a > 0.0, a * lo_mat, a * hi_mat).sum(axis=1) + b
-        span_hi = np.where(a > 0.0, a * hi_mat, a * lo_mat).sum(axis=1) + b
-        values = np.vstack(witnesses) @ a + b
-        new_wit, new_marg, new_signs, new_lo, new_hi = [], [], [], [], []
-        pending: list[tuple[int, int]] = []  # (cell index, candidate side)
-
-        def cell_rows(sign_vec):
-            accepted = plane_rows[: len(sign_vec)] * np.asarray(
-                sign_vec, dtype=float
-            )[:, None]
-            return np.vstack([region_rows, accepted])
-
-        def keep(sign_vec, witness, margin, lo, hi):
-            new_signs.append(sign_vec)
-            new_wit.append(witness)
-            new_marg.append(margin)
-            new_lo.append(lo)
-            new_hi.append(hi)
-
-        def push(sign_vec, witness, lo, hi, margin=None):
-            # Fresh or re-cut cell: recompute the margin and tighten the box
-            # from the full constraint set (a failed tightening falls back to
-            # the parent box, which is always a valid superset).
-            rows = cell_rows(sign_vec)
-            if margin is None:
-                margin = float(np.min(rows[:, :dim] @ witness + rows[:, dim]))
-            if margin <= 0.0:
-                refreshed = _affine_interior_point(rows, min_margin)
-                if refreshed is None:
-                    return
-                witness, margin = refreshed
-            tightened = _tighten_box(lo, hi, rows)
-            if tightened is not None:
-                lo, hi = tightened
-            if keep_cell is not None and not keep_cell(lo, hi):
-                return
-            keep(sign_vec, witness, margin, lo, hi)
-
-        for idx in range(len(witnesses)):
-            base = signs[idx]
-            witness = witnesses[idx]
-            margin = margins[idx]
-            lo = boxes_lo[idx]
-            hi = boxes_hi[idx]
-            value = float(values[idx])
-            if span_lo[idx] > 0.0:
-                keep(base + (1,), witness, min(margin, value), lo, hi)
-                continue
-            if span_hi[idx] < 0.0:
-                keep(base + (-1,), witness, min(margin, -value), lo, hi)
-                continue
-            if abs(value) + _SPLIT_SLACK < margin:
-                tau_plus = (margin - value) / 2.0
-                tau_minus = (margin + value) / 2.0
-                push(base + (1,), witness + tau_plus * a, lo, hi)
-                push(base + (-1,), witness - tau_minus * a, lo, hi)
-                continue
-            if abs(value) <= _SPLIT_SLACK:
-                pending.append((idx, 1))
-                pending.append((idx, -1))
-            else:
-                side = 1 if value > 0.0 else -1
-                push(base + (side,), witness, lo, hi, min(margin, abs(value)))
-                pending.append((idx, -side))
-
-        if pending:
-            sign_matrix = np.array([signs[idx] for idx, _ in pending], dtype=float)
-            sign_matrix = sign_matrix.reshape(len(pending), h)
-            sides = np.array([side for _, side in pending], dtype=float)
-            verdicts = _merged_margin_lp(
-                region_rows, plane_rows[: h + 1], sign_matrix, sides,
-                box[0], box[1], min_margin,
-            )
-            for (idx, side), verdict in zip(pending, verdicts):
-                if verdict is None:
-                    continue
-                base = signs[idx]
-                rows = np.vstack([cell_rows(base), side * plane_rows[h][None, :]])
-                if verdict is UNDECIDED:
-                    refreshed = _affine_interior_point(rows, min_margin)
-                    if refreshed is None:
-                        continue
-                    t, margin = refreshed
-                else:
-                    t, _ = verdict
-                    margin = float(np.min(rows[:, :dim] @ t + rows[:, dim]))
-                    if margin <= min_margin:
-                        refreshed = _affine_interior_point(rows, min_margin)
-                        if refreshed is None:
-                            continue
-                        t, margin = refreshed
-                push(base + (side,), t, boxes_lo[idx], boxes_hi[idx], margin)
-
-        witnesses, margins, signs = new_wit, new_marg, new_signs
-        boxes_lo, boxes_hi = new_lo, new_hi
-
-    cells = [
-        Cell(signs=tuple(sv), witness=w.copy(), margin=m)
-        for sv, w, m in zip(signs, witnesses, margins)
-    ]
-    cells.sort(key=lambda c: c.signs)
     return cells
-

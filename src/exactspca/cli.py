@@ -117,6 +117,7 @@ def _spca_ds_document(solution, n: int, d: int, s: int) -> dict:
             "candidates": diag.candidates_evaluated,
             "circuits": diag.circuits_enumerated,
             "circulation_solves": diag.circulation_solves,
+            "facet_lps": diag.facet_lps,
             "hyperplanes": diag.hyperplanes,
             "sweep_lines": diag.sweep_lines,
             "dropped_witnesses": diag.dropped_witnesses,

@@ -38,7 +38,9 @@ class InfeasibleFlow(ExactSpcaError):
 
 
 class CertificateFailed(ExactSpcaError):
-    """A computed circulation failed its optimality certificate."""
+    """A computed circulation failed its optimality certificate, or the
+    disjoint solver's chart walk could not verify a neighbour across a
+    facet."""
 
 
 class InvalidParameters(ExactSpcaError):

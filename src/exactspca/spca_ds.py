@@ -1,20 +1,20 @@
 """Exact sparse PCA with pairwise-disjoint component supports.
 
 Pipeline: factor K = R @ R.T, build one profit functional per u->w arc of the
-circulation digraph and, through the signed circuit table, one hyperplane per
-undirected circuit; enumerate the regions of that arrangement and solve one
-max-profit circulation per family.  A solved flow covers every region where
-none of its residual circuits, read off the same table, has positive profit.
-Each family of disjoint supports is a candidate; the best under
-per-component PCA evaluation is globally optimal.
+circulation digraph and the signed circuit table of its undirected circuits.
+A flow is optimal wherever none of its residual circuits, read off the table,
+has positive profit.  Each family of disjoint supports optimal somewhere on
+the realizable set is a candidate; the best under per-component PCA
+evaluation is globally optimal.
 
-Two shapes need none of this.  One component (d = 1) is sparse PCA with
+Two shapes need no circuit.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
 unit-trace slice of the lifted space is a single point, so one circulation
-on the squared row norms is the only region.  Rank two with d = 2 cuts its
-regions in closed form on the torus of block angles, sweeping lines whose
-arc signs are read by toggling curve bits at the sorted roots; every other
-shape cuts the clipped chart of the slice.
+on the squared row norms is the only region.  Rank two with d = 2 cuts the
+regions of the circuit hyperplanes in closed form on the torus of block
+angles, sweeping lines whose arc signs are read by toggling curve bits at
+the sorted roots, and solves one circulation per family.  Every other shape
+walks the families' optimality cones across the clipped chart of the slice.
 
 Circulations may leave a component's support empty, while a unit-norm
 loading vector needs a nonempty one: `_complete_family` fills it without
@@ -24,26 +24,31 @@ lowering the objective.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .arrangement import (
+    MIN_MARGIN,
     Cell,
     Hyperplane,
     dedup_hyperplanes,
     distinct_sign_rows,
-    enumerate_affine_cells,
 )
+# The walk replaces the chart cut through this; the benchmark's tracer wraps it.
+from .arrangement import enumerate_affine_cells  # noqa: F401
 from .circulation import (
     CirculationInstance,
     circuit_table,
     enumerate_undirected_circuits,
     optimal_at_profits,
+    residual_circuits,
     solve_max_profit,
     supports_from_circulation,
 )
-from .errors import InvalidParameters
+from .errors import CertificateFailed, InvalidParameters
 # The table reproduces these builders; the benchmark's tracer wraps them.
 from .extension import MonomialBasis, build_arc_functional, build_circuit_functional
 from .linalg import (DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca,
@@ -129,19 +134,9 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     )
 
 
-@dataclass(frozen=True)
-class _SliceGeometry:
-    """Affine chart of the unit-trace slice: z = origin + basis @ t."""
-
-    origin: np.ndarray  # (q,)
-    basis: np.ndarray  # (q, q - d), orthonormal columns
-
-    @property
-    def t_dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def _slice_geometry(r: int, d: int) -> _SliceGeometry:
+def _slice_geometry(r: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Affine chart of the unit-trace slice: z = origin + basis @ t, with
+    origin (q,) and basis (q, q - d) of orthonormal columns."""
     block = r * (r + 1) // 2
     q = d * block
     pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
@@ -166,14 +161,16 @@ def _slice_geometry(r: int, d: int) -> _SliceGeometry:
             col /= np.sqrt(m * (m + 1.0))
             columns.append(col)
     basis = np.array(columns).T if columns else np.zeros((q, 0))
-    return _SliceGeometry(origin=origin, basis=basis)
+    return origin, basis
 
 
 _TANGENT_FAN = 12  # tangent halfspaces per coordinate pair in the clip region
+_PUSH_HALVINGS = 30  # halvings of a push across a facet before the walk fails
 
 
-def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndarray]:
-    """Chart halfspaces (a, b), a.t + b >= 0, satisfied by every lifted point.
+def _slice_region_rows(origin, basis, r: int, d: int) -> np.ndarray:
+    """Chart halfspaces a.t + b >= 0, as (a, b) rows with unit a, that every
+    lifted point satisfies.
 
     For a unit vector y the block (y_k * y_kp) is unit-trace positive
     semidefinite, so (v . y)^2 >= 0 holds for every test direction v.  A fan
@@ -183,7 +180,7 @@ def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndar
     """
     block = r * (r + 1) // 2
     pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
-    q = geometry.origin.shape[0]
+    q = origin.shape[0]
     directions = []
     for k in range(r):
         for kp in range(k + 1, r):
@@ -201,8 +198,8 @@ def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndar
             coeff = np.zeros(q)
             for a, (k, kp) in enumerate(pair_index):
                 coeff[base + a] = v[k] * v[kp] * (1.0 if k == kp else 2.0)
-            t_part = geometry.basis.T @ coeff
-            const = float(coeff @ geometry.origin)
+            t_part = basis.T @ coeff
+            const = float(coeff @ origin)
             if not np.any(t_part):
                 continue
             row = np.concatenate([t_part, [const]])
@@ -217,90 +214,96 @@ def _slice_region_rows(geometry: _SliceGeometry, r: int, d: int) -> list[np.ndar
                 continue
             coeff = np.zeros(q)
             coeff[base + a] = 1.0
-            t_part = geometry.basis.T @ coeff
-            const = float(coeff @ geometry.origin)
+            t_part = basis.T @ coeff
+            const = float(coeff @ origin)
             if not np.any(t_part):
                 continue
             rows.append(np.concatenate([t_part, [0.5 + const]]))
             rows.append(np.concatenate([-t_part, [0.5 - const]]))
-    return rows
+    rows = np.array(rows)
+    return rows / np.linalg.norm(rows[:, :-1], axis=1, keepdims=True)
 
 
-def _lens_box_filter(geometry: _SliceGeometry, r: int, d: int):
-    """Box predicate: can a chart box contain a positive semidefinite point?
+def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
+                   stage_ms: dict) -> tuple[set, dict]:
+    """Families whose optimality cones meet the sleeve, walked facet by facet.
 
-    Lifted points of real vectors satisfy z_kl^2 <= z_kk * z_ll in every
-    block.  Interval arithmetic over the chart box makes this a necessary
-    condition: a cell whose box fails it misses the realizable set.
+    In chart coordinates t each residual circuit of a flow gains a.t + b; the
+    flow's cone, where no gain is positive, belongs to the normal fan of the
+    projected transportation polytope, so the cones cover the chart and a
+    point inside a cone's facet lies in exactly one other cone.  Breadth
+    first from the flow optimal at the chart origin, one LP per distinct gain
+    (unit a-part) maximizes the margin mu <= 1 of a facet point t0 over the
+    sleeve rows of `_slice_region_rows` and the other gains; past `MIN_MARGIN`
+    the assignment at t0 + mu / 2 along the gain's normal is the neighbour
+    once it is optimal at t0 within 1e-9 of the largest |arc profit|, else
+    the push is halved.  After `_PUSH_HALVINGS`, or a failed LP, the walk
+    raises `CertificateFailed`.  The sleeve is convex, so every cone meeting
+    it is reached, and with them a family optimal at every realizable point
+    (reverse search, Avis and Fukuda 1996).  Adds the assignments' time to
+    ``stage_ms["circulations"]``.
     """
-    block = r * (r + 1) // 2
-    pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
-    local = {pair: a for a, pair in enumerate(pair_index)}
-    checks = []
-    for i in range(d):
-        base = i * block
-        for k in range(r):
-            for kp in range(k + 1, r):
-                checks.append(
-                    (base + local[(k, kp)], base + local[(k, k)], base + local[(kp, kp)])
-                )
-    basis = geometry.basis
-    origin = geometry.origin
+    d, n, s, r = instance.d, instance.n, instance.s, instance.rank
+    origin, basis = _slice_geometry(r, d)
+    m = basis.shape[1]
+    affine = planes.arc_coeffs @ np.column_stack([basis, origin])
+    affine = affine.reshape(d, n, m + 1)  # arc profits at t: affine @ (t, 1)
+    sleeve = _slice_region_rows(origin, basis, r, d)
+    counts = dict(circulation_solves=0, facet_lps=0)
 
-    def keep(lo, hi):
-        pos = np.where(basis > 0.0, basis, 0.0)
-        neg = np.where(basis < 0.0, basis, 0.0)
-        z_lo = origin + pos @ lo + neg @ hi
-        z_hi = origin + pos @ hi + neg @ lo
-        for off, diag_a, diag_b in checks:
-            lo_off, hi_off = z_lo[off], z_hi[off]
-            sq_min = 0.0 if lo_off <= 0.0 <= hi_off else min(lo_off**2, hi_off**2)
-            prod_max = max(
-                z_lo[diag_a] * z_lo[diag_b], z_lo[diag_a] * z_hi[diag_b],
-                z_hi[diag_a] * z_lo[diag_b], z_hi[diag_a] * z_hi[diag_b],
-            )
-            if sq_min > prod_max + 1e-12:
-                return False
-        return True
+    def flow_at(t0, direction, step):
+        """The flow optimal at t0 + step * direction and, within 1e-9, at t0."""
+        at_t0 = affine @ np.append(t0, 1.0)
+        slack = 1e-9 * np.abs(at_t0).max()
+        for _ in range(_PUSH_HALVINGS):
+            tick = time.perf_counter()
+            circ = CirculationInstance(d, n, s, affine @ np.append(t0 + step * direction, 1.0))
+            flow = solve_max_profit(circ)
+            stage_ms["circulations"] += (time.perf_counter() - tick) * 1000.0
+            counts["circulation_solves"] += 1
+            if np.all(residual_circuits(circ, flow, planes.table) @ at_t0.ravel() <= slack):
+                return circ, flow
+            step /= 2.0
+        raise CertificateFailed(f"no flow optimal on both sides of the chart point {t0}")
 
-    return keep
-
-
-def _enumerate_slice_cells(
-    instance: SpcaDsInstance, planes: CircuitHyperplanes
-) -> tuple[list[Cell], int]:
-    """Cells of the circuit arrangement restricted to the realizable chart.
-
-    Lifted unit vectors keep each block's diagonal summing to one, so only
-    the cells meeting that affine slice matter, clipped to the tangent
-    sleeve of `_slice_region_rows` and pruned by the box test.  Returns the
-    cells, witnesses in lifted coordinates, and the number of circuit
-    hyperplanes that cut the slice.
-    """
-    r, d = instance.rank, instance.d
-    geometry = _slice_geometry(r, d)
-    m = geometry.t_dim
-    free_rows = []
-    for plane in planes.hyperplanes:
-        t_part = geometry.basis.T @ plane.normal
-        const = float(plane.normal @ geometry.origin)
-        if not np.any(t_part):
-            continue  # constant sign on the slice: never splits it
-        free_rows.append(np.concatenate([t_part, [const]]))
-    free_rows = [h.normal for h in dedup_hyperplanes(free_rows, m + 1)] if free_rows else []
-    region_rows = _slice_region_rows(geometry, r, d)
-    raw = enumerate_affine_cells(
-        free_rows, region_rows, m, keep_cell=_lens_box_filter(geometry, r, d)
-    )
-    cells = [
-        Cell(
-            signs=cell.signs,
-            witness=geometry.origin + geometry.basis @ cell.witness,
-            margin=cell.margin,
-        )
-        for cell in raw
-    ]
-    return cells, len(free_rows)
+    # The origin's profits tie across components; a generic push settles them.
+    generic = np.sin(np.arange(1.0, m + 1.0))
+    queue = deque([flow_at(np.zeros(m), generic, sleeve[:, m].min() / 2.0)])
+    # One family per flow, so per cone, with the gains of the facets crossed into it.
+    found = {supports_from_circulation(*queue[0]): []}
+    while queue:
+        circ, flow = queue.popleft()
+        gains = residual_circuits(circ, flow, planes.table) @ affine.reshape(d * n, m + 1)
+        # Gains constant on the chart (duplicate features) cut nothing.
+        gains = gains[np.linalg.norm(gains[:, :m], axis=1) > 1e-12 * np.abs(gains[:, m])]
+        gains = np.array([h.normal for h in dedup_hyperplanes(gains, m + 1, tol=1e-12)]
+                         ).reshape(-1, m + 1)
+        gains /= np.linalg.norm(gains[:, :m], axis=1, keepdims=True)
+        # Rows -sleeve . (t, 1) + mu <= 0 and gain . (t, 1) + mu <= 0 in (t, mu).
+        a_ub = np.vstack([-sleeve, gains])
+        b_ub = -a_ub[:, m]
+        a_ub[:, m] = 1.0
+        # A facet lies in exactly two cones, so one crossing finds both.
+        crossed = found[supports_from_circulation(circ, flow)]
+        for c, gain in enumerate(gains):
+            if any(np.abs(back - gain).max() <= 1e-9 for back in crossed):
+                continue
+            others = np.arange(len(a_ub)) != len(sleeve) + c
+            res = linprog(-np.eye(m + 1)[m], A_ub=a_ub[others], b_ub=b_ub[others],
+                          A_eq=np.append(gain[:m], 0.0)[None, :], b_eq=[-gain[m]],
+                          bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
+            counts["facet_lps"] += 1
+            if res.status != 0:
+                raise CertificateFailed(f"facet LP failed: {res.message}")
+            if res.x[m] <= MIN_MARGIN:
+                continue
+            neighbour = flow_at(res.x[:m], gain[:m], res.x[m] / 2.0)
+            family = supports_from_circulation(*neighbour)
+            if family not in found:
+                found[family] = []
+                queue.append(neighbour)
+            found[family].append(-gain)
+    return set(found), dict(counts, cells_enumerated=len(found))
 
 
 def _mod_pi(x):
@@ -646,12 +649,12 @@ class SpcaDsDiagnostics:
     candidates_evaluated: int
     stage_ms: dict
     hyperplanes: int = 0
-    slice_hyperplanes: int = 0
     circuits_enumerated: int = 0
     degenerate_circuits: int = 0
     sweep_lines: int = 0  # slab lines of the rank-2, d = 2 torus sweep
     dropped_witnesses: int = 0  # torus sign keys with no arc clear of the margin
     circulation_solves: int = 0
+    facet_lps: int = 0  # margin LPs of the chart walk, one per facet tried
     completions_in_best: int = 0
 
 
@@ -688,7 +691,7 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
     diagnostics = SpcaDsDiagnostics(
         rank=instance.rank, extended_dim=diag.extended_dim,
         cells_enumerated=diag.cells_enumerated, candidates_evaluated=diag.candidates_evaluated,
-        stage_ms=diag.stage_ms, hyperplanes=diag.hyperplanes, slice_hyperplanes=diag.hyperplanes,
+        stage_ms=diag.stage_ms, hyperplanes=diag.hyperplanes,
     )
     return SpcaDsSolution(
         supports=(solution.support,), x=solution.x, objective=solution.objective,
@@ -696,20 +699,15 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
     )
 
 
-def _region_profits(instance: SpcaDsInstance, planes: CircuitHyperplanes,
-                    cell_mode: str) -> tuple[np.ndarray, dict]:
-    """Arc profits (m, d, n) at one witness per region, and the counts of
-    the enumeration for the diagnostics."""
-    d, n = instance.d, instance.n
-    if cell_mode == "exact" and instance.rank == 2 and d == 2:
-        normals = np.array([h.normal for h in planes.hyperplanes])
-        angles, lines, dropped = _torus_sweep(normals) if normals.size else (np.zeros((1, d)), 0, 0)
-        y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
-        return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), dict(
-            slice_hyperplanes=len(normals), sweep_lines=lines, dropped_witnesses=dropped)
-    cells, slice_hyperplanes = _enumerate_slice_cells(instance, planes)
-    all_profits = np.vstack([c.witness for c in cells]) @ planes.arc_coeffs.T
-    return all_profits.reshape(-1, d, n), dict(slice_hyperplanes=slice_hyperplanes)
+def _region_profits(instance: SpcaDsInstance,
+                    planes: CircuitHyperplanes) -> tuple[np.ndarray, dict]:
+    """Arc profits (m, d, n) at one witness per region of the rank-2, d = 2
+    torus, and the counts of the sweep for the diagnostics."""
+    normals = np.array([h.normal for h in planes.hyperplanes])
+    angles, lines, dropped = _torus_sweep(normals) if normals.size else (np.zeros((1, 2)), 0, 0)
+    y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
+    return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), dict(
+        sweep_lines=lines, dropped_witnesses=dropped)
 
 
 def _families_by_covering(profits: np.ndarray, s: int,
@@ -737,21 +735,17 @@ def _families_by_covering(profits: np.ndarray, s: int,
     return families, solves
 
 
-def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsSolution:
+def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     """Globally optimal disjoint-supports solution for the given instance.
 
     One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
-    unit-trace slice is a single point: one region, no circuit.  Otherwise
-    ``cell_mode="exact"`` cuts the regions in closed form on the torus at
-    rank two with two components, else in the chart arrangement, which
-    ``"chart"`` forces (for cross-checking).  Circulations are solved one
-    per family; a solved flow covers the regions where none of its residual
-    circuits, read off the signed circuit table, gains.  Rank two with
-    d = 2 runs in seconds at desk scale; higher ranks or more components
-    face the full combinatorial growth of the region count.
+    unit-trace slice is a single point: one region, no circuit.  Rank two
+    with two components cuts its regions in closed form on the torus and
+    solves one circulation per family, covering the regions where none of
+    its residual circuits gains.  Every other shape walks the families'
+    optimality cones across the chart (`_walk_families`): its work grows with
+    the families and their residual circuits, not with the regions.
     """
-    if cell_mode not in ("exact", "chart"):
-        raise InvalidParameters(f"unknown cell mode {cell_mode!r}")
     if instance.d == 1:
         return _solve_one_component(instance)
     n, d, s, r = instance.n, instance.d, instance.s, instance.rank
@@ -759,25 +753,32 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     stage_ms: dict = {}
 
     tick = time.perf_counter()
-    table, counts = None, {}
-    if r <= 1:
-        # Every block of the slice is the point y_i^2 = 1: one region, where
-        # each component's arc profits are the squared row norms.
-        profits = np.tile(np.sum(factor.factor * factor.factor, axis=1), (1, d, 1))
-    else:
+    counts = {}
+    if r >= 2:
         planes = build_circuit_hyperplanes(instance)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
-        profits, counts = _region_profits(instance, planes, cell_mode)
-        table = planes.table
         counts.update(circuits_enumerated=planes.circuits_enumerated,
                       degenerate_circuits=planes.degenerate_circuits,
                       hyperplanes=len(planes.hyperplanes))
-    stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
-
-    tick = time.perf_counter()
-    families, solves = _families_by_covering(profits, s, table)
-    stage_ms["circulations"] = (time.perf_counter() - tick) * 1000.0
+    if r <= 1 or (r, d) == (2, 2):
+        if r <= 1:
+            # Every block of the slice is the point y_i^2 = 1: one region,
+            # where each component's arc profits are the squared row norms.
+            profits = np.tile(np.sum(factor.factor * factor.factor, axis=1), (1, d, 1))
+        else:
+            profits, swept = _region_profits(instance, planes)
+            counts.update(swept)
+        stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
+        tick = time.perf_counter()
+        families, solves = _families_by_covering(profits, s, planes.table if r == 2 else None)
+        stage_ms["circulations"] = (time.perf_counter() - tick) * 1000.0
+        counts.update(cells_enumerated=profits.shape[0], circulation_solves=solves)
+    else:
+        stage_ms["circulations"] = 0.0
+        families, walked = _walk_families(instance, planes, stage_ms)
+        stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0 - stage_ms["circulations"]
+        counts.update(walked)
 
     tick = time.perf_counter()
     completed = [_complete_family(family, factor, s) for family in sorted(families)]
@@ -804,9 +805,8 @@ def solve_spca_ds(instance: SpcaDsInstance, cell_mode: str = "exact") -> SpcaDsS
     stage_ms["recovery"] = (time.perf_counter() - tick) * 1000.0
 
     diagnostics = SpcaDsDiagnostics(
-        rank=r, extended_dim=d * r * (r + 1) // 2, cells_enumerated=profits.shape[0],
-        candidates_evaluated=len(families), stage_ms=stage_ms, circulation_solves=solves,
-        completions_in_best=completions, **counts,
+        rank=r, extended_dim=d * r * (r + 1) // 2, candidates_evaluated=len(families),
+        stage_ms=stage_ms, completions_in_best=completions, **counts,
     )
     return SpcaDsSolution(
         supports=best_family, x=x, objective=float(objective), diagnostics=diagnostics

@@ -419,15 +419,26 @@ class TestAffineCells:
             slack = matrix[:, :2] @ cell.witness + matrix[:, 2]
             assert np.min(np.abs(slack)) > 1e-9
 
-    def test_keep_cell_filter_prunes(self, rng):
-        region = [
-            np.array([1.0, 0.0, 1.0]),
-            np.array([-1.0, 0.0, 1.0]),
-            np.array([0.0, 1.0, 1.0]),
-            np.array([0.0, -1.0, 1.0]),
-        ]
-        planes = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        kept = enumerate_affine_cells(
-            planes, region, 2, keep_cell=lambda lo, hi: hi[0] > 0.0
-        )
-        assert {c.signs for c in kept} == {(1, 1), (1, -1)}
+    def test_random_planes_in_space_match_sampling(self, rng):
+        # Dimension 3 lifts to R^4, where the central cells come from
+        # insertion rather than the closed forms of R^2 and R^3.
+        region = [np.concatenate([sign * np.eye(3)[k], [1.0]])
+                  for k in range(3) for sign in (1.0, -1.0)]
+        planes = [np.concatenate([rng.standard_normal(3), rng.uniform(-0.5, 0.5, 1)])
+                  for _ in range(5)]
+        cells = enumerate_affine_cells(planes, region, 3)
+        matrix = np.vstack(planes)
+        points = rng.uniform(-1, 1, size=(200_000, 3))
+        values = points @ matrix[:, :3].T + matrix[:, 3]
+        keep = np.min(np.abs(values), axis=1) > 1e-4
+        realized = {tuple(1 if v > 0 else -1 for v in row) for row in values[keep]}
+        assert realized <= {c.signs for c in cells}
+        assert [c.signs for c in cells] == sorted(c.signs for c in cells)
+        unit = matrix / np.linalg.norm(matrix[:, :3], axis=1, keepdims=True)
+        for cell in cells:
+            assert np.all(np.abs(cell.witness) < 1.0)
+            slack = unit[:, :3] @ cell.witness + unit[:, 3]
+            assert np.all(np.sign(slack) == cell.signs)
+            region_slack = 1.0 - np.max(np.abs(cell.witness))
+            assert cell.margin == pytest.approx(min(np.min(np.abs(slack)), region_slack), rel=1e-12)
+            assert cell.margin > 0.0

@@ -125,9 +125,11 @@ class TestCommands:
         assert 1 <= diag["candidates"] <= diag["circulation_solves"] < diag["cells"]
         assert set(diag["stage_ms"]) >= {"regions", "circulations"}
 
-    @pytest.mark.parametrize("r,d,swept", [(2, 2, True), (2, 1, False), (1, 2, False)])
+    @pytest.mark.parametrize("r,d,swept", [(2, 2, True), (2, 1, False), (1, 2, False),
+                                           (3, 2, False)])
     def test_solve_spca_ds_reports_sweep_lines(self, tmp_path, capsys, r, d, swept):
-        # Only rank 2 with two components sweeps the torus of block angles.
+        # Only rank 2 with two components sweeps the torus of block angles;
+        # rank 3 walks the chart, one facet LP at a time.
         factor = np.random.default_rng(4).standard_normal((3, r))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
@@ -136,6 +138,7 @@ class TestCommands:
         assert code == 0
         assert doc["problem"]["rank"] == r
         assert (doc["diagnostics"]["sweep_lines"] > 0) == swept
+        assert (doc["diagnostics"]["facet_lps"] > 0) == (r == 3)
 
     @pytest.mark.parametrize("r,d", [(2, 2), (2, 1), (1, 2)])
     def test_solve_spca_ds_reports_dropped_witnesses(self, tmp_path, capsys, r, d):

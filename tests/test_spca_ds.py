@@ -17,9 +17,11 @@ from exactspca.oracle import brute_force_spca_ds
 from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
+    _families_by_covering,
     _region_profits,
     _sinusoid_coefficients,
     _torus_sweep,
+    _walk_families,
     build_circuit_hyperplanes,
     candidate_supports_from_cell,
     solve_spca_ds,
@@ -112,7 +114,7 @@ class TestCircuitHyperplanes:
         inst = _instance(symmetrize(factor @ factor.T), 2, s)
         planes = build_circuit_hyperplanes(inst)
         assert planes.degenerate_circuits > 0
-        profits = _region_profits(inst, planes, "exact")[0]
+        profits = _region_profits(inst, planes)[0]
         covered = 0
         for first in range(0, len(profits), 40):
             circ = CirculationInstance(2, 3, s, profits[first])
@@ -274,22 +276,64 @@ class TestSolveSpcaDs:
                 assert solve_spca_ds(inst).supports == expected
                 monkeypatch.undo()
 
-    def test_chart_mode_agrees_with_torus_mode(self, rng):
-        for n in (2, 3):
-            kmatrix = random_low_rank_psd(rng, n, 2)
-            inst = _instance(kmatrix, 2, 1)
-            chart = solve_spca_ds(inst, cell_mode="chart")
-            torus = solve_spca_ds(inst, cell_mode="exact")
-            assert chart.objective == pytest.approx(torus.objective, rel=1e-9)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_walk_finds_every_torus_family(self, rng, n):
+        # The torus cuts every region at rank 2, d = 2; the walk, called on
+        # the same shape, reaches every family optimal in one of them.
+        for s in (1, 2):
+            inst = _instance(random_low_rank_psd(rng, n, 2), 2, s)
+            planes = build_circuit_hyperplanes(inst)
+            torus, _ = _families_by_covering(_region_profits(inst, planes)[0], s, planes.table)
+            walked, counts = _walk_families(inst, planes, {"circulations": 0.0})
+            assert torus <= walked
+            assert counts["cells_enumerated"] == len(walked)
+            assert counts["facet_lps"] > 0
 
-    def test_chart_mode_solves_per_family(self, rng):
-        kmatrix = random_low_rank_psd(rng, 3, 2)
-        solution = solve_spca_ds(_instance(kmatrix, 2, 1), cell_mode="chart")
-        diag = solution.diagnostics
-        assert 1 <= diag.candidates_evaluated <= diag.circulation_solves < diag.cells_enumerated
-        assert solution.objective == pytest.approx(
-            brute_force_spca_ds(kmatrix, 2, 1).objective, rel=1e-8, abs=1e-8
-        )
+    # Every (n, s) at both shapes past the torus.  Gaussian draws walk up to
+    # 3,700 facet LPs (2-12 s a solve) at rank 2, d = 3 with n = 4 or s = 2,
+    # and about 500 at rank 3, d = 2, n = 4, s = 2, so those shapes take the
+    # integer draws only, and rank 2, n = 4, s = 2 no 1e-16 copy.
+    @pytest.mark.parametrize("r,d,n,s,kinds", [
+        (3, 2, 3, 1, ("gaussian", "integer", "tiny")),
+        (3, 2, 3, 2, ("gaussian", "integer", "tiny")),
+        (3, 2, 4, 1, ("gaussian", "integer", "tiny")),
+        (3, 2, 4, 2, ("integer", "tiny")),
+        (2, 3, 3, 1, ("gaussian", "integer", "tiny")),
+        (2, 3, 3, 2, ("integer", "tiny")),
+        (2, 3, 4, 1, ("integer", "tiny")),
+        (2, 3, 4, 2, ("integer",)),
+    ])
+    def test_walk_matches_oracle(self, monkeypatch, r, d, n, s, kinds):
+        # Integer factors with R_1 = -R_0 (where n > r leaves the rank at r)
+        # tie features exactly, and their 1e-16 copies ("tiny") must walk to
+        # the same optimum.  No solve cuts the chart's affine cells.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk cuts no affine cells")
+
+        monkeypatch.setattr(spca_ds_module, "enumerate_affine_cells", refuse)
+        rng = np.random.default_rng(1000 * r + 100 * d + 10 * n + s)
+        factors = {}
+        for kind in ("gaussian", "integer"):
+            factor = None
+            while factor is None or np.linalg.matrix_rank(factor) < r:
+                if kind == "gaussian":
+                    factor = rng.standard_normal((n, r))
+                else:
+                    factor = rng.integers(-3, 4, size=(n, r)).astype(float)
+                    if n > r:
+                        factor[1] = -factor[0]
+            factors[kind] = factor
+        for kind in kinds:
+            factor = factors["integer" if kind == "tiny" else kind]
+            kmatrix = symmetrize(factor @ factor.T) * (1e-16 if kind == "tiny" else 1.0)
+            solution = solve_spca_ds(_instance(kmatrix, d, s))
+            diag = solution.diagnostics
+            assert diag.rank == r and diag.sweep_lines == 0 and diag.facet_lps > 0
+            assert diag.cells_enumerated == diag.candidates_evaluated
+            assert set(diag.stage_ms) >= {"regions", "circulations"}
+            assert solution.objective == pytest.approx(
+                brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=0.0
+            )
 
     def test_feasibility(self, rng):
         for _ in range(4):
