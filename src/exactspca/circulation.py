@@ -77,26 +77,29 @@ def zero_circulation(instance: CirculationInstance) -> Circulation:
 
 
 def check_circulation(instance: CirculationInstance, f: Circulation) -> None:
-    """Raise `InfeasibleFlow` unless f is integer, within capacity, conserved."""
+    """Raise `InfeasibleFlow` unless f is integer, within capacity, conserved.
+
+    Each condition is one ndarray method call or two, not a numpy wrapper:
+    the disjoint solver checks every flow it solves three times.
+    """
     a0 = np.asarray(f.a0)
     au = np.asarray(f.au)
     aw = np.asarray(f.aw)
     if a0.shape != (instance.d, instance.n) or au.shape != (instance.d,) or aw.shape != (instance.n,):
         raise InfeasibleFlow("flow arrays have wrong shapes")
-    for arr in (a0, au, aw):
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InfeasibleFlow("flows must be integer arrays")
-    if np.any(a0 < 0) or np.any(a0 > 1):
+    if not {a0.dtype.kind, au.dtype.kind, aw.dtype.kind} <= {"i", "u"}:
+        raise InfeasibleFlow("flows must be integer arrays")
+    if a0.min() < 0 or a0.max() > 1:
         raise InfeasibleFlow("u->w flow outside [0, 1]")
-    if np.any(au < 0) or np.any(au > instance.s):
+    if au.min() < 0 or au.max() > instance.s:
         raise InfeasibleFlow(f"t->u flow outside [0, {instance.s}]")
-    if np.any(aw < 0) or np.any(aw > 1):
+    if aw.min() < 0 or aw.max() > 1:
         raise InfeasibleFlow("w->t flow outside [0, 1]")
-    if np.any(a0.sum(axis=1) != au):
+    if (a0.sum(axis=1) != au).any():
         raise InfeasibleFlow("conservation violated at a component vertex")
-    if np.any(a0.sum(axis=0) != aw):
+    if (a0.sum(axis=0) != aw).any():
         raise InfeasibleFlow("conservation violated at a feature vertex")
-    if int(au.sum()) != int(aw.sum()):
+    if au.sum() != aw.sum():
         raise InfeasibleFlow("conservation violated at the hub vertex")
 
 
@@ -130,14 +133,14 @@ def _cycle_profit(arcs, cycle):
     return -sum(arcs[ai][2] for ai in cycle)
 
 
-def _positive_cycle_bellman_ford(num_v, arcs, tol):
+def _positive_cycle_bellman_ford(num_v, arcs, tol, slack):
     dist = [0.0] * num_v
     pred = [-1] * num_v
     marked = -1
     for _ in range(num_v):
         marked = -1
         for ai, (tail, head, cost, _cap, _key) in enumerate(arcs):
-            if dist[tail] + cost < dist[head] - 1e-15:
+            if dist[tail] + cost < dist[head] - slack:
                 dist[head] = dist[tail] + cost
                 pred[head] = ai
                 marked = head
@@ -198,10 +201,15 @@ def is_optimal(
 
     Returns (True, None) for an optimal circulation, otherwise (False,
     certificate) where the certificate is a positive-profit residual circuit.
+    Both the circuit profit ``tol`` and the 1e-15 relaxation slack of
+    Bellman-Ford scale with the largest |profit| when it is below one, as
+    scaling keeps optimality (Klein 1967): at 1e-16 scale an absolute
+    tolerance would certify any flow.
     """
     check_circulation(instance, f)
     arcs = _residual_arcs(instance, f)
-    cycle = _positive_cycle_bellman_ford(instance.num_vertices, arcs, tol)
+    scale = min(1.0, float(np.abs(instance.profits).max()))
+    cycle = _positive_cycle_bellman_ford(instance.num_vertices, arcs, tol * scale, 1e-15 * scale)
     if cycle is None:
         return True, None
     return False, _certificate_from_cycle(arcs, cycle)
@@ -212,8 +220,8 @@ def optimal_at_profits(
 ) -> np.ndarray:
     """Mask of the profit rows (m, d, n) at which f is optimal: no residual
     circuit of f in ``table`` (which may omit circuits of zero profit) gains
-    more than the 1e-15 of `is_optimal` times the row's largest |profit| if
-    below one, as scaling keeps optimality (Klein 1967)."""
+    more than the 1e-15 slack of `is_optimal`, scaled as there by the row's
+    largest |profit| if below one."""
     check_circulation(instance, f)
     profits = np.asarray(profit_rows, dtype=float).reshape(-1, instance.d * instance.n)
     slack = 1e-15 * np.minimum(1.0, np.abs(profits).max(axis=1, initial=0.0))

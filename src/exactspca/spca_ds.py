@@ -13,7 +13,8 @@ unit-trace slice of the lifted space is a single point, so one circulation
 on the squared row norms is the only region.  Rank two with d = 2 cuts the
 regions of the circuit hyperplanes in closed form on the torus of block
 angles, sweeping lines whose arc signs are read by toggling curve bits at
-the sorted roots, and solves one circulation per family.  Every other shape
+the sorted roots over the half phi1 <= phi2 only (swapping the components
+mirrors the rest), and solves one circulation per family.  Every other shape
 walks the families' optimality cones across the clipped chart of the slice.
 
 Circulations may leave a component's support empty, while a unit-norm
@@ -445,7 +446,7 @@ def _pair_crossings(a, b, c, radius_2):
 
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
-_SWEEP_ARCS = 1 << 12  # arcs read per block of sweep lines
+_SWEEP_ARCS = 1 << 13  # arcs read per block of sweep lines
 _TOUCH_SNAP = 1e-7  # pair crossings this near a touch line are that line
 
 
@@ -468,12 +469,20 @@ def _key_words(packed, words):
 
 
 def _torus_sweep(normals):
-    """Witnesses of the sign regions of the torus arrangement (d = 2).
+    """Witnesses of the sign regions of the torus arrangement (d = 2) that
+    meet the half phi1 <= phi2.
 
     The curves {functional = 0} on the torus of block angles are separable
     sinusoids, so slabs over the first angle enumerate every region, bounded
     where curve pairs cross or a curve has a vertical tangent.  One line per
-    slab is cut at every curve's roots and at a fixed grid.  Along a line a
+    slab is cut at every curve's roots, at a fixed grid and at the diagonal
+    phi2 = phi1, and only the arcs starting on or above the diagonal are
+    read.  ``normals`` must be closed under swapping the two blocks, up to
+    sign, as the circuit normals are: then the arrangement is symmetric
+    under (phi1, phi2) -> (phi2, phi1), and the mirrors (phi2, phi1) of the
+    witnesses reach the regions of the other half.  No region crosses the
+    diagonal: the circuit through the hub, both components and feature j
+    gains (R_j . y_1)^2 - (R_j . y_2)^2, zero there.  Along a line a
     curve changes sign only at its roots, so every arc's key comes from one
     evaluated row per line by toggling curve bits in root order (the
     incremental sign sweep of Karystinos, and of Asteris, Papailiopoulos and
@@ -523,13 +532,14 @@ def _torus_sweep(normals):
     lines = lines[np.all(np.abs(flat_values) / reach[flat] > _MIN_RELATIVE_MARGIN, axis=1)]
 
     base_grid = np.linspace(0.0, np.pi, 8, endpoint=False) + 2e-4
-    # Cut columns: the base grid, then each curve's two roots.  A column
-    # toggles its curve's bit of the key, packed into 64-bit words; base-grid
-    # cuts and the touch points of one-signed curves stay cuts but toggle
-    # nothing.
+    # Cut columns: the base grid and the diagonal phi2 = phi1, then each
+    # curve's two roots.  A column toggles its curve's bit of the key, packed
+    # into 64-bit words; base-grid and diagonal cuts and the touch points of
+    # one-signed curves stay cuts but toggle nothing.
     words = -(-p // 64)
-    toggles = np.zeros((base_grid.size + 2 * p, words), dtype=np.uint64)
-    toggles[base_grid.size + np.flatnonzero(np.tile(flips, 2))] = np.tile(
+    fixed = base_grid.size + 1
+    toggles = np.zeros((fixed + 2 * p, words), dtype=np.uint64)
+    toggles[fixed + np.flatnonzero(np.tile(flips, 2))] = np.tile(
         _key_words(np.packbits(np.eye(p, dtype=bool)[flips], axis=1), words), (2, 1)
     )
     step = max(1, _SWEEP_ARCS // toggles.shape[0])
@@ -542,7 +552,8 @@ def _torus_sweep(normals):
         plus, minus = _circle_solutions(
             a[:, 1], b[:, 1], np.where(flips, -const, np.clip(-const, -radius_2, radius_2))
         )
-        cuts = np.hstack([np.broadcast_to(base_grid, (phi1.size, base_grid.size)), plus, minus])
+        cuts = np.hstack([np.broadcast_to(base_grid, (phi1.size, base_grid.size)),
+                          phi1[:, None], plus, minus])
         cuts = _mod_pi(cuts)  # a root rounded up to pi is the cut at 0
         order = np.argsort(cuts, axis=1)  # NaN (no root) sorts last
         starts = np.take_along_axis(cuts, order, axis=1)
@@ -559,7 +570,7 @@ def _torus_sweep(normals):
         rows = np.arange(phi1.size)
         widest = np.argmax(widths, axis=1)
         _, reference = _torus_signs(const, mids(rows, widest), a[:, 1], b[:, 1], reach)
-        line, slot = np.nonzero(widths > 0.0)
+        line, slot = np.nonzero((widths > 0.0) & (starts >= phi1[:, None]))
         arc_keys = prefix[line, slot] ^ (_key_words(reference, words) ^ prefix[rows, widest])[line]
         # Evaluate each key at its widest arc.  A key whose witness is not
         # clear of every curve, or reads other signs, has all its arcs
@@ -702,7 +713,9 @@ def _solve_one_component(instance: SpcaDsInstance) -> SpcaDsSolution:
 def _region_profits(instance: SpcaDsInstance,
                     planes: CircuitHyperplanes) -> tuple[np.ndarray, dict]:
     """Arc profits (m, d, n) at one witness per region of the rank-2, d = 2
-    torus, and the counts of the sweep for the diagnostics."""
+    torus meeting phi1 <= phi2, and the counts of the sweep for the
+    diagnostics.  A region of the other half is the mirror of one of these,
+    and its family is the mirrored family."""
     normals = np.array([h.normal for h in planes.hyperplanes])
     angles, lines, dropped = _torus_sweep(normals) if normals.size else (np.zeros((1, 2)), 0, 0)
     y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
@@ -740,11 +753,13 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
 
     One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
     unit-trace slice is a single point: one region, no circuit.  Rank two
-    with two components cuts its regions in closed form on the torus and
-    solves one circulation per family, covering the regions where none of
-    its residual circuits gains.  Every other shape walks the families'
-    optimality cones across the chart (`_walk_families`): its work grows with
-    the families and their residual circuits, not with the regions.
+    with two components cuts its regions in closed form on the half
+    phi1 <= phi2 of the torus and solves one circulation per family,
+    covering the regions where none of its residual circuits gains; the
+    other half's families are the mirrored ones.  Every other shape walks
+    the families' optimality cones across the chart (`_walk_families`): its
+    work grows with the families and their residual circuits, not with the
+    regions.
     """
     if instance.d == 1:
         return _solve_one_component(instance)
@@ -785,9 +800,13 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     values = _family_values([family for family, _ in completed], factor)
     # Values within 1e-12 (relative) of the best tie, so the eigensolver's
     # last bits do not choose; ties go to the smallest flattened support list.
-    tied = np.flatnonzero(values >= values.max() - 1e-12 * abs(values.max()))
-    best = min(tied, key=lambda k: tuple(j for support in completed[k][0] for j in support))
-    best_family, completions = completed[best]
+    top = values.max() - 1e-12 * abs(values.max())
+    tied = [completed[k] for k in np.flatnonzero(values >= top)]
+    if (r, d) == (2, 2):
+        # The torus half's mirrored families, equal in value (a sum of two
+        # per-support values), were not swept.
+        tied += [(family[::-1], completions) for family, completions in tied]
+    best_family, completions = min(tied, key=lambda c: tuple(j for support in c[0] for j in support))
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()

@@ -225,6 +225,36 @@ class TestIsOptimal:
         with pytest.raises(InfeasibleFlow):
             is_optimal(inst, lopsided)
 
+    @pytest.mark.parametrize("a0,au,aw,message", [
+        ([[1, 0], [0, 0]], [1.0, 0.0], [1, 0], "integer"),
+        ([[2, 0], [0, 0]], [2, 0], [2, 0], "u->w"),
+        ([[-1, 0], [0, 0]], [-1, 0], [-1, 0], "u->w"),
+        ([[1, 1], [0, 0]], [3, 0], [1, 1], "t->u"),
+        ([[1, 0], [0, 0]], [1, -1], [1, 0], "t->u"),
+        ([[0, 0], [0, 0]], [0, 0], [0, 2], "w->t"),
+        ([[1, 0], [0, 0]], [0, 1], [1, 0], "component vertex"),
+        ([[1, 0], [0, 0]], [1, 0], [0, 1], "feature vertex"),
+    ])
+    def test_infeasible_flow_names_its_fault(self, a0, au, aw, message):
+        inst = _instance(2, 2, 2, [[1.0, 2.0], [3.0, 4.0]])
+        flow = Circulation(a0=np.array(a0), au=np.array(au), aw=np.array(aw))
+        with pytest.raises(InfeasibleFlow, match=message):
+            check_circulation(inst, flow)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-16])
+    def test_certificate_holds_at_every_scale(self, scale):
+        # Features 0 -> u_1 and 1 -> u_0 earn 2 against the optimum 8
+        # (0 -> u_0, 2 -> u_1); an absolute tolerance certified the
+        # suboptimal flow once the profits fell below it.
+        inst = _instance(2, 3, 1, scale * np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 5.0]]))
+        a0 = np.array([[0, 1, 0], [1, 0, 0]])
+        poor = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+        optimal, certificate = is_optimal(inst, poor)
+        assert not optimal and certificate.profit > 0.0
+        best = solve_max_profit(inst)
+        assert supports_from_circulation(inst, best) == ((0,), (2,))
+        assert is_optimal(inst, best) == (True, None)
+
 
 class TestSupports:
     def test_supports_from_flow(self):

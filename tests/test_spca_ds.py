@@ -9,6 +9,7 @@ from exactspca.circulation import (
     is_optimal,
     optimal_at_profits,
     solve_max_profit,
+    supports_from_circulation,
 )
 from exactspca.errors import InvalidParameters
 from exactspca.extension import MonomialBasis, build_arc_functional, build_circuit_functional
@@ -530,7 +531,8 @@ def _torus_factor(rng, n, integer):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_torus_witnesses_cover_grid_regions(rng, n, integer):
     # Every sign vector seen on a 256 x 256 grid of angle pairs, away from
-    # the curves, must be the sign vector of some witness, also at K * 1e-16.
+    # the curves, must be the sign vector of some witness or of its mirror
+    # (phi2, phi1), also at K * 1e-16: the sweep reads the half phi1 <= phi2.
     factor = _torus_factor(rng, n, integer)
 
     def lifted(phis):
@@ -543,6 +545,7 @@ def test_torus_witnesses_cover_grid_regions(rng, n, integer):
         a, b, c = _sinusoid_coefficients(normals, 2)
         scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
         witnesses = _torus_sweep(normals)[0]
+        witnesses = np.vstack([witnesses, witnesses[:, ::-1]])
         known = {row.tobytes() for row in (lifted(witnesses) @ normals.T) > 0.0}
         grid = (np.arange(256) + 0.5) * np.pi / 256
         seen = set()
@@ -564,7 +567,8 @@ def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, po
     # midpoint lands on one and its region is lost.  The first region
     # (relative margin 3.3e-4 at the point) is split in half by a touch
     # line; the second (margin 2.9e-5) sits beside a touch point whose
-    # double root rounds to no root at all.
+    # double root rounds to no root at all.  The sweep reads the half
+    # phi1 <= phi2, so each witness stands for its mirror (phi2, phi1) too.
     rng = np.random.default_rng(seed)
     for _ in range(draw):
         factor = rng.standard_normal((n, 2))
@@ -577,7 +581,7 @@ def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, po
         return {row.tobytes() for row in (lifted @ normals.T) > 0.0}
 
     witnesses = _torus_sweep(normals)[0]
-    assert signs(np.array([point])) <= signs(witnesses)
+    assert signs(np.array([point])) <= signs(np.vstack([witnesses, witnesses[:, ::-1]]))
 
 
 def test_torus_witnesses_find_tangent_slab_region():
@@ -592,3 +596,45 @@ def test_torus_witnesses_find_tangent_slab_region():
     cos, sin = np.cos(witnesses), np.sin(witnesses)
     values = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(witnesses), -1) @ normal.T
     assert sorted(bool(v) for v in values[:, 0] > 0.0) == [False, True]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-16])
+@pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_normals_closed_under_block_swap(rng, n, integer, scale):
+    # The half sweep's premise: swapping the components maps every circuit
+    # normal onto a normal of the set, up to sign.
+    factor = _torus_factor(rng, n, integer)
+    inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
+    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    units = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    swapped = np.hstack([units[:, 3:], units[:, :3]])
+    cosines = np.abs(swapped @ units.T)
+    assert np.all(np.abs(cosines.max(axis=1) - 1.0) < 1e-12)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_torus_families_cover_grid_assignments(rng, n, s):
+    # Without the sweep: the assignment optimal at each point of a 64 x 64
+    # grid of angle pairs, away from the curves, is a covered family in one
+    # support order or the other.
+    factor = rng.standard_normal((n, 2))
+    inst = _instance(symmetrize(factor @ factor.T), 2, s)
+    planes = build_circuit_hyperplanes(inst)
+    families, _ = _families_by_covering(_region_profits(inst, planes)[0], s, planes.table)
+    normals = np.array([h.normal for h in planes.hyperplanes])
+    a, b, c = _sinusoid_coefficients(normals, 2)
+    scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
+    grid = (np.arange(64) + 0.5) * np.pi / 64
+    phis = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=2).reshape(-1, 2)
+    cos, sin = np.cos(phis), np.sin(phis)
+    values = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1) @ normals.T
+    clear = phis[np.min(np.abs(values) / scale, axis=1) > 1e-9]
+    assert len(clear) > 0
+    y = np.stack([np.cos(clear), np.sin(clear)], axis=1)  # (m, 2, d)
+    profits = np.swapaxes((inst.factor.factor @ y) ** 2, 1, 2)
+    for row in profits:
+        circ = CirculationInstance(2, n, s, row)
+        family = supports_from_circulation(circ, solve_max_profit(circ))
+        assert family in families or family[::-1] in families
