@@ -219,7 +219,7 @@ def _spannogram_systems(rows: np.ndarray):
 
 
 def _vertex_masks(values: np.ndarray, tied_sets: np.ndarray, tol: float, s: int,
-                  heads: np.ndarray) -> list[np.ndarray]:
+                  heads: np.ndarray, filled: set) -> list[np.ndarray]:
     """Support masks next to the vertices (rows of ``values``) whose tie
     straddles position s.
 
@@ -230,7 +230,8 @@ def _vertex_masks(values: np.ndarray, tied_sets: np.ndarray, tol: float, s: int,
     ``heads``) are interchangeable, so a fill takes a quota of each class,
     in index order.  The fills are counted before they are built, and when
     they are many, coincident vertices (the same features above and tied)
-    are read once.
+    are read once: their keys go into ``filled``, shared across the blocks
+    of one read.
     """
     n = values.shape[1]
     members = values[np.arange(len(values))[:, None], tied_sets]
@@ -256,7 +257,12 @@ def _vertex_masks(values: np.ndarray, tied_sets: np.ndarray, tol: float, s: int,
             fills = _fill_count(sizes, fill)
             if len(picked) * fills > _VERTEX_BLOCK:  # read coincident vertices once
                 key = higher[rows[picked]] + 2 * band[rows[picked]].view(np.int8)
-                picked = picked[np.unique(_row_keys(key), return_index=True)[1]]
+                keys, first = np.unique(_row_keys(key), return_index=True)
+                fresh = [k for k, key in enumerate(keys.tolist()) if key not in filled]
+                filled.update(keys[fresh].tolist())
+                picked = picked[first[fresh]]
+                if not len(picked):
+                    continue
             if len(picked) * fills > _FILL_LIMIT:
                 raise TooLarge(f"{len(picked)} vertices tie {group} features, {fill} to fill")
             table = _fill_table(sizes, fill)
@@ -299,6 +305,7 @@ def _read_vertices(blocks, features: np.ndarray, lift: bool, norms: np.ndarray, 
     """
     tol = _TIE_TOL * np.sqrt(np.max(np.sum(features * features, axis=1)))
     seen: set = set()
+    filled: set = set()
     for systems, subsets in blocks:
         g = systems.shape[2]
         # Row i of the table drops column i.
@@ -313,7 +320,7 @@ def _read_vertices(blocks, features: np.ndarray, lift: bool, norms: np.ndarray, 
         if lift:  # each null vector, then its negation
             values = np.stack([values, -values], axis=1).reshape(-1, len(features))
             tied = np.repeat(tied, 2, axis=0)
-        masks = _vertex_masks(values if lift else np.abs(values), tied, tol, s, heads)
+        masks = _vertex_masks(values if lift else np.abs(values), tied, tol, s, heads, filled)
         if lift and not seen and len(values):
             masks.append(_top_masks(values[:2], s))
         if masks:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -102,6 +103,15 @@ class CircuitHyperplanes:
     degenerate_circuits: int
 
 
+@lru_cache(maxsize=64)
+def _shape_circuit_table(d: int, n: int) -> np.ndarray:
+    """`circuit_table` of every undirected circuit at (d, n), which depend
+    on the shape only.  Cached, so read-only."""
+    table = circuit_table(enumerate_undirected_circuits(d, n), d, n)
+    table.flags.writeable = False
+    return table
+
+
 def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     """One hyperplane per circuit with a nonzero profit functional.
 
@@ -122,7 +132,7 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     rows = [basis.row_block_coefficients(row) for row in instance.factor.factor]
     arc_coeffs[np.arange(d), :, np.arange(d)] = rows
     arc_coeffs = arc_coeffs.reshape(d * n, basis.dim)
-    table = circuit_table(enumerate_undirected_circuits(d, n), d, n)
+    table = _shape_circuit_table(d, n)
     functionals = table[:, : d * n] @ arc_coeffs
     live = np.any(functionals, axis=1)
     return CircuitHyperplanes(
@@ -362,16 +372,39 @@ def _sinusoid_coefficients(normals, d):
     return a, b, c
 
 
-def _pair_crossings(a, b, c, radius_2):
-    """First angles at which two curves cross, for every pair of curves.
+def _block_swap(normals):
+    """The curve that each curve becomes when the two components swap.
+
+    Its unit normal with the two 3-coordinate blocks exchanged is parallel
+    or antiparallel to that curve's.  A normal with no partner, or partners
+    that do not pair off, raises `CertificateFailed`: the half sweep would
+    then miss the regions of the other half.
+    """
+    units = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    cosines = np.abs(np.hstack([units[:, 3:], units[:, :3]]) @ units.T)
+    mirror = np.argmax(cosines, axis=1)
+    rows = np.arange(len(units))
+    if np.any(cosines[rows, mirror] < 1.0 - 1e-9) or np.any(mirror[mirror] != rows):
+        raise CertificateFailed("the torus curves are not closed under swapping the components")
+    return mirror
+
+
+def _pair_crossings(a, b, c, radius_2, mirror=None):
+    """Points (phi1, phi2) at which two curves cross, for every pair of curves.
 
     The second angle is eliminated.  Proportional second-angle parts leave
-    a first-angle circle equation; otherwise (cos 2phi2, sin 2phi2) is an
-    affine function of (cos 2phi1, sin 2phi1) and the unit-circle condition
-    is a quartic in tan(phi1), solved for all pairs by one batch of
-    companion-matrix eigenvalues.
+    a first-angle circle equation, whose points get no second angle (NaN).
+    Otherwise (cos 2phi2, sin 2phi2) = u + v cos 2phi1 + w sin 2phi1 and
+    the unit-circle condition is a quartic in tan(phi1), solved for all
+    pairs by one batch of companion-matrix eigenvalues; the affine map gives
+    each root's second angle.  phi1 = pi/2, where tan(phi1) is infinite, is
+    returned once with NaN.  ``mirror`` (from `_block_swap`) maps each curve
+    to its swap: the crossings of the pair's swap are its points mirrored to
+    (phi2, phi1), so of two quartic pairs that swap into each other only the
+    first is solved.  Returns the two angle arrays.
     """
-    i, j = np.triu_indices(a.shape[0], 1)
+    p = a.shape[0]
+    i, j = np.triu_indices(p, 1)
     mats = np.stack([np.stack([a[i, 1], b[i, 1]], axis=1),
                      np.stack([a[j, 1], b[j, 1]], axis=1)], axis=1)  # (pairs, 2, 2)
     det = np.linalg.det(mats)
@@ -388,9 +421,10 @@ def _pair_crossings(a, b, c, radius_2):
     # and keep their order on both sides.
     reach = np.hypot(da, db) + np.abs(dc)
     meet = reach - 2.0 * np.abs(dc) > _MIN_RELATIVE_MARGIN * reach
-    crossings = list(_circle_solutions(da[meet], db[meet], -dc[meet]))
+    phi1 = list(_circle_solutions(da[meet], db[meet], -dc[meet]))
+    phi2 = [np.full(x.size, np.nan) for x in phi1]
     if not general.any():
-        return crossings
+        return np.concatenate(phi1), np.concatenate(phi2)
     i, j = i[general], j[general]
     inv = np.linalg.inv(mats[general])
 
@@ -418,18 +452,26 @@ def _pair_crossings(a, b, c, radius_2):
         k_uu + k_uv + k_vv,
     ], axis=1)
     quartic = poly[:, 0] != 0.0
-    companion = np.zeros((int(quartic.sum()), 4, 4))
-    companion[:, 0, :] = -poly[quartic, 1:] / poly[quartic, :1]
+    solved = quartic.copy()
+    if mirror is not None:
+        slot = np.full((p, p), -1)
+        slot[i, j] = slot[j, i] = np.arange(i.size)
+        twin = slot[mirror[i], mirror[j]]  # the swapped pair, -1 if not general
+        solved &= ~((twin >= 0) & (twin < np.arange(i.size)) & quartic[twin])
+    companion = np.zeros((int(solved.sum()), 4, 4))
+    companion[:, 0, :] = -poly[solved, 1:] / poly[solved, :1]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     roots = [np.linalg.eigvals(companion).ravel()]
+    owners = [np.repeat(np.flatnonzero(solved), 4)]
     # The other rows as np.roots solves them, one batch per actual degree:
     # leading zeros lower the degree and trailing zeros are roots at 0.
-    low = poly[~quartic]
-    low = low[np.any(low != 0.0, axis=1)]
+    low_rows = np.flatnonzero(~quartic & np.any(poly != 0.0, axis=1))
+    low = poly[low_rows]
     nonzero = low != 0.0
     lead = np.argmax(nonzero, axis=1)
     trail = np.argmax(nonzero[:, ::-1], axis=1)
     roots.append(np.zeros(np.count_nonzero(trail)))
+    owners.append(low_rows[trail > 0])
     degree = 4 - lead - trail
     for deg in np.unique(degree[degree > 0]):
         rows = degree == deg
@@ -438,16 +480,31 @@ def _pair_crossings(a, b, c, radius_2):
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
         roots.append(np.linalg.eigvals(companion).ravel())
-    roots = np.concatenate(roots)
-    real = roots[np.abs(roots.imag) < 1e-9].real
+        owners.append(np.repeat(low_rows[rows], deg))
+    roots, owners = np.concatenate(roots), np.concatenate(owners)
+    real = np.abs(roots.imag) < 1e-9
+    half = np.arctan(roots[real].real)
+    owners = owners[real]
+    second = (u[owners] + v[owners] * np.cos(2.0 * half)[:, None]
+              + w[owners] * np.sin(2.0 * half)[:, None])
     # tan(phi1) -> infinity corresponds to phi1 = pi/2.
-    return crossings + [np.mod(np.arctan(real), np.pi), np.array([np.pi / 2.0])]
+    phi1 += [np.mod(half, np.pi), np.array([np.pi / 2.0])]
+    phi2 += [_mod_pi(np.arctan2(second[:, 1], second[:, 0]) / 2.0), np.array([np.nan])]
+    return np.concatenate(phi1), np.concatenate(phi2)
 
 
 _SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 _SWEEP_ARCS = 1 << 13  # arcs read per block of sweep lines
 _TOUCH_SNAP = 1e-7  # pair crossings this near a touch line are that line
+_HALF_SLACK = 1e-6  # events this near the edge of the swept half count as in it
+
+
+def _in_half(phi1, phi2):
+    """Whether torus points lie in the swept half phi1 <= phi2, up to
+    `_HALF_SLACK` at the diagonal and at the wraps phi2 -> pi == 0 and
+    phi1 -> pi == 0.  NaN angles are outside unless the other one wraps."""
+    return (phi1 <= phi2 + _HALF_SLACK) | (phi2 <= _HALF_SLACK) | (phi1 >= np.pi - _HALF_SLACK)
 
 
 def _torus_signs(const, phi2, a2, b2, reach):
@@ -478,11 +535,19 @@ def _torus_sweep(normals):
     slab is cut at every curve's roots, at a fixed grid and at the diagonal
     phi2 = phi1, and only the arcs starting on or above the diagonal are
     read.  ``normals`` must be closed under swapping the two blocks, up to
-    sign, as the circuit normals are: then the arrangement is symmetric
-    under (phi1, phi2) -> (phi2, phi1), and the mirrors (phi2, phi1) of the
-    witnesses reach the regions of the other half.  No region crosses the
-    diagonal: the circuit through the hub, both components and feature j
-    gains (R_j . y_1)^2 - (R_j . y_2)^2, zero there.  Along a line a
+    sign, as the circuit normals are (`_block_swap` raises otherwise): then
+    the arrangement is symmetric under (phi1, phi2) -> (phi2, phi1), and the
+    mirrors (phi2, phi1) of the witnesses reach the regions of the other
+    half.  No region crosses the diagonal: the circuit through the hub, both
+    components and feature j gains (R_j . y_1)^2 - (R_j . y_2)^2, zero
+    there.  So only events in the swept half (`_in_half`) bound slabs: the
+    crossings and vertical tangents there, and the first angles of the
+    mirrors of crossings in the other half, which are crossings too; of two
+    curve pairs that swap into each other one quartic is solved
+    (`_pair_crossings`).  Lines of a slab see the same regions in the half,
+    and a region that crosses the wrap phi2 -> pi == 0 is also read, through
+    its mirror, beside phi1 = 0.  Safety lines, curves flat in the second
+    angle and crossings with no second angle cut every slab.  Along a line a
     curve changes sign only at its roots, so every arc's key comes from one
     evaluated row per line by toggling curve bits in root order (the
     incremental sign sweep of Karystinos, and of Asteris, Papailiopoulos and
@@ -492,7 +557,9 @@ def _torus_sweep(normals):
     of a curve flat in the second angle are skipped.  A witness is kept only
     when every curve value exceeds `_MIN_RELATIVE_MARGIN` times a bound on
     the curve over the torus: a point on a curve would be filed under a
-    spurious sign vector.  Returns the first witness of each sign vector as
+    spurious sign vector.  At an arc's midpoint a curve with a root at the
+    arc's end is within radius_2 * width of zero, so arcs no wider than that
+    margin are not keyed.  Returns the first witness of each sign vector as
     (phi1, phi2) rows, the number of sweep lines and the number of keys none
     of whose evaluated arcs cleared the margin.
     """
@@ -508,17 +575,30 @@ def _torus_sweep(normals):
     flat = radius_2 == 0.0
     touching = flat & ~flips
     criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
-    # Vertical tangents: the second-angle part sits at an extremum.  A
+    # Vertical tangents: the second-angle part sits at its maximum, at
+    # 2 phi2 = atan2(b2, a2), or at its minimum, at that plus pi.  A
     # one-signed curve flat in the second angle has one, where it touches
     # zero, solved at a ratio of exactly -1 or 1: the double root neither
-    # splits nor rounds to no root.
+    # splits nor rounds to no root.  Curves flat in the second angle are
+    # whole lines and cut every slab.
     level = np.where(touching, -np.sign(c) * np.hypot(a[:, 0], b[:, 0]), -c)
-    criticals += _circle_solutions(a[:, 0], b[:, 0], level - radius_2)
-    criticals += _circle_solutions(a[:, 0], b[:, 0], level + radius_2)
+    peak = _mod_pi(np.arctan2(b[:, 1], a[:, 1]) / 2.0)
+    tangents = [_circle_solutions(a[:, 0], b[:, 0], level - radius_2),
+                _circle_solutions(a[:, 0], b[:, 0], level + radius_2)]
+    for quarter, roots in enumerate(tangents):
+        at = _mod_pi(peak + quarter * np.pi / 2.0)
+        criticals += [x[flat | _in_half(x, at)] for x in roots]
+    touch_lines = tangents[1][1][touching]
+    # Crossings in the half phi1 <= phi2 bound slabs, and so do the mirrors
+    # of those in the other half: they are crossings of the swapped curves.
+    mirror = _block_swap(normals[flips]) if np.count_nonzero(flips) > 1 else None
+    cross1, cross2 = _pair_crossings(a[flips], b[flips], c[flips], radius_2[flips], mirror)
+    unknown = np.isnan(cross2)  # proportional pairs: their first angles all cut
+    crossings = np.concatenate([cross1[unknown | _in_half(cross1, cross2)],
+                                cross2[_in_half(cross2, cross1)]])
     # Curve pairs that meet on a touch line have a double root there, which
     # the eigensolver scatters by about 1e-8: the line stands for them all.
-    crossings = np.concatenate(_pair_crossings(a[flips], b[flips], c[flips], radius_2[flips]))
-    gap = np.abs(crossings[:, None] - criticals[-1][touching])
+    gap = np.abs(crossings[:, None] - touch_lines)
     criticals.append(crossings[np.all(np.minimum(gap, np.pi - gap) >= _TOUCH_SNAP, axis=1)])
     merged = np.concatenate(criticals)
     merged = np.unique(np.round(merged[~np.isnan(merged)], 9))
@@ -570,7 +650,7 @@ def _torus_sweep(normals):
         rows = np.arange(phi1.size)
         widest = np.argmax(widths, axis=1)
         _, reference = _torus_signs(const, mids(rows, widest), a[:, 1], b[:, 1], reach)
-        line, slot = np.nonzero((widths > 0.0) & (starts >= phi1[:, None]))
+        line, slot = np.nonzero((widths > _MIN_RELATIVE_MARGIN) & (starts >= phi1[:, None]))
         arc_keys = prefix[line, slot] ^ (_key_words(reference, words) ^ prefix[rows, widest])[line]
         # Evaluate each key at its widest arc.  A key whose witness is not
         # clear of every curve, or reads other signs, has all its arcs

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import exactspca.spca as spca_module
 from exactspca.errors import InvalidParameters, TooLarge
 from exactspca.extension import MonomialBasis, build_row_functional
 from exactspca.linalg import solve_pca, symmetrize
@@ -589,18 +590,29 @@ class TestIdenticalFeatures:
                     _assert_optimal(kmatrix, d, s, solve_spca(_instance(kmatrix, d, s)))
 
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_block_diagonal_ties_read_once(self, rng, duplicate):
+    def test_block_diagonal_ties_read_once(self, rng, monkeypatch, duplicate):
         # A rank-2 block of 20 features and a rank-1 block: every level-0
         # vertex orthogonal to the first block is one point where its 20
         # features tie, reached from about 4,700 subsets; it is read once,
-        # also when two of the 20 are one feature (a class of two).
+        # also when two of the 20 are one feature (a class of two), and
+        # across the blocks of vertices (its fills are about 94,000-126,000).
         factor = np.zeros((26, 3))
         factor[:20, :2] = rng.standard_normal((20, 2))
         factor[20:, 2] = 3.0 * rng.standard_normal(6)
         if duplicate:
             factor[1] = factor[0]
+        built = []
+        vertex_masks = spca_module._vertex_masks
+
+        def counted(*args):
+            masks = vertex_masks(*args)
+            built.extend(len(mask) for mask in masks)
+            return masks
+
+        monkeypatch.setattr(spca_module, "_vertex_masks", counted)
         solution = solve_spca(_instance(symmetrize(factor @ factor.T), 1, 14))
         assert solution.diagnostics.candidates_evaluated < 200_000
+        assert sum(built) < 200_000
         small = factor[[*range(8), *range(20, 24)]]
         kmatrix = symmetrize(small @ small.T)
         for s in range(1, 12):

@@ -11,14 +11,16 @@ from exactspca.circulation import (
     solve_max_profit,
     supports_from_circulation,
 )
-from exactspca.errors import InvalidParameters
+from exactspca.errors import CertificateFailed, InvalidParameters
 from exactspca.extension import MonomialBasis, build_arc_functional, build_circuit_functional
 from exactspca.linalg import symmetrize
 from exactspca.oracle import brute_force_spca_ds
 from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
+    _block_swap,
     _families_by_covering,
+    _pair_crossings,
     _region_profits,
     _sinusoid_coefficients,
     _torus_sweep,
@@ -638,3 +640,135 @@ def test_torus_families_cover_grid_assignments(rng, n, s):
         circ = CirculationInstance(2, n, s, row)
         family = supports_from_circulation(circ, solve_max_profit(circ))
         assert family in families or family[::-1] in families
+
+
+def _circular_gap(x, y):
+    gap = np.abs(x - y) % np.pi
+    return np.minimum(gap, np.pi - gap)
+
+
+def _transversal_crossings(a, b, c, radius_2, pair):
+    """The crossings of one pair of curves that are transversal and not at
+    phi1 or phi2 = pi/2, or None when the pair leaves a second angle
+    unknown (proportional parts)."""
+    phi1, phi2 = _pair_crossings(a[pair], b[pair], c[pair], radius_2[pair])
+    unknown = np.isnan(phi2)
+    if np.any(unknown & (phi1 != np.pi / 2.0)):
+        return None
+    points = np.column_stack([phi1, phi2])[~unknown]
+    # Gradients of both curves at each point, against the curves' scale:
+    # tangencies and singular points (a hub curve's diagonal meets its
+    # reflected line) are roots the eigensolver scatters.
+    d1 = 2.0 * (b[pair, :1] * np.cos(2.0 * points[:, 0]) - a[pair, :1] * np.sin(2.0 * points[:, 0]))
+    d2 = 2.0 * (b[pair, 1:] * np.cos(2.0 * points[:, 1]) - a[pair, 1:] * np.sin(2.0 * points[:, 1]))
+    reach = np.hypot(a[pair], b[pair]).sum(axis=1) + np.abs(c[pair])
+    cross = np.abs(d1[0] * d2[1] - d1[1] * d2[0]) / (reach[0] * reach[1])
+    # A crossing at phi1 = pi/2 is the returned pi/2 with no second angle.
+    off_axis = np.all(_circular_gap(points, np.pi / 2.0) > 1e-9, axis=1)
+    return points[(cross > 1e-3) & off_axis]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-16])
+@pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_crossings_of_swapped_pairs_are_mirrored(rng, n, integer, scale):
+    # The sweep solves one of each two pairs that swap into each other and
+    # reads the other's crossings as the mirrors (phi2, phi1) of its own.
+    factor = _torus_factor(rng, n, integer)
+    inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
+    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    a, b, c = _sinusoid_coefficients(normals, 2)
+    reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
+    flips = reach - 2.0 * np.abs(c) > 1e-12 * reach  # the curves the sweep pairs
+    a, b, c, normals = a[flips], b[flips], c[flips], normals[flips]
+    radius_2 = np.hypot(a[:, 1], b[:, 1])
+    mirror = _block_swap(normals)
+    pairs = np.column_stack(np.triu_indices(len(normals), 1))
+    pairs = pairs[rng.permutation(len(pairs))[:150]]
+    compared = 0
+    for pair in pairs:
+        own = _transversal_crossings(a, b, c, radius_2, pair)
+        swapped = _transversal_crossings(a, b, c, radius_2, mirror[pair])
+        if own is None or swapped is None:
+            continue
+        mirrored = swapped[:, ::-1]
+        assert len(own) == len(mirrored), (pair, own, mirrored)
+        if len(own):
+            gaps = np.maximum(_circular_gap(own[:, None, 0], mirrored[None, :, 0]),
+                              _circular_gap(own[:, None, 1], mirrored[None, :, 1]))
+            assert gaps.min(axis=1).max() < 1e-5 and gaps.min(axis=0).max() < 1e-5
+        compared += len(own)
+    assert compared > 0 or (integer and n == 2)
+
+
+def test_block_swap_needs_a_partner_for_every_curve():
+    # Swapping the components swaps the two 3-coordinate blocks of a normal:
+    # the first two normals swap into each other and the third into its
+    # negation.  Without the second, the first has no partner and the half
+    # sweep would miss the mirrors of its regions.
+    normals = np.array([[1.0, 0.0, -1.0, 2.0, 1.0, 0.0],
+                        [2.0, 1.0, 0.0, 1.0, 0.0, -1.0],
+                        [1.0, 0.0, -1.0, -1.0, 0.0, 1.0]])
+    assert _block_swap(normals).tolist() == [1, 0, 2]
+    with pytest.raises(CertificateFailed):
+        _block_swap(normals[[0, 2]])
+
+
+@pytest.mark.parametrize("draw,point", [
+    (1, (2.88932318, 3.1408281)),
+    (9, (2.42217461, 3.14059611)),
+    (46, (1.40739981, 3.14066344)),
+])
+def test_torus_witnesses_keep_regions_beside_the_wrap(draw, point):
+    # Regions beside phi2 -> pi == 0 (relative margins 5.6e-5 to 8.1e-4 at
+    # these points) cross the wrap: the sweep finds them through the
+    # mirrors of witnesses near phi1 = 0, as slab events are cut only in
+    # the half phi1 <= phi2.
+    rng = np.random.default_rng(7)
+    for _ in range(draw):
+        factor = rng.standard_normal((3, 2))
+    inst = _instance(symmetrize(factor @ factor.T), 2, 1)
+    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+
+    def signs(phis):
+        cos, sin = np.cos(phis), np.sin(phis)
+        lifted = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
+        return {row.tobytes() for row in (lifted @ normals.T) > 0.0}
+
+    witnesses = _torus_sweep(normals)[0]
+    assert signs(np.array([point])) <= signs(np.vstack([witnesses, witnesses[:, ::-1]]))
+
+
+@pytest.mark.parametrize("n,draws", [(3, 6), (4, 2)])
+def test_generic_torus_drops_no_witness(rng, n, draws):
+    # An arc no wider than the witness margin beside a root cannot clear it
+    # and is not keyed, so on generic factors every key finds its witness.
+    for _ in range(draws):
+        factor = rng.standard_normal((n, 2))
+        solution = solve_spca_ds(_instance(symmetrize(factor @ factor.T), 2, 1))
+        assert solution.diagnostics.sweep_lines > 0
+        assert solution.diagnostics.dropped_witnesses == 0
+
+
+@pytest.mark.parametrize("n,integer,draws", [(3, False, 8), (3, True, 8), (4, False, 2)])
+def test_half_slab_events_find_the_regions_of_every_event(monkeypatch, rng, n, integer, draws):
+    # Cutting slabs only at the events of the half phi1 <= phi2 (and the
+    # mirrors of the others), with one quartic per swapped pair of pairs,
+    # finds the regions that cutting at every crossing and tangent finds.
+    def region_signs(normals):
+        witnesses = _torus_sweep(normals)[0]
+        phis = np.vstack([witnesses, witnesses[:, ::-1]])
+        cos, sin = np.cos(phis), np.sin(phis)
+        lifted = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(phis), -1)
+        return {row.tobytes() for row in (lifted @ normals.T) > 0.0}
+
+    cases = []
+    for _ in range(draws):
+        factor = _torus_factor(rng, n, integer)
+        inst = _instance(symmetrize(factor @ factor.T), 2, 1)
+        normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+        cases.append((normals, region_signs(normals)))
+    monkeypatch.setattr(spca_ds_module, "_in_half", lambda phi1, phi2: np.ones(np.shape(phi1), bool))
+    monkeypatch.setattr(spca_ds_module, "_block_swap", lambda normals: np.arange(len(normals)))
+    for normals, half in cases:
+        assert half == region_signs(normals)
