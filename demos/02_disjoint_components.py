@@ -25,7 +25,8 @@ for i in range(d):
 
 diag = solution.diagnostics
 print(
-    f"\n{diag.circuits_enumerated} circuits -> {diag.hyperplanes} hyperplanes; "
+    f"\n{diag.circuits_enumerated} circuits, {diag.circuits_pruned} of which cannot bound "
+    f"an optimal family -> {diag.hyperplanes} hyperplanes; "
     f"{diag.cells_enumerated} sign regions, {diag.circulation_solves} circulation "
     f"solves, {diag.candidates_evaluated} distinct candidate families"
 )

@@ -219,9 +219,11 @@ def optimal_at_profits(
     instance: CirculationInstance, f: Circulation, profit_rows, table
 ) -> np.ndarray:
     """Mask of the profit rows (m, d, n) at which f is optimal: no residual
-    circuit of f in ``table`` (which may omit circuits of zero profit) gains
-    more than the 1e-15 slack of `is_optimal`, scaled as there by the row's
-    largest |profit| if below one."""
+    circuit of f in ``table`` gains more than the 1e-15 slack of
+    `is_optimal`, scaled as there by the row's largest |profit| if below
+    one.  ``table`` may omit circuits of zero profit and, for a maximum
+    flow f at positive profits, circuits through one t -> u arc and one
+    w -> t arc: those change the flow's value and cannot gain there."""
     check_circulation(instance, f)
     profits = np.asarray(profit_rows, dtype=float).reshape(-1, instance.d * instance.n)
     slack = 1e-15 * np.minimum(1.0, np.abs(profits).max(axis=1, initial=0.0))

@@ -116,6 +116,7 @@ def _spca_ds_document(solution, n: int, d: int, s: int) -> dict:
             "extended_dim": diag.extended_dim,
             "candidates": diag.candidates_evaluated,
             "circuits": diag.circuits_enumerated,
+            "circuits_pruned": diag.circuits_pruned,
             "circulation_solves": diag.circulation_solves,
             "facet_lps": diag.facet_lps,
             "hyperplanes": diag.hyperplanes,

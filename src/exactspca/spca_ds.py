@@ -14,8 +14,12 @@ on the squared row norms is the only region.  Rank two with d = 2 cuts the
 regions of the circuit hyperplanes in closed form on the torus of block
 angles, sweeping lines whose arc signs are read by toggling curve bits at
 the sorted roots over the half phi1 <= phi2 only (swapping the components
-mirrors the rest), and solves one circulation per family.  Every other shape
-walks the families' optimality cones across the clipped chart of the slice.
+mirrors the rest), and solves one circulation per family.  There every arc
+profit is a square, so every optimal flow is a maximum flow, and only the
+circuits that can bound an optimal family are cut (`_separating_circuits`).
+Every other shape walks the families' optimality cones across the clipped
+chart of the slice, with every circuit: the chart's sleeve holds points
+that no unit vectors realize, where profits can be negative.
 
 Circulations may leave a component's support empty, while a unit-norm
 loading vector needs a nonempty one: `_complete_family` fills it without
@@ -99,8 +103,9 @@ class CircuitHyperplanes:
     arc_coeffs: np.ndarray  # (d * n, dim); row i*n+j is the (u_i, w_j) functional
     table: np.ndarray  # `circuit_table` of the circuits with a nonzero functional
     extended_dim: int
-    circuits_enumerated: int
+    circuits_enumerated: int  # every circuit of the shape
     degenerate_circuits: int
+    circuits_pruned: int = 0  # circuits of the shape left out by the selection
 
 
 @lru_cache(maxsize=64)
@@ -112,7 +117,38 @@ def _shape_circuit_table(d: int, n: int) -> np.ndarray:
     return table
 
 
-def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
+@lru_cache(maxsize=64)
+def _separating_circuits(d: int, n: int, s: int) -> np.ndarray:
+    """Mask of the rows of `_shape_circuit_table` that can bound a family
+    optimal at profits >= 0, as on the realizable set.
+
+    At profits > 0 every optimal flow is a maximum flow: one that is not
+    has a free slot and an unused feature, and t -> u_i -> w_j -> t gains
+    p_ij.  A circuit through the hub uses two hub arcs.  One through a
+    component arc and a feature arc changes the flow's value, so at an
+    optimal flow its residual direction lowers the value and gains < 0:
+    it is dropped, unless it is a single arc, whose plane p_ij = 0 keeps
+    witnesses off the touch curves.  Circuits missing the hub and those
+    through two component arcs keep the value and are kept.  Those through
+    two feature arcs swap an unused feature in, and are kept only when
+    n > d * s: otherwise every feature is used.  A flow optimal among the
+    maximum flows, at profits > 0, is optimal, so the kept circuits decide
+    optimality there.  (A feature with a zero factor row has zero profit
+    everywhere; no optimal flow needs it, and the argument holds without
+    it.)  The selection is closed under permuting the components.  Cached,
+    so read-only.
+    """
+    table = _shape_circuit_table(d, n)
+    component_arcs = np.count_nonzero(table[:, d * n : d * n + d], axis=1)
+    feature_arcs = np.count_nonzero(table[:, d * n + d :], axis=1)
+    single_arc = np.count_nonzero(table[:, : d * n], axis=1) == 1
+    keep = (component_arcs != 1) & ((feature_arcs == 0) | (n > d * s)) | single_arc
+    keep.flags.writeable = False
+    return keep
+
+
+def build_circuit_hyperplanes(instance: SpcaDsInstance,
+                              selection: np.ndarray | None = None) -> CircuitHyperplanes:
     """One hyperplane per circuit with a nonzero profit functional.
 
     The circuit functionals are one product of the signed circuit table and
@@ -120,6 +156,9 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     coordinate sums at most two signed terms.  Functionals that cancel
     exactly (duplicate rows) cut nothing and gain nowhere, so they leave the
     table.  Proportional normals cut the same cells and are deduplicated.
+    ``selection``, a mask over the rows of the shape's circuit table (the
+    solver's torus passes `_separating_circuits`), keeps only those circuits;
+    ``circuits_enumerated`` still counts every circuit of the shape.
     """
     d, n, r = instance.d, instance.n, instance.rank
     if r == 0:
@@ -133,6 +172,9 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
     arc_coeffs[np.arange(d), :, np.arange(d)] = rows
     arc_coeffs = arc_coeffs.reshape(d * n, basis.dim)
     table = _shape_circuit_table(d, n)
+    total = table.shape[0]
+    if selection is not None:
+        table = table[selection]
     functionals = table[:, : d * n] @ arc_coeffs
     live = np.any(functionals, axis=1)
     return CircuitHyperplanes(
@@ -140,8 +182,9 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance) -> CircuitHyperplanes:
         arc_coeffs=arc_coeffs,
         table=table[live],
         extended_dim=basis.dim,
-        circuits_enumerated=live.size,
+        circuits_enumerated=total,
         degenerate_circuits=int(live.size - live.sum()),
+        circuits_pruned=total - live.size,
     )
 
 
@@ -251,7 +294,11 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
     the push is halved.  After `_PUSH_HALVINGS`, or a failed LP, the walk
     raises `CertificateFailed`.  The sleeve is convex, so every cone meeting
     it is reached, and with them a family optimal at every realizable point
-    (reverse search, Avis and Fukuda 1996).  Adds the assignments' time to
+    (reverse search, Avis and Fukuda 1996).  ``planes`` must hold every
+    circuit of the shape: the sleeve holds points that no unit vectors
+    realize, where arc profits can be negative, an optimal flow need not be
+    a maximum flow, and the circuits that `_separating_circuits` leaves out
+    can bound a cone.  Adds the assignments' time to
     ``stage_ms["circulations"]``.
     """
     d, n, s, r = instance.d, instance.n, instance.s, instance.rank
@@ -741,6 +788,7 @@ class SpcaDsDiagnostics:
     stage_ms: dict
     hyperplanes: int = 0
     circuits_enumerated: int = 0
+    circuits_pruned: int = 0  # torus circuits that cannot bound an optimal family
     degenerate_circuits: int = 0
     sweep_lines: int = 0  # slab lines of the rank-2, d = 2 torus sweep
     dropped_witnesses: int = 0  # torus sign keys with no arc clear of the margin
@@ -836,7 +884,10 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     with two components cuts its regions in closed form on the half
     phi1 <= phi2 of the torus and solves one circulation per family,
     covering the regions where none of its residual circuits gains; the
-    other half's families are the mirrored ones.  Every other shape walks
+    other half's families are the mirrored ones.  Its arc profits are
+    squares, so it cuts and covers with only the circuits that can bound an
+    optimal family (`_separating_circuits`; the diagnostics count the rest
+    in ``circuits_pruned``).  Every other shape walks
     the families' optimality cones across the chart (`_walk_families`): its
     work grows with the families and their residual circuits, not with the
     regions.
@@ -850,10 +901,14 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     tick = time.perf_counter()
     counts = {}
     if r >= 2:
-        planes = build_circuit_hyperplanes(instance)
+        # Realizable profits are >= 0, so the torus cuts only the circuits
+        # that can bound an optimal family; the walk's sleeve is not realizable.
+        planes = build_circuit_hyperplanes(
+            instance, _separating_circuits(d, n, s) if (r, d) == (2, 2) else None)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
         counts.update(circuits_enumerated=planes.circuits_enumerated,
+                      circuits_pruned=planes.circuits_pruned,
                       degenerate_circuits=planes.degenerate_circuits,
                       hyperplanes=len(planes.hyperplanes))
     if r <= 1 or (r, d) == (2, 2):

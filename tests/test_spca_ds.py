@@ -8,6 +8,7 @@ from exactspca.circulation import (
     enumerate_undirected_circuits,
     is_optimal,
     optimal_at_profits,
+    residual_circuits,
     solve_max_profit,
     supports_from_circulation,
 )
@@ -19,9 +20,12 @@ from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
     _block_swap,
+    _circle_solutions,
     _families_by_covering,
     _pair_crossings,
     _region_profits,
+    _separating_circuits,
+    _shape_circuit_table,
     _sinusoid_coefficients,
     _torus_sweep,
     _walk_families,
@@ -439,6 +443,9 @@ class TestSolveSpcaDs:
         solution = solve_spca_ds(_instance(kmatrix, 2, 1))
         diag = solution.diagnostics
         assert diag.circuits_enumerated == 78
+        # n = 4 > d * s: the torus leaves out the 24 circuits t-u-w-u-w-t,
+        # which change the flow's value; the single arcs stay as touch cuts.
+        assert diag.circuits_pruned == 24
         # One solve per family; the other regions are certified in batch.
         assert 1 <= diag.candidates_evaluated <= diag.circulation_solves < diag.cells_enumerated
         assert set(diag.stage_ms) >= {"regions", "circulations"}
@@ -623,7 +630,24 @@ def test_torus_families_cover_grid_assignments(rng, n, s):
     # support order or the other.
     factor = rng.standard_normal((n, 2))
     inst = _instance(symmetrize(factor @ factor.T), 2, s)
-    planes = build_circuit_hyperplanes(inst)
+    _assert_cover_holds_grid_assignments(inst, build_circuit_hyperplanes(inst))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_separating_circuits_cover_grid_assignments(rng, n, s):
+    # As above, on the planes the solver builds: the torus cuts and covers
+    # with the circuits that can bound an optimal family only, and the grid
+    # points need only clear those curves.
+    factor = rng.standard_normal((n, 2))
+    inst = _instance(symmetrize(factor @ factor.T), 2, s)
+    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n, s))
+    assert planes.circuits_pruned > 0
+    _assert_cover_holds_grid_assignments(inst, planes)
+
+
+def _assert_cover_holds_grid_assignments(inst, planes):
+    n, s = inst.n, inst.s
     families, _ = _families_by_covering(_region_profits(inst, planes)[0], s, planes.table)
     normals = np.array([h.normal for h in planes.hyperplanes])
     a, b, c = _sinusoid_coefficients(normals, 2)
@@ -772,3 +796,80 @@ def test_half_slab_events_find_the_regions_of_every_event(monkeypatch, rng, n, i
     monkeypatch.setattr(spca_ds_module, "_block_swap", lambda normals: np.arange(len(normals)))
     for normals, half in cases:
         assert half == region_signs(normals)
+
+
+@pytest.mark.parametrize("d,n,s,kept", [(2, 4, 1, 54), (2, 4, 2, 18)])
+def test_separating_circuits_counts(d, n, s, kept):
+    # At n > d * s the 24 circuits t-u-w-u-w-t are left out; at n = d * s
+    # also the 36 that swap an unused feature in.
+    selection = _separating_circuits(d, n, s)
+    assert selection.size == len(enumerate_undirected_circuits(d, n)) == 78
+    assert np.count_nonzero(selection) == kept
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_separating_circuits_closed_under_swapping_components(n, s):
+    # The half sweep mirrors the kept circuits: swapping u_0 and u_1 maps
+    # the kept rows of the table onto themselves, up to traversal sign.
+    table = _shape_circuit_table(2, n)
+    keep = _separating_circuits(2, n, s)
+    swapped = table[:, : 2 * n].reshape(-1, 2, n)[:, ::-1].reshape(-1, 2 * n)
+    rows = {row.tobytes() for row in table[keep, : 2 * n]}
+    for row in swapped[keep]:
+        assert row.tobytes() in rows or (-row + 0.0).tobytes() in rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dropped_circuits_never_gain_at_optimal_flows(rng, n):
+    # The lemma behind the pruned torus, without the sweep: at a torus point
+    # every arc profit (R_j . y_i)^2 is positive, and for the flow optimal
+    # there each circuit left out is not residual, or gains strictly less
+    # than zero in its residual direction.  Random points, and points on
+    # each dropped circuit's own curve, where it gains zero both ways and so
+    # must not be residual at all.
+    for s in (1, 2, 3):
+        dropped = np.asarray(_shape_circuit_table(2, n))[~_separating_circuits(2, n, s)]
+        for _ in range(2):
+            inst = _instance(random_low_rank_psd(rng, n, 2), 2, s)
+            factor, arc_coeffs = inst.factor.factor, build_circuit_hyperplanes(inst).arc_coeffs
+            a, b, c = _sinusoid_coefficients(dropped[:, : 2 * n] @ arc_coeffs, 2)
+            # Draw one angle and solve each curve for the other, the one it
+            # depends on more (a circuit on one component has no other).
+            solved = np.argmax(np.hypot(a, b), axis=1)
+            rows = np.arange(len(dropped))
+            drawn = rng.uniform(0.0, np.pi, size=len(dropped))
+            level = -(a[rows, 1 - solved] * np.cos(2.0 * drawn)
+                      + b[rows, 1 - solved] * np.sin(2.0 * drawn) + c)
+            on_curves = [np.where(solved[:, None] == 1, np.column_stack([drawn, root]),
+                                  np.column_stack([root, drawn]))
+                         for root in _circle_solutions(a[rows, solved], b[rows, solved], level)]
+            phis = np.vstack([rng.uniform(0.0, np.pi, size=(20, 2))] + on_curves)
+            phis = phis[~np.isnan(phis).any(axis=1)]
+            assert len(phis) > 20
+            y = np.stack([np.cos(phis), np.sin(phis)], axis=1)  # (points, 2, d)
+            for profits in np.swapaxes((factor @ y) ** 2, 1, 2):
+                circ = CirculationInstance(2, n, s, profits)
+                flow = solve_max_profit(circ)
+                gains = residual_circuits(circ, flow, dropped) @ profits.ravel()
+                assert np.all(gains < -1e-9 * profits.max())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pruned_torus_matches_oracle(n, s):
+    # Each regime: n < d * s (some slot stays free), n = d * s and n > d * s
+    # (some feature stays unused).  Gaussian factors, integer factors with
+    # R_1 = -R_0, which tie features exactly, a zero row, whose feature has
+    # zero profit everywhere, and their 1e-16 copies.
+    rng = np.random.default_rng(100 * n + s)
+    factors = [_torus_factor(rng, n, integer) for integer in (False, True, False, True)]
+    factors.append(rng.standard_normal((n, 2)) * (np.arange(n) > 0)[:, None])
+    for factor in factors:
+        for scale in (1.0, 1e-16):
+            kmatrix = scale * symmetrize(factor @ factor.T)
+            solution = solve_spca_ds(_instance(kmatrix, 2, s))
+            assert solution.diagnostics.circuits_pruned > 0
+            assert solution.objective == pytest.approx(
+                brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-9, abs=0.0
+            )
