@@ -5,12 +5,13 @@ closed form; the enumerator reproduces it exactly and hands back a strictly
 interior witness point per cell.  In R^3, as here, the cells themselves come
 in closed form: each plane's sectors, cut by the other planes, are pushed off
 the plane to both sides.  ``witness_for_signs`` decides one sign vector by a
-linear program instead.
+linear program instead.  These enumerators are the references the tests
+hold the solvers to; no solve calls them.
 """
 
 import numpy as np
 
-from exactspca import (
+from exactspca.reference import (
     Hyperplane,
     enumerate_cells,
     expected_generic_cell_count,

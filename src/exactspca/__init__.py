@@ -7,18 +7,12 @@ components with pairwise disjoint supports of size at most s).  Both solvers
 enumerate a provably sufficient family of candidate supports from sign
 regions of lifted quadratic profits, then score each candidate with small
 dense eigensolves.  Brute-force reference solvers certify everything at desk
-scale.
+scale (`exactspca.oracle`); the cell enumerators and lifted functionals that
+the tests hold the solvers to are in `exactspca.reference`, which no solve
+calls and the top level does not export.
 """
 
-from .arrangement import (
-    Cell,
-    Hyperplane,
-    dedup_hyperplanes,
-    enumerate_affine_cells,
-    enumerate_cells,
-    expected_generic_cell_count,
-    witness_for_signs,
-)
+from .arrangement import dedup_hyperplanes
 from .circulation import (
     Circulation,
     CirculationInstance,
@@ -49,13 +43,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .extension import (
-    ExtendedFunctional,
-    MonomialBasis,
-    build_arc_functional,
-    build_circuit_functional,
-    build_row_functional,
-)
+from .extension import MonomialBasis
 from .linalg import (
     EigenResult,
     PsdFactor,
@@ -75,7 +63,6 @@ from .spca import (
     CandidateSupports,
     SpcaInstance,
     SpcaSolution,
-    candidate_support_from_point,
     enumerate_candidate_supports,
     solve_spca,
 )
@@ -84,7 +71,6 @@ from .spca_ds import (
     SpcaDsInstance,
     SpcaDsSolution,
     build_circuit_hyperplanes,
-    candidate_supports_from_cell,
     solve_spca_ds,
 )
 
@@ -93,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetryTooLarge",
     "CandidateSupports",
-    "Cell",
     "CertificateFailed",
     "Circulation",
     "CirculationInstance",
@@ -102,8 +87,6 @@ __all__ = [
     "DimensionMismatch",
     "EigenResult",
     "ExactSpcaError",
-    "ExtendedFunctional",
-    "Hyperplane",
     "InfeasibleFlow",
     "InvalidCircuit",
     "InvalidParameters",
@@ -127,20 +110,12 @@ __all__ = [
     "brute_force_max_profit",
     "brute_force_spca",
     "brute_force_spca_ds",
-    "build_arc_functional",
-    "build_circuit_functional",
     "build_circuit_hyperplanes",
-    "build_row_functional",
-    "candidate_support_from_point",
-    "candidate_supports_from_cell",
     "check_circulation",
     "circuit_profit",
     "dedup_hyperplanes",
-    "enumerate_affine_cells",
     "enumerate_candidate_supports",
-    "enumerate_cells",
     "enumerate_undirected_circuits",
-    "expected_generic_cell_count",
     "is_optimal",
     "pivoted_cholesky",
     "solve_max_profit",
@@ -150,6 +125,5 @@ __all__ = [
     "supports_from_circulation",
     "symmetric_eig",
     "symmetrize",
-    "witness_for_signs",
     "zero_circulation",
 ]

@@ -192,24 +192,22 @@ def _certificate_from_cycle(arcs, cycle) -> ResidualCircuit:
     )
 
 
-def is_optimal(
-    instance: CirculationInstance,
-    f: Circulation,
-    tol: float = MEAN_PROFIT_TOL,
-) -> tuple[bool, ResidualCircuit | None]:
+def is_optimal(instance: CirculationInstance,
+               f: Circulation) -> tuple[bool, ResidualCircuit | None]:
     """Certify optimality: no residual directed circuit has positive profit.
 
     Returns (True, None) for an optimal circulation, otherwise (False,
     certificate) where the certificate is a positive-profit residual circuit.
-    Both the circuit profit ``tol`` and the 1e-15 relaxation slack of
-    Bellman-Ford scale with the largest |profit| when it is below one, as
-    scaling keeps optimality (Klein 1967): at 1e-16 scale an absolute
-    tolerance would certify any flow.
+    Both the circuit profit tolerance `MEAN_PROFIT_TOL` and the 1e-15
+    relaxation slack of Bellman-Ford scale with the largest |profit| when it
+    is below one, as scaling keeps optimality (Klein 1967): at 1e-16 scale
+    an absolute tolerance would certify any flow.
     """
     check_circulation(instance, f)
     arcs = _residual_arcs(instance, f)
     scale = min(1.0, float(np.abs(instance.profits).max()))
-    cycle = _positive_cycle_bellman_ford(instance.num_vertices, arcs, tol * scale, 1e-15 * scale)
+    cycle = _positive_cycle_bellman_ford(instance.num_vertices, arcs,
+                                         MEAN_PROFIT_TOL * scale, 1e-15 * scale)
     if cycle is None:
         return True, None
     return False, _certificate_from_cycle(arcs, cycle)
@@ -235,10 +233,7 @@ def optimal_at_profits(
     return optimal
 
 
-def solve_max_profit(
-    instance: CirculationInstance,
-    tol: float = MEAN_PROFIT_TOL,
-) -> Circulation:
+def solve_max_profit(instance: CirculationInstance) -> Circulation:
     """Maximum-profit integer circulation, solved as one assignment.
 
     Feature j is a row; each component owns min(s, n) slot columns carrying
@@ -254,7 +249,7 @@ def solve_max_profit(
     taken = (cols < d * slots) & (gain[rows, cols] > 0.0)
     a0[cols[taken] // slots, rows[taken]] = 1
     f = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
-    optimal, certificate = is_optimal(instance, f, tol)
+    optimal, certificate = is_optimal(instance, f)
     if not optimal:
         raise CertificateFailed(
             f"assignment flow failed its optimality certificate: {certificate}"

@@ -69,8 +69,12 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     The pivot is always the largest remaining diagonal entry; elimination
     stops once it drops to ``tol_rank`` times the initial largest diagonal,
     which defines the numerical rank.  A pivot below the mirrored negative
-    threshold raises `NotPositiveSemidefinite`.
+    threshold raises `NotPositiveSemidefinite`.  ``tol_rank`` must lie in
+    [0, 1): at 1 or above no pivot survives, and a negative or NaN one
+    misreads a PSD matrix; others raise `InvalidParameters`.
     """
+    if not 0.0 <= tol_rank < 1.0:
+        raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
     a = as_symmetric(kmatrix).copy()
     n = a.shape[0]
     base = max(float(np.max(np.diagonal(a))), 0.0)

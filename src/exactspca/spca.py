@@ -54,10 +54,8 @@ from typing import Iterator
 
 import numpy as np
 
-# The vertex read replaces the cuts through these; the benchmark's tracer wraps them.
-from .arrangement import dedup_hyperplanes, enumerate_cells  # noqa: F401
 from .errors import InvalidParameters, TooLarge
-from .extension import MonomialBasis, build_row_functional  # noqa: F401
+from .extension import MonomialBasis
 from .linalg import (
     DEFAULT_RANK_TOL,
     PsdFactor,
@@ -67,6 +65,9 @@ from .linalg import (
     symmetrize,
     top_eigenvalue_sums,
 )
+# No solve calls these; perfbench/tracing.py binds them under these names.
+from .arrangement import dedup_hyperplanes  # noqa: F401
+from .reference import build_row_functional, enumerate_cells  # noqa: F401
 
 _SCORE_CHUNK = 1024  # candidate Gram matrices per batched LAPACK call
 _VERTEX_BLOCK = 1024  # vertices (or generated supports) read at once
@@ -126,20 +127,6 @@ def _index_masks(subsets: np.ndarray, n: int) -> np.ndarray:
     masks = np.zeros((len(subsets), n), dtype=bool)
     masks[np.arange(len(subsets))[:, None], subsets] = True
     return masks
-
-
-def _top_sets(values: np.ndarray, s: int) -> np.ndarray:
-    """The s largest entries of each row as sorted indices, ties to the smaller."""
-    return np.nonzero(_top_masks(values, s))[1].reshape(-1, s)
-
-
-def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
-    """The s indices with the largest functional values at ``point``.
-
-    Ties go to the smaller index, so the result is deterministic even on
-    degenerate inputs.
-    """
-    return tuple(_top_sets(np.array([[f(point) for f in functionals]]), s)[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
-from .arrangement import (
-    MIN_MARGIN,
-    Cell,
-    Hyperplane,
-    dedup_hyperplanes,
-    distinct_sign_rows,
-)
-# The walk replaces the chart cut through this; the benchmark's tracer wraps it.
-from .arrangement import enumerate_affine_cells  # noqa: F401
+from .arrangement import MIN_MARGIN, dedup_hyperplanes, distinct_sign_rows
 from .circulation import (
     CirculationInstance,
     circuit_table,
@@ -55,10 +47,12 @@ from .circulation import (
     supports_from_circulation,
 )
 from .errors import CertificateFailed, InvalidParameters
-# The table reproduces these builders; the benchmark's tracer wraps them.
-from .extension import MonomialBasis, build_arc_functional, build_circuit_functional
+from .extension import MonomialBasis
 from .linalg import (DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca,
                      symmetrize, top_eigenvalue_sums)
+# No solve calls these; perfbench/tracing.py binds them under these names.
+from .reference import (build_arc_functional, build_circuit_functional,  # noqa: F401
+                        enumerate_affine_cells)
 from .spca import SpcaInstance, solve_spca
 
 
@@ -99,7 +93,7 @@ class SpcaDsInstance:
 class CircuitHyperplanes:
     """Arrangement input for an instance: arc functionals and circuit planes."""
 
-    hyperplanes: tuple[Hyperplane, ...]
+    hyperplanes: np.ndarray  # (m, dim) unit normals of `dedup_hyperplanes`
     arc_coeffs: np.ndarray  # (d * n, dim); row i*n+j is the (u_i, w_j) functional
     table: np.ndarray  # `circuit_table` of the circuits with a nonzero functional
     extended_dim: int
@@ -152,8 +146,8 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance,
     """One hyperplane per circuit with a nonzero profit functional.
 
     The circuit functionals are one product of the signed circuit table and
-    the arc functionals, equal to `build_circuit_functional` bit for bit: a
-    coordinate sums at most two signed terms.  Functionals that cancel
+    the arc functionals, equal to `reference.build_circuit_functional` bit for
+    bit: a coordinate sums at most two signed terms.  Functionals that cancel
     exactly (duplicate rows) cut nothing and gain nowhere, so they leave the
     table.  Proportional normals cut the same cells and are deduplicated.
     ``selection``, a mask over the rows of the shape's circuit table (the
@@ -163,8 +157,9 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance,
     d, n, r = instance.d, instance.n, instance.rank
     if r == 0:
         return CircuitHyperplanes(
-            hyperplanes=(), arc_coeffs=np.zeros((d * n, 0)), table=circuit_table([], d, n),
-            extended_dim=0, circuits_enumerated=0, degenerate_circuits=0,
+            hyperplanes=np.zeros((0, 0)), arc_coeffs=np.zeros((d * n, 0)),
+            table=circuit_table([], d, n), extended_dim=0, circuits_enumerated=0,
+            degenerate_circuits=0,
         )
     basis = MonomialBasis(r, d)
     arc_coeffs = np.zeros((d, n, d, basis.block))
@@ -178,7 +173,7 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance,
     functionals = table[:, : d * n] @ arc_coeffs
     live = np.any(functionals, axis=1)
     return CircuitHyperplanes(
-        hyperplanes=tuple(dedup_hyperplanes(functionals[live], basis.dim)),
+        hyperplanes=dedup_hyperplanes(functionals[live], basis.dim),
         arc_coeffs=arc_coeffs,
         table=table[live],
         extended_dim=basis.dim,
@@ -334,8 +329,7 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
         gains = residual_circuits(circ, flow, planes.table) @ affine.reshape(d * n, m + 1)
         # Gains constant on the chart (duplicate features) cut nothing.
         gains = gains[np.linalg.norm(gains[:, :m], axis=1) > 1e-12 * np.abs(gains[:, m])]
-        gains = np.array([h.normal for h in dedup_hyperplanes(gains, m + 1, tol=1e-12)]
-                         ).reshape(-1, m + 1)
+        gains = dedup_hyperplanes(gains, m + 1, tol=1e-12)
         gains /= np.linalg.norm(gains[:, :m], axis=1, keepdims=True)
         # Rows -sleeve . (t, 1) + mu <= 0 and gain . (t, 1) + mu <= 0 in (t, mu).
         a_ub = np.vstack([-sleeve, gains])
@@ -729,24 +723,6 @@ def _torus_sweep(normals):
     return points[np.sort(distinct_sign_rows(keys))], lines.size, dropped
 
 
-def candidate_supports_from_cell(
-    instance: SpcaDsInstance,
-    cell: Cell,
-    arc_coeffs: np.ndarray | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """The support family recovered from the cell's optimal circulation.
-
-    Profits are the arc functionals evaluated at the cell's interior witness;
-    because every circuit functional keeps a fixed sign on the cell, the
-    recovered family is optimal for every lifted point inside it.
-    """
-    if arc_coeffs is None:
-        arc_coeffs = build_circuit_hyperplanes(instance).arc_coeffs
-    profits = (arc_coeffs @ cell.witness).reshape(instance.d, instance.n)
-    circ = CirculationInstance(instance.d, instance.n, instance.s, profits)
-    return supports_from_circulation(circ, solve_max_profit(circ))
-
-
 def _complete_family(family, factor: PsdFactor, s: int):
     """Give every empty support one feature without lowering the objective.
 
@@ -844,7 +820,7 @@ def _region_profits(instance: SpcaDsInstance,
     torus meeting phi1 <= phi2, and the counts of the sweep for the
     diagnostics.  A region of the other half is the mirror of one of these,
     and its family is the mirrored family."""
-    normals = np.array([h.normal for h in planes.hyperplanes])
+    normals = planes.hyperplanes
     angles, lines, dropped = _torus_sweep(normals) if normals.size else (np.zeros((1, 2)), 0, 0)
     y = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (m, 2, d)
     return np.swapaxes((instance.factor.factor @ y) ** 2, 1, 2), dict(

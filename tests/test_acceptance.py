@@ -12,11 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from exactspca.arrangement import (
-    Hyperplane,
-    enumerate_cells,
-    expected_generic_cell_count,
-)
 from exactspca.circulation import (
     CirculationInstance,
     enumerate_undirected_circuits,
@@ -29,6 +24,7 @@ from exactspca.oracle import (
     brute_force_spca,
     brute_force_spca_ds,
 )
+from exactspca.reference import Hyperplane, enumerate_cells, expected_generic_cell_count
 from exactspca.spca import SpcaInstance, enumerate_candidate_supports, solve_spca
 from exactspca.spca_ds import SpcaDsInstance, solve_spca_ds
 

@@ -192,6 +192,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("tol_rank", ["2", "inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["solve-spca", "solve-spca-ds", "factor"])
+    def test_unusable_tol_rank(self, tmp_path, capsys, command, tol_rank):
+        # Before the check, 2 and inf solved at rank 0 (objective 0.0 where
+        # the oracle gives 5.2), NaN failed as a zero hyperplane normal and
+        # -1 as an indefinite PSD matrix.
+        factor = np.random.default_rng(0).standard_normal((5, 2))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code = main([command, "--input", path, "--d", "2", "--s", "2", "--tol-rank", tol_rank])
+        assert "tol_rank" in capsys.readouterr().err
+        assert code == 2
+
     def test_input_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         assert main(["solve-spca", "--input", missing, "--d", "1", "--s", "1"]) == 3

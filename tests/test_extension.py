@@ -3,8 +3,8 @@ import pytest
 
 from exactspca.circulation import enumerate_undirected_circuits
 from exactspca.errors import DimensionMismatch, InvalidCircuit
-from exactspca.extension import (
-    MonomialBasis,
+from exactspca.extension import MonomialBasis
+from exactspca.reference import (
     build_arc_functional,
     build_circuit_functional,
     build_row_functional,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exactspca.errors import (
+    InvalidParameters,
     NoConvergence,
     NonFiniteInput,
     NotPositiveSemidefinite,
@@ -74,6 +75,22 @@ class TestPivotedCholesky:
             gap = np.max(np.abs(factor.factor @ factor.factor.T - kmatrix))
             assert gap <= 1e-10 * scale
             assert factor.rank == minor_rank(kmatrix)
+
+    @pytest.mark.parametrize("tol_rank", [2.0, 1.0, np.inf, np.nan, -1.0, -1e-300])
+    def test_unusable_tol_rank_rejected(self, tol_rank):
+        # At 1 or above every pivot stops the elimination (rank 0); a NaN or
+        # negative one misreads a PSD matrix.
+        kmatrix = random_low_rank_psd(np.random.default_rng(0), 5, 2)
+        for build in (pivoted_cholesky,
+                      lambda k, tol: SpcaInstance.build(k, 1, 2, tol),
+                      lambda k, tol: SpcaDsInstance.build(k, 2, 2, tol)):
+            with pytest.raises(InvalidParameters, match="tol_rank"):
+                build(kmatrix, tol_rank)
+
+    @pytest.mark.parametrize("tol_rank", [0.0, 1e-10, 0.5])
+    def test_usable_tol_rank_accepted(self, tol_rank):
+        kmatrix = np.diag([4.0, 1.0, 0.0])
+        assert pivoted_cholesky(kmatrix, tol_rank).rank == (1 if tol_rank >= 0.25 else 2)
 
     def test_columns_ordered_by_pivot(self, rng):
         kmatrix = random_low_rank_psd(rng, 6, 4)

@@ -5,23 +5,29 @@ import numpy as np
 import pytest
 
 import exactspca.spca as spca_module
+from exactspca.arrangement import dedup_hyperplanes
 from exactspca.errors import InvalidParameters, TooLarge
-from exactspca.extension import MonomialBasis, build_row_functional
+from exactspca.extension import MonomialBasis
 from exactspca.linalg import solve_pca, symmetrize
 from exactspca.oracle import brute_force_spca
-from exactspca.spca import (
-    SpcaInstance,
-    _top_sets,
+from exactspca.reference import (
+    build_row_functional,
     candidate_support_from_point,
-    enumerate_candidate_supports,
-    solve_spca,
+    enumerate_cells,
+    expected_generic_cell_count,
 )
+from exactspca.spca import SpcaInstance, _top_masks, enumerate_candidate_supports, solve_spca
 
 from conftest import random_low_rank_psd
 
 
 def _instance(kmatrix, d, s):
     return SpcaInstance.build(kmatrix, d, s)
+
+
+def _top_sets(values, s):
+    """The s largest entries of each row as sorted indices, ties to the smaller."""
+    return np.nonzero(_top_masks(values, s))[1].reshape(-1, s)
 
 
 class TestCandidateFromPoint:
@@ -180,8 +186,6 @@ class TestSolveSpca:
         assert np.all(np.diff(values) >= -1e-10)
 
     def test_candidates_bounded_by_cells(self, rng):
-        from exactspca.arrangement import expected_generic_cell_count
-
         kmatrix = random_low_rank_psd(rng, 6, 2)
         solution = solve_spca(_instance(kmatrix, 2, 3))
         diag = solution.diagnostics
@@ -221,8 +225,6 @@ class TestSolveSpca:
             SpcaInstance.build(kmatrix, 0, 1)  # d < 1
 
     def test_candidates_bounded_by_cells_below_rank(self, rng):
-        from exactspca.arrangement import expected_generic_cell_count
-
         kmatrix = random_low_rank_psd(rng, 6, 3)
         solution = solve_spca(_instance(kmatrix, 2, 3))
         diag = solution.diagnostics
@@ -367,15 +369,10 @@ class TestPaths:
         assert solution.support in report.argmax_supports
 
     @pytest.mark.parametrize("n,r,d", [(9, 4, 1), (11, 4, 3), (7, 3, 2), (4, 2, 1)])
-    def test_braid_cuts_nothing(self, rng, monkeypatch, n, r, d):
+    def test_braid_cuts_nothing(self, rng, n, r, d):
         # By insertion rank 4, d = 1 took 5.6 s at n = 8 and 53 s at n = 9
         # (2-vCPU VM).  With k = n - 1 independent lifted differences the
         # fills of the 2n vertices are every support, generated directly.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the braid must not cut cells")
-
-        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
-        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
         kmatrix = random_low_rank_psd(rng, n, r)
         s = d + 1
         solution = solve_spca(_instance(kmatrix, d, s))
@@ -389,14 +386,9 @@ class TestPaths:
         assert solution.support in report.argmax_supports
 
     @pytest.mark.parametrize("n,s", [(16, 4), (16, 8)])
-    def test_rank4_reach(self, rng, monkeypatch, n, s):
+    def test_rank4_reach(self, rng, n, s):
         # By insertion rank 4, d = 1 did not finish n = 12 in 600 s; the
         # spannogram's C(n, 4) 8 + C(n, 3) vertices are read in blocks.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the vertex read must not cut cells")
-
-        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
-        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
         kmatrix = random_low_rank_psd(rng, n, 4)
         solution = solve_spca(_instance(kmatrix, 1, s))
         diag = solution.diagnostics
@@ -410,8 +402,6 @@ class TestPaths:
         # Insertion parity for d = 1: every top-s set of a cell of the cut
         # spannogram is a vertex candidate, on tied integer factors whose
         # lift (k < n - 1) is not the braid.
-        from exactspca.arrangement import dedup_hyperplanes, enumerate_cells
-
         factor = _factor_for_path(rng, n, r, True)
         inst = _instance(symmetrize(factor @ factor.T), 1, 1)
         rows = inst.factor.factor
@@ -465,12 +455,7 @@ class TestPlaneSectors:
     """Rank 2, d = 1: the sectors between the sorted lines, read in arrays."""
 
     @pytest.mark.parametrize("n", [8, 12, 30])
-    def test_reads_no_arrangement(self, rng, monkeypatch, n):
-        def refuse(*args, **kwargs):
-            raise AssertionError("rank 2, d = 1 must not build hyperplanes or cells")
-
-        monkeypatch.setattr("exactspca.spca.enumerate_cells", refuse)
-        monkeypatch.setattr("exactspca.spca.dedup_hyperplanes", refuse)
+    def test_reads_no_arrangement(self, rng, n):
         kmatrix = random_low_rank_psd(rng, n, 2)
         s = max(2, n // 4)
         inst = _instance(kmatrix, 1, s)
@@ -513,8 +498,6 @@ class TestPlaneSectors:
     def test_parity_with_cut_sectors(self, rng, n):
         # Every top-s set of the cut, deduplicated arrangement is a
         # candidate; near-parallel lines the dedup merged add thin sectors.
-        from exactspca.arrangement import dedup_hyperplanes, enumerate_cells
-
         inst = _instance(random_low_rank_psd(rng, n, 2), 1, 3)
         rows = inst.factor.factor
         cells = enumerate_cells(dedup_hyperplanes(_spannogram_lines(rows), 2), 2)

@@ -13,9 +13,10 @@ from exactspca.circulation import (
     supports_from_circulation,
 )
 from exactspca.errors import CertificateFailed, InvalidParameters
-from exactspca.extension import MonomialBasis, build_arc_functional, build_circuit_functional
+from exactspca.extension import MonomialBasis
 from exactspca.linalg import symmetrize
 from exactspca.oracle import brute_force_spca_ds
+from exactspca.reference import build_arc_functional, build_circuit_functional
 from exactspca.spca import SpcaInstance, solve_spca
 from exactspca.spca_ds import (
     SpcaDsInstance,
@@ -30,7 +31,6 @@ from exactspca.spca_ds import (
     _torus_sweep,
     _walk_families,
     build_circuit_hyperplanes,
-    candidate_supports_from_cell,
     solve_spca_ds,
 )
 
@@ -51,7 +51,7 @@ class TestCircuitHyperplanes:
 
     def test_zero_matrix_empty(self):
         planes = build_circuit_hyperplanes(_instance(np.zeros((3, 3)), 2, 1))
-        assert planes.hyperplanes == ()
+        assert planes.hyperplanes.size == 0
         assert planes.extended_dim == 0
 
     def test_rank_one_two_blocks_dedup(self):
@@ -106,10 +106,7 @@ class TestCircuitHyperplanes:
         if kind == "gaussian":
             assert planes.degenerate_circuits == 0
         np.testing.assert_array_equal(planes.table[:, : d * n] @ planes.arc_coeffs, live)
-        expected = dedup_hyperplanes(live, basis.dim)
-        np.testing.assert_array_equal(
-            [h.normal for h in planes.hyperplanes], [h.normal for h in expected]
-        )
+        np.testing.assert_array_equal(planes.hyperplanes, dedup_hyperplanes(live, basis.dim))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_cover_with_duplicate_features_matches_is_optimal(self, s):
@@ -131,67 +128,6 @@ class TestCircuitHyperplanes:
             np.testing.assert_array_equal(mask, expected)
             covered += int(mask.sum())
         assert 0 < covered < len(profits) * len(range(0, len(profits), 40))
-
-
-class TestCandidateFromCell:
-    def test_negative_profits_empty_family(self, rng):
-        from exactspca.arrangement import Cell
-
-        kmatrix = random_low_rank_psd(rng, 3, 2)
-        inst = _instance(kmatrix, 2, 1)
-        planes = build_circuit_hyperplanes(inst)
-        # A lifted point where every arc profit is negative: flip the sign of
-        # a realizable point.  Arc functionals are nonnegative on lifted
-        # points, so the negated point makes every profit nonpositive.
-        basis_dim = planes.extended_dim
-        y = rng.standard_normal((2, 2))
-        from exactspca.extension import MonomialBasis
-
-        point = -MonomialBasis(2, 2).ext(y)
-        cell = Cell(signs=(), witness=point, margin=1.0)
-        family = candidate_supports_from_cell(inst, cell, planes.arc_coeffs)
-        assert family == ((), ())
-        assert basis_dim == 6
-
-    def test_assignment_example(self, rng):
-        from exactspca.arrangement import Cell
-
-        kmatrix = random_low_rank_psd(rng, 2, 2)
-        inst = _instance(kmatrix, 2, 1)
-        planes = build_circuit_hyperplanes(inst)
-        # Build a synthetic witness whose induced profits are [[9,1],[8,7]]
-        # by solving for a lifted point with those arc values.
-        target = np.array([9.0, 1.0, 8.0, 7.0])
-        point, *_ = np.linalg.lstsq(planes.arc_coeffs, target, rcond=None)
-        if np.allclose(planes.arc_coeffs @ point, target, atol=1e-8):
-            cell = Cell(signs=(), witness=point, margin=1.0)
-            family = candidate_supports_from_cell(inst, cell, planes.arc_coeffs)
-            assert family == ((0,), (1,))
-
-    def test_single_component_matches_spca_ordering(self, rng):
-        from exactspca.arrangement import Cell
-        from exactspca.extension import MonomialBasis
-        from exactspca.spca import candidate_support_from_point
-
-        kmatrix = random_low_rank_psd(rng, 5, 2)
-        inst = _instance(kmatrix, 1, 2)
-        planes = build_circuit_hyperplanes(inst)
-        basis = MonomialBasis(2, 1)
-        y = rng.standard_normal((2, 1))
-        point = basis.ext(y)
-        cell = Cell(signs=(), witness=point, margin=1.0)
-        family = candidate_supports_from_cell(inst, cell, planes.arc_coeffs)
-        values = planes.arc_coeffs @ point
-
-        class Fixed:
-            def __init__(self, v):
-                self.v = v
-
-            def __call__(self, _):
-                return self.v
-
-        top = candidate_support_from_point(None, [Fixed(v) for v in values], 2)
-        assert family[0] == top
 
 
 class TestSolveSpcaDs:
@@ -310,14 +246,10 @@ class TestSolveSpcaDs:
         (2, 3, 4, 1, ("integer", "tiny")),
         (2, 3, 4, 2, ("integer",)),
     ])
-    def test_walk_matches_oracle(self, monkeypatch, r, d, n, s, kinds):
+    def test_walk_matches_oracle(self, r, d, n, s, kinds):
         # Integer factors with R_1 = -R_0 (where n > r leaves the rank at r)
         # tie features exactly, and their 1e-16 copies ("tiny") must walk to
-        # the same optimum.  No solve cuts the chart's affine cells.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the walk cuts no affine cells")
-
-        monkeypatch.setattr(spca_ds_module, "enumerate_affine_cells", refuse)
+        # the same optimum.
         rng = np.random.default_rng(1000 * r + 100 * d + 10 * n + s)
         factors = {}
         for kind in ("gaussian", "integer"):
@@ -369,9 +301,7 @@ class TestSolveSpcaDs:
         kmatrix = random_low_rank_psd(rng, 4, 2)
         inst = _instance(kmatrix, 2, 1)
         planes = build_circuit_hyperplanes(inst)
-        normals = np.array([h.normal for h in planes.hyperplanes])
-        from exactspca.extension import MonomialBasis
-
+        normals = planes.hyperplanes
         basis = MonomialBasis(2, 2)
         y0 = rng.standard_normal((2, 2))
         y0 /= np.linalg.norm(y0, axis=0, keepdims=True)
@@ -508,9 +438,7 @@ class TestTorusWitnesses:
     def test_witnesses_strictly_interior_with_distinct_keys(self, rng, d, n):
         for _ in range(3):
             inst = _instance(random_low_rank_psd(rng, n, 2), d, 1)
-            normals = np.array(
-                [h.normal for h in build_circuit_hyperplanes(inst).hyperplanes]
-            )
+            normals = build_circuit_hyperplanes(inst).hyperplanes
             a, b, c = _sinusoid_coefficients(normals, d)
             scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
             keys = set()
@@ -550,7 +478,7 @@ def test_torus_witnesses_cover_grid_regions(rng, n, integer):
 
     for k_scale in (1.0, 1e-16):
         inst = _instance(k_scale * symmetrize(factor @ factor.T), 2, 1)
-        normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+        normals = build_circuit_hyperplanes(inst).hyperplanes
         a, b, c = _sinusoid_coefficients(normals, 2)
         scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
         witnesses = _torus_sweep(normals)[0]
@@ -582,7 +510,7 @@ def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, po
     for _ in range(draw):
         factor = rng.standard_normal((n, 2))
     inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
-    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    normals = build_circuit_hyperplanes(inst).hyperplanes
 
     def signs(phis):
         cos, sin = np.cos(phis), np.sin(phis)
@@ -615,7 +543,7 @@ def test_torus_normals_closed_under_block_swap(rng, n, integer, scale):
     # normal onto a normal of the set, up to sign.
     factor = _torus_factor(rng, n, integer)
     inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
-    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    normals = build_circuit_hyperplanes(inst).hyperplanes
     units = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     swapped = np.hstack([units[:, 3:], units[:, :3]])
     cosines = np.abs(swapped @ units.T)
@@ -649,7 +577,7 @@ def test_separating_circuits_cover_grid_assignments(rng, n, s):
 def _assert_cover_holds_grid_assignments(inst, planes):
     n, s = inst.n, inst.s
     families, _ = _families_by_covering(_region_profits(inst, planes)[0], s, planes.table)
-    normals = np.array([h.normal for h in planes.hyperplanes])
+    normals = planes.hyperplanes
     a, b, c = _sinusoid_coefficients(normals, 2)
     scale = np.hypot(a, b).sum(axis=1) + np.abs(c)
     grid = (np.arange(64) + 0.5) * np.pi / 64
@@ -700,7 +628,7 @@ def test_pair_crossings_of_swapped_pairs_are_mirrored(rng, n, integer, scale):
     # reads the other's crossings as the mirrors (phi2, phi1) of its own.
     factor = _torus_factor(rng, n, integer)
     inst = _instance(scale * symmetrize(factor @ factor.T), 2, 1)
-    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    normals = build_circuit_hyperplanes(inst).hyperplanes
     a, b, c = _sinusoid_coefficients(normals, 2)
     reach = np.hypot(a, b).sum(axis=1) + np.abs(c)
     flips = reach - 2.0 * np.abs(c) > 1e-12 * reach  # the curves the sweep pairs
@@ -752,7 +680,7 @@ def test_torus_witnesses_keep_regions_beside_the_wrap(draw, point):
     for _ in range(draw):
         factor = rng.standard_normal((3, 2))
     inst = _instance(symmetrize(factor @ factor.T), 2, 1)
-    normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+    normals = build_circuit_hyperplanes(inst).hyperplanes
 
     def signs(phis):
         cos, sin = np.cos(phis), np.sin(phis)
@@ -790,7 +718,7 @@ def test_half_slab_events_find_the_regions_of_every_event(monkeypatch, rng, n, i
     for _ in range(draws):
         factor = _torus_factor(rng, n, integer)
         inst = _instance(symmetrize(factor @ factor.T), 2, 1)
-        normals = np.array([h.normal for h in build_circuit_hyperplanes(inst).hyperplanes])
+        normals = build_circuit_hyperplanes(inst).hyperplanes
         cases.append((normals, region_signs(normals)))
     monkeypatch.setattr(spca_ds_module, "_in_half", lambda phi1, phi2: np.ones(np.shape(phi1), bool))
     monkeypatch.setattr(spca_ds_module, "_block_swap", lambda normals: np.arange(len(normals)))
