@@ -16,8 +16,8 @@ from exactspca import (
     is_optimal,
     solve_max_profit,
     supports_from_circulation,
-    zero_circulation,
 )
+from exactspca.reference import zero_circulation
 
 profits = np.array([[9.0, 8.0], [7.0, 0.0]])
 inst = CirculationInstance(d=2, n=2, s=1, profits=profits)

@@ -19,12 +19,10 @@ from .circulation import (
     ResidualCircuit,
     UndirectedCircuit,
     check_circulation,
-    circuit_profit,
     enumerate_undirected_circuits,
     is_optimal,
     solve_max_profit,
     supports_from_circulation,
-    zero_circulation,
 )
 from .errors import (
     AsymmetryTooLarge,
@@ -112,7 +110,6 @@ __all__ = [
     "brute_force_spca_ds",
     "build_circuit_hyperplanes",
     "check_circulation",
-    "circuit_profit",
     "dedup_hyperplanes",
     "enumerate_candidate_supports",
     "enumerate_undirected_circuits",
@@ -125,5 +122,4 @@ __all__ = [
     "supports_from_circulation",
     "symmetric_eig",
     "symmetrize",
-    "zero_circulation",
 ]

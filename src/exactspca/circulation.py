@@ -68,14 +68,6 @@ class Circulation:
         return float(np.sum(instance.profits * self.a0))
 
 
-def zero_circulation(instance: CirculationInstance) -> Circulation:
-    return Circulation(
-        a0=np.zeros((instance.d, instance.n), dtype=int),
-        au=np.zeros(instance.d, dtype=int),
-        aw=np.zeros(instance.n, dtype=int),
-    )
-
-
 def check_circulation(instance: CirculationInstance, f: Circulation) -> None:
     """Raise `InfeasibleFlow` unless f is integer, within capacity, conserved.
 
@@ -441,11 +433,3 @@ def residual_circuits(instance: CirculationInstance, f: Circulation, table) -> n
     backward = ~np.any(follows & empty | against & full, axis=1)
     return np.vstack([table[forward, :dn], -table[backward, :dn]])
 
-
-def circuit_profit(circuit: UndirectedCircuit, profits) -> float:
-    """Signed profit of a circuit: only u->w arcs contribute."""
-    profits = np.asarray(profits, dtype=float)
-    total = 0.0
-    for (i, j), sign in circuit.chi_items:
-        total += sign * float(profits[i, j])
-    return total

@@ -1,8 +1,9 @@
-"""Reference cell enumerators and lifted functionals, which no solve calls.
+"""Reference cell enumerators, lifted functionals and circulation helpers,
+which no solve calls.
 
 The solvers read candidates at arrangement vertices, sweep the torus or walk
-the families' cones; the tests hold them to the cuts kept here, and demo 03
-shows them.
+the families' cones; the tests hold them to the cuts kept here, and demos 03
+and 04 use them.
 
 A cell of a central arrangement is a maximal open region on which every
 hyperplane functional keeps a fixed sign; it is reported as that sign vector
@@ -27,7 +28,10 @@ arrangement, one dimension up, on the positive side of the lifting
 coordinate.  Every witness clears `MIN_MARGIN`.
 
 The functional builders write the lifted squares of `MonomialBasis` one
-functional at a time; the solvers build all of them as one array.
+functional at a time; the solvers build all of them as one array.  Likewise
+`circuit_profit` adds up one circuit's arc profits, where the solvers read
+every circuit off the signed circuit table, and `zero_circulation` is the
+empty assignment, a starting point for flows built by hand.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 import scipy.optimize
 
 from .arrangement import MIN_MARGIN, _unit_normals, distinct_sign_rows
+from .circulation import Circulation, CirculationInstance, UndirectedCircuit
 from .errors import Degenerate, DimensionMismatch, InvalidCircuit, InvalidParameters
 from .extension import MonomialBasis
 
@@ -476,3 +481,21 @@ def candidate_support_from_point(point, functionals, s: int) -> tuple[int, ...]:
     """
     values = np.array([f(point) for f in functionals])
     return tuple(sorted(np.argsort(-values, kind="stable")[:s].tolist()))
+
+
+def zero_circulation(instance: CirculationInstance) -> Circulation:
+    """The empty assignment: no flow on any arc."""
+    return Circulation(
+        a0=np.zeros((instance.d, instance.n), dtype=int),
+        au=np.zeros(instance.d, dtype=int),
+        aw=np.zeros(instance.n, dtype=int),
+    )
+
+
+def circuit_profit(circuit: UndirectedCircuit, profits) -> float:
+    """Signed profit of a circuit: only u->w arcs contribute."""
+    profits = np.asarray(profits, dtype=float)
+    total = 0.0
+    for (i, j), sign in circuit.chi_items:
+        total += sign * float(profits[i, j])
+    return total

@@ -12,9 +12,10 @@ support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
 unit-trace slice of the lifted space is a single point, so one circulation
 on the squared row norms is the only region.  Rank two with d = 2 cuts the
 regions of the circuit hyperplanes in closed form on the torus of block
-angles, sweeping lines whose arc signs are read by toggling curve bits at
-the sorted roots over the half phi1 <= phi2 only (swapping the components
-mirrors the rest), and solves one circulation per family.  There every arc
+angles, one line per slab between crossings and tangents, whose arc signs
+are read by toggling curve bits at the sorted roots over the half
+phi1 <= phi2 only (swapping the components mirrors the rest), and solves
+one circulation per family.  There every arc
 profit is a square, so every optimal flow is a maximum flow, and only the
 circuits that can bound an optimal family are cut (`_separating_circuits`).
 Every other shape walks the families' optimality cones across the clipped
@@ -534,7 +535,6 @@ def _pair_crossings(a, b, c, radius_2, mirror=None):
     return np.concatenate(phi1), np.concatenate(phi2)
 
 
-_SAFETY_LINES = 64
 _MIN_RELATIVE_MARGIN = 1e-12  # torus witnesses closer to a curve are dropped
 _SWEEP_ARCS = 1 << 13  # arcs read per block of sweep lines
 _TOUCH_SNAP = 1e-7  # pair crossings this near a touch line are that line
@@ -573,10 +573,10 @@ def _torus_sweep(normals):
     The curves {functional = 0} on the torus of block angles are separable
     sinusoids, so slabs over the first angle enumerate every region, bounded
     where curve pairs cross or a curve has a vertical tangent.  One line per
-    slab is cut at every curve's roots, at a fixed grid and at the diagonal
-    phi2 = phi1, and only the arcs starting on or above the diagonal are
-    read.  ``normals`` must be closed under swapping the two blocks, up to
-    sign, as the circuit normals are (`_block_swap` raises otherwise): then
+    slab is cut at every curve's roots and at the diagonal phi2 = phi1, and
+    only the arcs starting on or above the diagonal are read.  ``normals``
+    must be closed under swapping the two blocks, up to sign, as the
+    circuit normals are (`_block_swap` raises otherwise): then
     the arrangement is symmetric under (phi1, phi2) -> (phi2, phi1), and the
     mirrors (phi2, phi1) of the witnesses reach the regions of the other
     half.  No region crosses the diagonal: the circuit through the hub, both
@@ -587,8 +587,10 @@ def _torus_sweep(normals):
     curve pairs that swap into each other one quartic is solved
     (`_pair_crossings`).  Lines of a slab see the same regions in the half,
     and a region that crosses the wrap phi2 -> pi == 0 is also read, through
-    its mirror, beside phi1 = 0.  Safety lines, curves flat in the second
-    angle and crossings with no second angle cut every slab.  Along a line a
+    its mirror, beside phi1 = 0, itself an event: a torus with no other has
+    one line.  Curves flat in the second angle and crossings with no second
+    angle cut every slab.  A hub curve's triple crossings on the diagonal,
+    scattered by the eigensolver, are also vertical tangents.  Along a line a
     curve changes sign only at its roots, so every arc's key comes from one
     evaluated row per line by toggling curve bits in root order (the
     incremental sign sweep of Karystinos, and of Asteris, Papailiopoulos and
@@ -615,7 +617,7 @@ def _torus_sweep(normals):
 
     flat = radius_2 == 0.0
     touching = flat & ~flips
-    criticals = [np.linspace(0.0, np.pi, _SAFETY_LINES, endpoint=False) + 1e-4]
+    criticals = [np.zeros(1)]  # the wrap edge phi1 = 0 of the swept half
     # Vertical tangents: the second-angle part sits at its maximum, at
     # 2 phi2 = atan2(b2, a2), or at its minimum, at that plus pi.  A
     # one-signed curve flat in the second angle has one, where it touches
@@ -652,13 +654,11 @@ def _torus_sweep(normals):
                    + np.sin(2.0 * lines)[:, None] * b[flat, 0] + c[flat])
     lines = lines[np.all(np.abs(flat_values) / reach[flat] > _MIN_RELATIVE_MARGIN, axis=1)]
 
-    base_grid = np.linspace(0.0, np.pi, 8, endpoint=False) + 2e-4
-    # Cut columns: the base grid and the diagonal phi2 = phi1, then each
-    # curve's two roots.  A column toggles its curve's bit of the key, packed
-    # into 64-bit words; base-grid and diagonal cuts and the touch points of
-    # one-signed curves stay cuts but toggle nothing.
+    # Cut columns: the diagonal phi2 = phi1, then each curve's two roots.  A
+    # root toggles its curve's bit of the key, packed into 64-bit words; the
+    # diagonal and the touch points of one-signed curves toggle nothing.
     words = -(-p // 64)
-    fixed = base_grid.size + 1
+    fixed = 1
     toggles = np.zeros((fixed + 2 * p, words), dtype=np.uint64)
     toggles[fixed + np.flatnonzero(np.tile(flips, 2))] = np.tile(
         _key_words(np.packbits(np.eye(p, dtype=bool)[flips], axis=1), words), (2, 1)
@@ -673,8 +673,7 @@ def _torus_sweep(normals):
         plus, minus = _circle_solutions(
             a[:, 1], b[:, 1], np.where(flips, -const, np.clip(-const, -radius_2, radius_2))
         )
-        cuts = np.hstack([np.broadcast_to(base_grid, (phi1.size, base_grid.size)),
-                          phi1[:, None], plus, minus])
+        cuts = np.hstack([phi1[:, None], plus, minus])
         cuts = _mod_pi(cuts)  # a root rounded up to pi is the cut at 0
         order = np.argsort(cuts, axis=1)  # NaN (no root) sorts last
         starts = np.take_along_axis(cuts, order, axis=1)

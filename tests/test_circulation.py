@@ -5,7 +5,6 @@ from exactspca.circulation import (
     Circulation,
     CirculationInstance,
     check_circulation,
-    circuit_profit,
     circuit_table,
     enumerate_undirected_circuits,
     is_optimal,
@@ -13,11 +12,11 @@ from exactspca.circulation import (
     residual_circuits,
     solve_max_profit,
     supports_from_circulation,
-    zero_circulation,
     _residual_arcs,
 )
 from exactspca.errors import CertificateFailed, InfeasibleFlow, InvalidParameters
 from exactspca.oracle import brute_force_max_profit
+from exactspca.reference import circuit_profit, zero_circulation
 
 from conftest import directed_simple_cycles, undirected_circuit_chis_bruteforce
 

@@ -8,6 +8,7 @@ from exactspca.reference import (
     build_arc_functional,
     build_circuit_functional,
     build_row_functional,
+    circuit_profit,
 )
 
 
@@ -133,8 +134,6 @@ def test_cancelling_circuit_flagged_degenerate(rng):
 
 
 def test_circuit_functional_matches_profit(rng):
-    from exactspca.circulation import circuit_profit
-
     d, n, r = 2, 3, 2
     basis = MonomialBasis(r, d)
     rows = rng.standard_normal((n, r))

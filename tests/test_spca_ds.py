@@ -23,6 +23,8 @@ from exactspca.spca_ds import (
     _block_swap,
     _circle_solutions,
     _families_by_covering,
+    _in_half,
+    _mod_pi,
     _pair_crossings,
     _region_profits,
     _separating_circuits,
@@ -521,18 +523,59 @@ def test_torus_witnesses_keep_region_beside_touch_point(seed, draw, n, scale, po
     assert signs(np.array([point])) <= signs(np.vstack([witnesses, witnesses[:, ::-1]]))
 
 
-def test_torus_witnesses_find_tangent_slab_region():
-    # One curve, cos(2 phi1 - 2 alpha) + cos(2 phi2) = 2 - eps, bounds an
-    # oval about 0.014 wide around (alpha, 0).  It falls between a safety
-    # line and the sweep line that bisects the next safety gap, so only the
-    # slab between its two vertical tangents finds the inside.
+def _tangent_oval():
+    """One curve, cos(2 phi1 - 2 alpha) + cos(2 phi2) = 2 - eps: an oval
+    about 0.014 wide around (alpha, 0)."""
     alpha, eps = 0.307, 1e-4
     a0, b0, c = np.cos(2 * alpha), np.sin(2 * alpha), -(2.0 - eps)
-    normal = np.array([[a0 + c, 2 * b0, c - a0, 1.0, 0.0, -1.0]])
+    return np.array([[a0 + c, 2 * b0, c - a0, 1.0, 0.0, -1.0]])
+
+
+def test_torus_witnesses_find_tangent_slab_region():
+    # No crossing bounds the oval, so only the slab between its two
+    # vertical tangents finds the inside: its line, cut at the oval's two
+    # roots, is the one that meets it.
+    normal = _tangent_oval()
     witnesses = _torus_sweep(normal)[0]
     cos, sin = np.cos(witnesses), np.sin(witnesses)
     values = np.stack([cos * cos, cos * sin, sin * sin], axis=2).reshape(len(witnesses), -1) @ normal.T
     assert sorted(bool(v) for v in values[:, 0] > 0.0) == [False, True]
+
+
+def test_torus_sweep_cuts_one_line_per_slab():
+    # The oval's events are its two vertical tangents and the wrap edge
+    # phi1 = 0 of the swept half: three slabs, one line each.
+    assert _torus_sweep(_tangent_oval())[1] == 3
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e5])
+def test_hub_curve_crossings_are_vertical_tangents(rng, scale):
+    # The hub curve (R_j . y_1)^2 = (R_j . y_2)^2 is the diagonal and the
+    # line phi2 = 2 theta_j - phi1, which cross at phi1 = theta_j and
+    # theta_j + pi/2.  `_pair_crossings` scatters those triple roots, but
+    # both are the curve's vertical tangents, which `_torus_sweep` solves in
+    # closed form and keeps as events (selected here as it selects them):
+    # the slabs stay bounded there, and a scattered crossing only adds a
+    # spurious event.
+    basis = MonomialBasis(2, 2)
+    rows = scale * np.vstack([rng.standard_normal((40, 2)),
+                              rng.integers(1, 4, (20, 2)) * rng.choice([-1, 1], (20, 2)),
+                              [[1.0, 0.0], [0.0, -2.0], [3.0, 3.0]]])
+    for row in rows:
+        theta = np.arctan2(row[1], row[0])
+        square = basis.row_block_coefficients(row)
+        for sign in (1.0, -1.0):
+            a, b, c = _sinusoid_coefficients(sign * np.hstack([square, -square])[None, :], 2)
+            radius_2 = np.hypot(a[:, 1], b[:, 1])
+            peak = _mod_pi(np.arctan2(b[:, 1], a[:, 1]) / 2.0)
+            events = []
+            for quarter, level in enumerate((-c - radius_2, -c + radius_2)):
+                at = _mod_pi(peak + quarter * np.pi / 2.0)
+                events += [x[_in_half(x, at)] for x in _circle_solutions(a[:, 0], b[:, 0], level)]
+            events = np.concatenate(events)
+            for target in (theta, theta + np.pi / 2.0):
+                gap = np.mod(events - target, np.pi)
+                assert np.min(np.minimum(gap, np.pi - gap)) < 1e-12, (row, sign, target, events)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-16])
