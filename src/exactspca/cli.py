@@ -13,8 +13,8 @@ expects a square symmetric matrix; ``--kind samples`` expects features in
 rows and samples in columns and builds the covariance by centering each row
 and scaling by the number of samples.  Supports in the output are 1-based.
 
-Exit codes: 0 success, 2 invalid parameters, 3 input problems, 4 solver
-failure.
+Exit codes: 0 success, 2 invalid parameters, 3 input or output file
+problems, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -152,34 +152,39 @@ def _oracle_document(report, n: int, d: int, s: int, disjoint: bool) -> dict:
     }
 
 
+def _timed(call, *args):
+    """``call(*args)`` and its wall time in milliseconds."""
+    tick = time.perf_counter()
+    result = call(*args)
+    return result, (time.perf_counter() - tick) * 1000.0
+
+
 def run(args: argparse.Namespace) -> dict:
     """Dispatch one parsed command; returns the result document."""
-    started = time.perf_counter()
-    kmatrix = ingest(args.input, args.kind)
-    ingest_ms = (time.perf_counter() - started) * 1000.0
+    kmatrix, ingest_ms = _timed(ingest, args.input, args.kind)
     n = kmatrix.shape[0]
 
     command = args.command
     if command == "factor":
-        factor = pivoted_cholesky(kmatrix, args.tol_rank)
+        factor, factor_ms = _timed(pivoted_cholesky, kmatrix, args.tol_rank)
         document = {
             "problem": {"n": n, "d": None, "s": None, "rank": factor.rank},
             "objective": None,
             "supports": [],
             "components": [],
             "factor": [[float(v) for v in row] for row in factor.factor],
-            "diagnostics": {"stage_ms": {"ingest": ingest_ms}},
+            "diagnostics": {"stage_ms": {"ingest": ingest_ms, "factor": factor_ms}},
         }
     elif command == "solve-spca":
-        instance = SpcaInstance.build(kmatrix, args.d, args.s, args.tol_rank)
-        solution = solve_spca(instance)
-        document = _spca_document(solution, n, args.d, args.s)
-        document["diagnostics"]["stage_ms"]["ingest"] = ingest_ms
+        instance, factor_ms = _timed(SpcaInstance.build, kmatrix, args.d, args.s,
+                                     args.tol_rank)
+        document = _spca_document(solve_spca(instance), n, args.d, args.s)
+        document["diagnostics"]["stage_ms"].update(ingest=ingest_ms, factor=factor_ms)
     elif command == "solve-spca-ds":
-        instance = SpcaDsInstance.build(kmatrix, args.d, args.s, args.tol_rank)
-        solution = solve_spca_ds(instance)
-        document = _spca_ds_document(solution, n, args.d, args.s)
-        document["diagnostics"]["stage_ms"]["ingest"] = ingest_ms
+        instance, factor_ms = _timed(SpcaDsInstance.build, kmatrix, args.d, args.s,
+                                     args.tol_rank)
+        document = _spca_ds_document(solve_spca_ds(instance), n, args.d, args.s)
+        document["diagnostics"]["stage_ms"].update(ingest=ingest_ms, factor=factor_ms)
     elif command == "oracle-spca":
         report = brute_force_spca(kmatrix, args.d, args.s)
         document = _oracle_document(report, n, args.d, args.s, disjoint=False)
@@ -237,8 +242,12 @@ def main(argv=None) -> int:
         return 4
     payload = json.dumps(document, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     else:
         print(payload)
     return 0

@@ -66,48 +66,48 @@ class PsdFactor:
 def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     """Factor a PSD matrix as R @ R.T using diagonal (complete) pivoting.
 
-    The pivot is always the largest remaining diagonal entry; elimination
-    stops once it drops to ``tol_rank`` times the initial largest diagonal,
-    which defines the numerical rank.  A pivot below the mirrored negative
-    threshold raises `NotPositiveSemidefinite`.  ``tol_rank`` must lie in
-    [0, 1): at 1 or above no pivot survives, and a negative or NaN one
-    misreads a PSD matrix; others raise `InvalidParameters`.
+    The pivot is the largest remaining diagonal entry, the first in pivot
+    order on a tie; elimination stops once it drops to ``tol_rank`` times the
+    initial largest diagonal, which defines the numerical rank.  A pivot
+    below the mirrored negative threshold raises `NotPositiveSemidefinite`;
+    a ``tol_rank`` outside [0, 1) raises `InvalidParameters`.  The loop is
+    left-looking (Harbrecht, Peters and Schneider 2012): it builds only the r
+    pivot columns from the residual diagonal, O(n r^2) work after the O(n^2)
+    input check and no n-by-n work array.  Each column subtracts the earlier
+    ones in the order of the right-looking Schur update, whose factor it
+    returns bit for bit.  Duplicated features get identical rows, except
+    past a pivot's column where its twin can keep a rounding residue.
     """
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
-    a = as_symmetric(kmatrix).copy()
+    a = as_symmetric(kmatrix)
     n = a.shape[0]
-    base = max(float(np.max(np.diagonal(a))), 0.0)
+    residual = np.diagonal(a).copy()
+    base = max(float(residual.max()), 0.0)
     stop = tol_rank * base
     neg = -tol_rank * base
     perm = np.arange(n)
-    lower = np.zeros((n, n))
-    rank = 0
+    columns: list[np.ndarray] = []
     for i in range(n):
-        d = np.diagonal(a)[i:]
-        if float(np.min(d)) < neg:
-            raise NotPositiveSemidefinite(
-                f"pivot {float(np.min(d)):.3e} below tolerance {neg:.3e}"
-            )
-        j = i + int(np.argmax(d))
-        pivot = float(a[j, j])
+        d = residual[perm[i:]]
+        low = float(d.min())
+        if low < neg:
+            raise NotPositiveSemidefinite(f"pivot {low:.3e} below tolerance {neg:.3e}")
+        j = i + int(d.argmax())
+        pivot = float(d[j - i])
         if pivot <= stop:
             break
-        if j != i:
-            a[:, [i, j]] = a[:, [j, i]]
-            a[[i, j], :] = a[[j, i], :]
-            lower[[i, j], :] = lower[[j, i], :]
-            perm[[i, j]] = perm[[j, i]]
-        root = np.sqrt(pivot)
-        lower[i:, i] = a[i:, i] / root
-        # Schur complement of the eliminated row/column.
-        a[i + 1 :, i + 1 :] -= np.outer(lower[i + 1 :, i], lower[i + 1 :, i])
-        a[i:, i] = 0.0
-        a[i, i:] = 0.0
-        rank += 1
-    factor = np.zeros((n, rank))
-    factor[perm, :] = lower[:, :rank]
-    return PsdFactor(n=n, rank=rank, factor=factor)
+        perm[i], perm[j] = perm[j], perm[i]
+        p = perm[i]
+        column = a[:, p].copy()
+        for previous in columns:
+            column -= previous * previous[p]
+        column /= np.sqrt(pivot)
+        column[perm[:i]] = 0.0
+        residual -= column * column
+        columns.append(column)
+    factor = np.column_stack(columns) if columns else np.zeros((n, 0))
+    return PsdFactor(n=n, rank=len(columns), factor=factor)
 
 
 @dataclass(frozen=True)

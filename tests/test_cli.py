@@ -175,6 +175,16 @@ class TestCommands:
         assert code == 0
         assert doc["problem"]["rank"] == 1
 
+    @pytest.mark.parametrize("command", ["solve-spca", "solve-spca-ds", "factor"])
+    def test_factor_time_reported(self, tmp_path, capsys, command):
+        factor = np.random.default_rng(4).standard_normal((4, 2))
+        path = _write(tmp_path, "k.csv", factor @ factor.T)
+        code, doc = _run(capsys, [command, "--input", path, "--d", "1", "--s", "1"])
+        assert code == 0
+        stage_ms = doc["diagnostics"]["stage_ms"]
+        assert set(stage_ms) >= {"ingest", "factor"}
+        assert stage_ms["factor"] >= 0.0
+
     def test_samples_kind(self, tmp_path, capsys):
         path = _write(tmp_path, "q.csv", [[1.0, -1.0], [0.0, 0.0]])
         code, doc = _run(
@@ -227,6 +237,17 @@ class TestExitCodes:
                 assert main(argv) == 3
             err = capsys.readouterr().err
             assert "no data" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        # A missing parent directory or a directory as --out is a file
+        # problem, reported on stderr, not a traceback.
+        path = _write(tmp_path, "k.csv", np.diag([2.0, 1.0]))
+        out = str(tmp_path / target)
+        code = main(["solve-spca", "--input", path, "--d", "1", "--s", "1", "--out", out])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_solver_failure(self, tmp_path, capsys):
         indefinite = _write(tmp_path, "ind.csv", [[1.0, 2.0], [2.0, 1.0]])

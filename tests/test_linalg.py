@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,137 @@ from exactspca.spca_ds import SpcaDsInstance
 from conftest import minor_rank, random_low_rank_psd
 
 
+def _right_looking_cholesky(kmatrix, tol_rank):
+    """The right-looking form of `pivoted_cholesky`: n-by-n Schur updates
+    with row and column swaps.  The test reference for its factor, rank and
+    errors, bit for bit."""
+    if not 0.0 <= tol_rank < 1.0:
+        raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
+    a = as_symmetric(kmatrix).copy()
+    n = a.shape[0]
+    base = max(float(np.max(np.diagonal(a))), 0.0)
+    stop = tol_rank * base
+    neg = -tol_rank * base
+    perm = np.arange(n)
+    lower = np.zeros((n, n))
+    rank = 0
+    for i in range(n):
+        d = np.diagonal(a)[i:]
+        if float(np.min(d)) < neg:
+            raise NotPositiveSemidefinite(
+                f"pivot {float(np.min(d)):.3e} below tolerance {neg:.3e}"
+            )
+        j = i + int(np.argmax(d))
+        pivot = float(a[j, j])
+        if pivot <= stop:
+            break
+        if j != i:
+            a[:, [i, j]] = a[:, [j, i]]
+            a[[i, j], :] = a[[j, i], :]
+            lower[[i, j], :] = lower[[j, i], :]
+            perm[[i, j]] = perm[[j, i]]
+        root = np.sqrt(pivot)
+        lower[i:, i] = a[i:, i] / root
+        a[i + 1 :, i + 1 :] -= np.outer(lower[i + 1 :, i], lower[i + 1 :, i])
+        a[i:, i] = 0.0
+        a[i, i:] = 0.0
+        rank += 1
+    factor = np.zeros((n, rank))
+    factor[perm, :] = lower[:, :rank]
+    return factor
+
+
+def _factor_inputs(rng, draws):
+    """Symmetric matrices of each kind the factor meets: Gaussian, small
+    integer, all-ones, duplicated and negated rows, rows scaled 1e-8 to 1e8,
+    zero, and indefinite."""
+    for _ in range(draws):
+        n = int(rng.integers(1, 10))
+        r = int(rng.integers(1, n + 1))
+        rows = rng.standard_normal((n, r))
+        twins = rows.copy()
+        twins[rng.integers(0, n, n // 2)] = (rows[rng.integers(0, n, n // 2)]
+                                             * rng.choice([-1.0, 1.0], (n // 2, 1)))
+        scaled = rows * 10.0 ** rng.integers(-8, 9, (n, 1))
+        for factor in (rows, rng.integers(-3, 4, (n, r)).astype(float), np.ones((n, r)),
+                       twins, scaled, np.zeros((n, r))):
+            yield symmetrize(factor @ factor.T)
+        yield symmetrize(rng.standard_normal((n, n)))
+
+
+def _outcome(factorize, kmatrix, tol_rank):
+    try:
+        return factorize(kmatrix, tol_rank)
+    except NotPositiveSemidefinite as exc:
+        return type(exc), str(exc)
+
+
 class TestPivotedCholesky:
+    @pytest.mark.parametrize("tol_rank", [0.0, 1e-10, 0.5])
+    def test_matches_right_looking_bit_for_bit(self, rng, tol_rank):
+        raised = 0
+        for kmatrix in _factor_inputs(rng, 60):
+            expected = _outcome(_right_looking_cholesky, kmatrix, tol_rank)
+            got = _outcome(pivoted_cholesky, kmatrix, tol_rank)
+            if isinstance(expected, tuple):
+                assert got == expected
+                raised += 1
+                continue
+            assert got.rank == expected.shape[1]
+            assert np.array_equal(got.factor, expected)
+            assert np.array_equal(np.signbit(got.factor), np.signbit(expected))
+        assert raised > 0
+
+    def test_working_memory_is_linear_in_n(self):
+        # Only the O(n^2) input check, about n^2 bytes of booleans, comes
+        # near n^2; the right-looking form peaked at about 24 n^2 bytes.
+        n = 1000
+        rows = np.random.default_rng(0).standard_normal((n, 2))
+        kmatrix = symmetrize(rows @ rows.T)
+        tracemalloc.start()
+        try:
+            factor = pivoted_cholesky(kmatrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor.rank == 2
+        assert peak < 2 * n * n
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_duplicated_features_keep_identical_rows(self, rng, sign):
+        # K is built entry by entry, so twin columns are equal (or opposite)
+        # exactly, whatever the BLAS.
+        def factor_of(rows):
+            return pivoted_cholesky((rows[:, None] * rows[None]).sum(axis=2)).factor
+
+        for _ in range(20):
+            # Rank 1: the twin of the one pivot.
+            rows = rng.standard_normal((5, 1))
+            rows[0] = 3.0 + rng.random()
+            rows[4] = sign * rows[0]
+            f = factor_of(rows)
+            assert f.shape == (5, 1)
+            assert np.array_equal(f[4], sign * f[0])
+            # Ranks 2 and 3: twins too faint to be pivots.
+            for r in (2, 3):
+                rows = rng.standard_normal((7, r))
+                rows[5] *= 0.1
+                rows[6] = sign * rows[5]
+                f = factor_of(rows)
+                assert f.shape == (7, r)
+                assert np.array_equal(f[6], sign * f[5])
+            # Rank 2, the twin of the first pivot: equal in the pivot's
+            # column, pivot / sqrt(pivot) for both.  The next column zeroes
+            # the pivot's row but leaves its twin a rounding residue, 0 only
+            # when the rounding cancels.
+            rows = rng.standard_normal((6, 2))
+            rows[0] *= 10.0 / np.linalg.norm(rows[0])
+            rows[3] = sign * rows[0]
+            f = factor_of(rows)
+            assert f.shape == (6, 2) and f[0, 1] == 0.0
+            assert f[3, 0] == sign * f[0, 0]
+            assert abs(f[3, 1]) <= 1e-14 * abs(f[0, 0])
+
     def test_identity(self):
         factor = pivoted_cholesky(np.eye(2))
         assert factor.rank == 2
