@@ -6,10 +6,11 @@ w_0..w_{n-1}.  Arcs run t -> u_i (capacity s, profit 0), u_i -> w_j
 feasible integer circulation is thus an assignment: each feature goes to
 one of the s slots of one component, or to none.  `solve_max_profit` solves it
 with one rectangular assignment (`scipy.optimize.linear_sum_assignment`,
-the Jonker-Volgenant method of Crouse, IEEE TAES 2016) and then certifies
-the result: a circulation is optimal exactly when its residual graph has no
-directed circuit of positive profit, which `is_optimal` checks with
-Bellman-Ford on negated profits and, on failure, returns the circuit found.
+the Jonker-Volgenant method of Crouse, IEEE TAES 2016, imported on the first
+solve so that sparse PCA never loads `scipy`) and then certifies the result:
+a circulation is optimal exactly when its residual graph has no directed
+circuit of positive profit, which `is_optimal` checks with Bellman-Ford on
+negated profits and, on failure, returns the circuit found.
 `optimal_at_profits` reads a flow's residual circuits off D's signed
 circuit table, to mark every profit matrix where none of them gains.
 """
@@ -20,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CertificateFailed, InfeasibleFlow, InvalidCircuit, InvalidParameters
 
@@ -233,6 +233,8 @@ def solve_max_profit(instance: CirculationInstance) -> Circulation:
     positive-profit assignments to component slots become flow.  Raises
     `CertificateFailed` if the result fails the `is_optimal` check.
     """
+    from scipy.optimize import linear_sum_assignment
+
     d, n = instance.d, instance.n
     slots = min(instance.s, n)
     gain = np.hstack([np.repeat(instance.profits.T, slots, axis=1), np.zeros((n, n))])

@@ -61,8 +61,8 @@ def ingest(input_path: str, kind: str) -> np.ndarray:
     if kind == "covariance":
         if raw.shape[0] != raw.shape[1]:
             raise NotSquare(f"covariance must be square, got shape {raw.shape}")
-        gap = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
-        scale = float(np.max(np.abs(raw))) if raw.size else 0.0
+        gap = float(np.max(np.abs(raw - raw.T)))
+        scale = float(np.max(np.abs(raw)))
         if gap > 1e-9 * max(scale, 1.0):
             raise AsymmetryTooLarge(
                 f"asymmetry {gap:.3e} exceeds 1e-9 * max entry {scale:.3e}"

@@ -32,6 +32,10 @@ functional at a time; the solvers build all of them as one array.  Likewise
 `circuit_profit` adds up one circuit's arc profits, where the solvers read
 every circuit off the signed circuit table, and `zero_circulation` is the
 empty assignment, a starting point for flows built by hand.
+
+`spca` and `spca_ds` import this module, so it loads on every import of the
+package; the margin LP and the NNLS hull test therefore import
+`scipy.optimize` on their first call, not here.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.optimize
 
 from .arrangement import MIN_MARGIN, _unit_normals, distinct_sign_rows
 from .circulation import Circulation, CirculationInstance, UndirectedCircuit
@@ -92,13 +95,15 @@ def _margin_lp(rows: np.ndarray):
     Returns (z, margin) with margin > `MIN_MARGIN`, or None when the open
     cone is empty (or too thin to carry a witness).
     """
+    from scipy.optimize import linprog
+
     m, q = rows.shape
     c = np.zeros(q + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-rows, np.ones((m, 1))])
     b_ub = np.zeros(m)
     bounds = [(-1.0, 1.0)] * q + [(None, None)]
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         return None
     margin = float(res.x[-1])
@@ -116,12 +121,14 @@ def _cone_interior_point(rows: np.ndarray):
     NNLS, otherwise points into the cone with maximum ball margin.  The
     in-between band and any failed verification defer to the LP.
     """
+    from scipy.optimize import nnls
+
     m, q = rows.shape
     system = np.vstack([rows.T, np.ones((1, m))])
     target = np.zeros(q + 1)
     target[-1] = 1.0
     try:
-        lam, _ = scipy.optimize.nnls(system, target, maxiter=50 * m)
+        lam, _ = nnls(system, target, maxiter=50 * m)
     except RuntimeError:
         return _margin_lp(rows)
     # The rnorm scipy reports can be stale; recompute the residual.

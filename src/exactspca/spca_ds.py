@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .arrangement import MIN_MARGIN, dedup_hyperplanes, distinct_sign_rows
 from .circulation import (
@@ -295,8 +294,10 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
     realize, where arc profits can be negative, an optimal flow need not be
     a maximum flow, and the circuits that `_separating_circuits` leaves out
     can bound a cone.  Adds the assignments' time to
-    ``stage_ms["circulations"]``.
+    ``stage_ms["circulations"]``.  Imports `scipy.optimize.linprog` on entry.
     """
+    from scipy.optimize import linprog
+
     d, n, s, r = instance.d, instance.n, instance.s, instance.rank
     origin, basis = _slice_geometry(r, d)
     m = basis.shape[1]

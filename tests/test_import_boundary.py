@@ -1,0 +1,68 @@
+"""Sparse PCA, `factor` and the oracles run without loading `scipy`.
+
+The pytest process has scipy loaded through other tests, so each probe runs
+in a fresh interpreter against this checkout's sources.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_NO_SCIPY_PATHS = """
+import contextlib, io, sys
+import numpy as np
+import exactspca
+from exactspca import cli
+
+path = sys.argv[1]
+kmatrix = np.loadtxt(path, delimiter=",")
+exactspca.solve_spca(exactspca.SpcaInstance.build(kmatrix, d=1, s=2))
+exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=1, s=2))
+exactspca.brute_force_spca(kmatrix, d=1, s=2)
+exactspca.brute_force_spca_ds(kmatrix, d=2, s=1)
+for argv in (["solve-spca", "--d", "1", "--s", "2"], ["factor"],
+             ["oracle-spca", "--d", "1", "--s", "2"],
+             ["oracle-spca-ds", "--d", "2", "--s", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--input", path]) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+_DS_SOLVE = """
+import sys
+import numpy as np
+import exactspca
+
+kmatrix = np.loadtxt(sys.argv[1], delimiter=",")
+exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def _probe(script, tmp_path):
+    factor = np.random.default_rng(0).standard_normal((4, 2))
+    path = tmp_path / "k.csv"
+    np.savetxt(path, factor @ factor.T, delimiter=",")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_sparse_pca_factor_and_oracles_load_no_scipy(tmp_path):
+    assert _probe(_NO_SCIPY_PATHS, tmp_path) == "[]"
+
+
+def test_disjoint_solve_loads_scipy_optimize(tmp_path):
+    assert _probe(_DS_SOLVE, tmp_path) == "True"
