@@ -29,7 +29,7 @@ class MonomialBasis:
         pairs = [(k, kp) for k in range(r) for kp in range(k, r)]
         self._k = np.array([k for k, _ in pairs], dtype=int)
         self._kp = np.array([kp for _, kp in pairs], dtype=int)
-        self._off_diagonal = self._k != self._kp
+        self.off_diagonal = self._k != self._kp  # (block,) mask of the k < kp axes
         self.block = len(pairs)  # (r*r + r) / 2
         self.dim = num_cols * self.block
 
@@ -63,5 +63,5 @@ class MonomialBasis:
         if row.shape[-1:] != (self.r,):
             raise DimensionMismatch(f"expected length-{self.r} rows, got {row.shape}")
         coeffs = row[..., self._k] * row[..., self._kp]
-        coeffs[..., self._off_diagonal] *= 2.0
+        coeffs[..., self.off_diagonal] *= 2.0
         return coeffs

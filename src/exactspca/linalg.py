@@ -75,18 +75,22 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     pivot columns from the residual diagonal, O(n r^2) work after the O(n^2)
     input check and no n-by-n work array.  Each column subtracts the earlier
     ones in the order of the right-looking Schur update, whose factor it
-    returns bit for bit.  Duplicated features get identical rows, except
-    past a pivot's column where its twin can keep a rounding residue.
+    returns bit for bit.  A row gets zeros in the later columns, as the
+    pivot's row does, once its residual relative to its own diagonal falls
+    to the pivot's rounding residue and to ``tol_rank``: duplicated features
+    get identical rows, and rows merely close to the pivot's keep theirs.
     """
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
     a = as_symmetric(kmatrix)
     n = a.shape[0]
-    residual = np.diagonal(a).copy()
+    diagonal = np.diagonal(a)
+    residual = diagonal.copy()
     base = max(float(residual.max()), 0.0)
     stop = tol_rank * base
     neg = -tol_rank * base
     perm = np.arange(n)
+    spent = np.zeros(n, dtype=bool)  # earlier pivots and their twins
     columns: list[np.ndarray] = []
     for i in range(n):
         d = residual[perm[i:]]
@@ -103,9 +107,13 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
         for previous in columns:
             column -= previous * previous[p]
         column /= np.sqrt(pivot)
-        column[perm[:i]] = 0.0
+        column[spent] = 0.0
         residual -= column * column
         columns.append(column)
+        # A twin of the pivot keeps the pivot's residual, a rounding residue.
+        spent |= residual * diagonal[p] <= diagonal * min(tol_rank * diagonal[p],
+                                                          abs(residual[p]))
+        spent[p] = True
     factor = np.column_stack(columns) if columns else np.zeros((n, 0))
     return PsdFactor(n=n, rank=len(columns), factor=factor)
 

@@ -163,7 +163,7 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance,
         )
     basis = MonomialBasis(r, d)
     arc_coeffs = np.zeros((d, n, d, basis.block))
-    rows = [basis.row_block_coefficients(row) for row in instance.factor.factor]
+    rows = basis.row_block_coefficients(instance.factor.factor)  # (n, block)
     arc_coeffs[np.arange(d), :, np.arange(d)] = rows
     arc_coeffs = arc_coeffs.reshape(d * n, basis.dim)
     table = _shape_circuit_table(d, n)
@@ -185,32 +185,20 @@ def build_circuit_hyperplanes(instance: SpcaDsInstance,
 
 def _slice_geometry(r: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Affine chart of the unit-trace slice: z = origin + basis @ t, with
-    origin (q,) and basis (q, q - d) of orthonormal columns."""
-    block = r * (r + 1) // 2
-    q = d * block
-    pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
-    diag_local = [a for a, (k, kp) in enumerate(pair_index) if k == kp]
-    off_local = [a for a, (k, kp) in enumerate(pair_index) if k != kp]
-    origin = np.zeros(q)
-    columns = []
-    for i in range(d):
-        base = i * block
-        for a in diag_local:
-            origin[base + a] = 1.0 / r
-        for a in off_local:
-            col = np.zeros(q)
-            col[base + a] = 1.0
-            columns.append(col)
-        # Helmert vectors: an orthonormal basis of the sum-zero diagonal space.
-        for m in range(1, r):
-            col = np.zeros(q)
-            for lead in range(m):
-                col[base + diag_local[lead]] = 1.0
-            col[base + diag_local[m]] = -float(m)
-            col /= np.sqrt(m * (m + 1.0))
-            columns.append(col)
-    basis = np.array(columns).T if columns else np.zeros((q, 0))
-    return origin, basis
+    origin (q,) and basis (q, q - d) of orthonormal columns.
+
+    Every block has the same chart around its diagonal point 1/r: a unit
+    column per off-diagonal coordinate of `MonomialBasis`, then the Helmert
+    columns, an orthonormal basis of the sum-zero diagonal coordinates.
+    """
+    off = MonomialBasis(r, 1).off_diagonal
+    m = np.arange(1, r)
+    helmert = np.triu(np.ones((r, r - 1)))
+    helmert[m, m - 1] = -m
+    block = np.zeros((off.size, off.size - 1))
+    block[off, np.arange(off.sum())] = 1.0
+    block[~off, off.sum():] = helmert / np.sqrt(m * (m + 1.0))
+    return np.tile(np.where(off, 0.0, 1.0 / r), d), np.kron(np.eye(d), block)
 
 
 _TANGENT_FAN = 12  # tangent halfspaces per coordinate pair in the clip region
@@ -222,55 +210,32 @@ def _slice_region_rows(origin, basis, r: int, d: int) -> np.ndarray:
     lifted point satisfies.
 
     For a unit vector y the block (y_k * y_kp) is unit-trace positive
-    semidefinite, so (v . y)^2 >= 0 holds for every test direction v.  A fan
-    of such tangents per coordinate pair clips the chart to a thin sleeve
-    around the realizable points.  Constraints constant on the slice (they
-    hold strictly at the chart origin) are dropped.
+    semidefinite, so (v . y)^2 >= 0, the functional
+    `MonomialBasis.row_block_coefficients` of v, holds for every direction v,
+    and so does |y_k * y_kp| <= 1/2.  A fan of such tangents per coordinate
+    pair and the +- bounds of each off-diagonal coordinate, in that order,
+    clip each block's chart (that of the first block) to a thin sleeve
+    around the realizable points.  Rows constant on the slice and fan rows
+    parallel to an earlier one are dropped.
     """
-    block = r * (r + 1) // 2
-    pair_index = [(k, kp) for k in range(r) for kp in range(k, r)]
-    q = origin.shape[0]
-    directions = []
-    for k in range(r):
-        for kp in range(k + 1, r):
-            for step in range(_TANGENT_FAN):
-                theta = np.pi * step / _TANGENT_FAN
-                v = np.zeros(r)
-                v[k] = np.cos(theta)
-                v[kp] = np.sin(theta)
-                directions.append(v)
-    rows = []
-    for i in range(d):
-        base = i * block
-        seen = []
-        for v in directions:
-            coeff = np.zeros(q)
-            for a, (k, kp) in enumerate(pair_index):
-                coeff[base + a] = v[k] * v[kp] * (1.0 if k == kp else 2.0)
-            t_part = basis.T @ coeff
-            const = float(coeff @ origin)
-            if not np.any(t_part):
-                continue
-            row = np.concatenate([t_part, [const]])
-            unit = row / np.linalg.norm(row)
-            if any(np.allclose(unit, u) for u in seen):
-                continue
-            seen.append(unit)
-            rows.append(row)
-        # |z_{k,kp}| <= 1/2 for off-diagonal products of a unit vector.
-        for a, (k, kp) in enumerate(pair_index):
-            if k == kp:
-                continue
-            coeff = np.zeros(q)
-            coeff[base + a] = 1.0
-            t_part = basis.T @ coeff
-            const = float(coeff @ origin)
-            if not np.any(t_part):
-                continue
-            rows.append(np.concatenate([t_part, [0.5 + const]]))
-            rows.append(np.concatenate([-t_part, [0.5 - const]]))
-    rows = np.array(rows)
-    return rows / np.linalg.norm(rows[:, :-1], axis=1, keepdims=True)
+    lift = MonomialBasis(r, 1)
+    k, kp = np.triu_indices(r, 1)
+    theta = np.pi * np.arange(_TANGENT_FAN) / _TANGENT_FAN
+    directions = np.zeros((k.size, _TANGENT_FAN, r))
+    directions[np.arange(k.size), :, k] = np.cos(theta)
+    directions[np.arange(k.size), :, kp] = np.sin(theta)
+    fan = lift.row_block_coefficients(directions.reshape(-1, r))
+    units = np.eye(lift.block)[lift.off_diagonal]
+    bounds = np.stack([units, -units], axis=1).reshape(-1, lift.block)
+    chart = np.column_stack([basis[: lift.block, : lift.block - 1], origin[: lift.block]])
+    rows = np.vstack([fan, bounds]) @ chart
+    rows[len(fan):, -1] += 0.5
+    keep = np.any(rows[:, :-1], axis=1)
+    # Distinct fan tangents are far apart; repeated ones differ by rounding.
+    unit = rows[: len(fan)] / np.linalg.norm(rows[: len(fan)], axis=1, keepdims=True)
+    keep[: len(fan)] &= ~np.triu(unit @ unit.T > 1.0 - 1e-9, 1).any(axis=0)
+    rows = rows[keep] / np.linalg.norm(rows[keep, :-1], axis=1, keepdims=True)
+    return np.column_stack([np.kron(np.eye(d), rows[:, :-1]), np.tile(rows[:, -1], d)])
 
 
 def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
@@ -307,7 +272,8 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
     counts = dict(circulation_solves=0, facet_lps=0)
 
     def flow_at(t0, direction, step):
-        """The flow optimal at t0 + step * direction and, within 1e-9, at t0."""
+        """The family and residual circuits of the flow optimal at
+        t0 + step * direction and, within 1e-9, at t0."""
         at_t0 = affine @ np.append(t0, 1.0)
         slack = 1e-9 * np.abs(at_t0).max()
         for _ in range(_PUSH_HALVINGS):
@@ -316,8 +282,9 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
             flow = solve_max_profit(circ)
             stage_ms["circulations"] += (time.perf_counter() - tick) * 1000.0
             counts["circulation_solves"] += 1
-            if np.all(residual_circuits(circ, flow, planes.table) @ at_t0.ravel() <= slack):
-                return circ, flow
+            circuits = residual_circuits(circ, flow, planes.table)
+            if np.all(circuits @ at_t0.ravel() <= slack):
+                return supports_from_circulation(circ, flow), circuits
             step /= 2.0
         raise CertificateFailed(f"no flow optimal on both sides of the chart point {t0}")
 
@@ -325,10 +292,10 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
     generic = np.sin(np.arange(1.0, m + 1.0))
     queue = deque([flow_at(np.zeros(m), generic, sleeve[:, m].min() / 2.0)])
     # One family per flow, so per cone, with the gains of the facets crossed into it.
-    found = {supports_from_circulation(*queue[0]): []}
+    found = {queue[0][0]: []}
     while queue:
-        circ, flow = queue.popleft()
-        gains = residual_circuits(circ, flow, planes.table) @ affine.reshape(d * n, m + 1)
+        family, circuits = queue.popleft()
+        gains = circuits @ affine.reshape(d * n, m + 1)
         # Gains constant on the chart (duplicate features) cut nothing.
         gains = gains[np.linalg.norm(gains[:, :m], axis=1) > 1e-12 * np.abs(gains[:, m])]
         gains = dedup_hyperplanes(gains, m + 1, tol=1e-12)
@@ -338,7 +305,7 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
         b_ub = -a_ub[:, m]
         a_ub[:, m] = 1.0
         # A facet lies in exactly two cones, so one crossing finds both.
-        crossed = found[supports_from_circulation(circ, flow)]
+        crossed = found[family]
         for c, gain in enumerate(gains):
             if any(np.abs(back - gain).max() <= 1e-9 for back in crossed):
                 continue
@@ -352,11 +319,10 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
             if res.x[m] <= MIN_MARGIN:
                 continue
             neighbour = flow_at(res.x[:m], gain[:m], res.x[m] / 2.0)
-            family = supports_from_circulation(*neighbour)
-            if family not in found:
-                found[family] = []
+            if neighbour[0] not in found:
+                found[neighbour[0]] = []
                 queue.append(neighbour)
-            found[family].append(-gain)
+            found[neighbour[0]].append(-gain)
     return set(found), dict(counts, cells_enumerated=len(found))
 
 

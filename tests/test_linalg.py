@@ -27,12 +27,15 @@ from conftest import minor_rank, random_low_rank_psd
 
 def _right_looking_cholesky(kmatrix, tol_rank):
     """The right-looking form of `pivoted_cholesky`: n-by-n Schur updates
-    with row and column swaps.  The test reference for its factor, rank and
-    errors, bit for bit."""
+    with row and column swaps, and a row cut from the later columns once its
+    residual relative to its diagonal falls to the pivot's (and to
+    tol_rank).  The test reference for its factor, rank and errors, bit for
+    bit."""
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
     a = as_symmetric(kmatrix).copy()
     n = a.shape[0]
+    diagonal = np.diagonal(a).copy()
     base = max(float(np.max(np.diagonal(a))), 0.0)
     stop = tol_rank * base
     neg = -tol_rank * base
@@ -57,8 +60,17 @@ def _right_looking_cholesky(kmatrix, tol_rank):
         root = np.sqrt(pivot)
         lower[i:, i] = a[i:, i] / root
         a[i + 1 :, i + 1 :] -= np.outer(lower[i + 1 :, i], lower[i + 1 :, i])
+        residue = a[i, i] - lower[i, i] * lower[i, i]
         a[i:, i] = 0.0
         a[i, i:] = 0.0
+        later = perm[i + 1 :]
+        spent = i + 1 + np.flatnonzero(
+            np.diagonal(a)[i + 1 :] * diagonal[perm[i]]
+            <= diagonal[later] * min(tol_rank * diagonal[perm[i]], abs(residue)))
+        residual = a[spent, spent]
+        a[spent, :] = 0.0
+        a[:, spent] = 0.0
+        a[spent, spent] = residual
         rank += 1
     factor = np.zeros((n, rank))
     factor[perm, :] = lower[:, :rank]
@@ -145,16 +157,13 @@ class TestPivotedCholesky:
                 assert f.shape == (7, r)
                 assert np.array_equal(f[6], sign * f[5])
             # Rank 2, the twin of the first pivot: equal in the pivot's
-            # column, pivot / sqrt(pivot) for both.  The next column zeroes
-            # the pivot's row but leaves its twin a rounding residue, 0 only
-            # when the rounding cancels.
+            # column, and zero in the next, as is the pivot's row.
             rows = rng.standard_normal((6, 2))
             rows[0] *= 10.0 / np.linalg.norm(rows[0])
             rows[3] = sign * rows[0]
             f = factor_of(rows)
             assert f.shape == (6, 2) and f[0, 1] == 0.0
-            assert f[3, 0] == sign * f[0, 0]
-            assert abs(f[3, 1]) <= 1e-14 * abs(f[0, 0])
+            assert np.array_equal(f[3], sign * f[0])
 
     def test_identity(self):
         factor = pivoted_cholesky(np.eye(2))

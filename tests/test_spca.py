@@ -111,6 +111,17 @@ class TestCandidateEnumeration:
         result = enumerate_candidate_supports(inst)
         assert (0, 1) in result.duplicate_feature_pairs
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_twin_of_first_pivot_recorded(self, rng, sign):
+        # R_3 = +-R_0 with R_0 the first pivot; K is built entry by entry,
+        # so the twin columns are equal (or opposite) exactly.
+        for _ in range(20):
+            rows = rng.standard_normal((6, 2))
+            rows[0] *= 10.0 / np.linalg.norm(rows[0])
+            rows[3] = sign * rows[0]
+            inst = _instance((rows[:, None] * rows[None]).sum(axis=2), 1, 2)
+            assert (0, 3) in enumerate_candidate_supports(inst).duplicate_feature_pairs
+
     def test_full_support_shortcut(self, rng):
         kmatrix = random_low_rank_psd(rng, 4, 2)
         inst = _instance(kmatrix, 2, 4)

@@ -30,6 +30,8 @@ from exactspca.spca_ds import (
     _separating_circuits,
     _shape_circuit_table,
     _sinusoid_coefficients,
+    _slice_geometry,
+    _slice_region_rows,
     _torus_sweep,
     _walk_families,
     build_circuit_hyperplanes,
@@ -275,6 +277,30 @@ class TestSolveSpcaDs:
             assert solution.objective == pytest.approx(
                 brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=0.0
             )
+
+    @pytest.mark.parametrize("r,d", [(2, 2), (2, 3), (3, 2), (4, 2)])
+    def test_walk_chart_and_sleeve(self, rng, r, d):
+        # The chart is orthonormal with unit trace per block, and the sleeve
+        # holds the lifted point of any unit vectors.  Its fan repeats only
+        # the r coordinate axes, each r - 1 times; every other fan row stays.
+        origin, basis = _slice_geometry(r, d)
+        lift = MonomialBasis(r, d)
+        diagonal = ~MonomialBasis(r, 1).off_diagonal
+        assert basis.shape == (lift.dim, lift.dim - d)
+        assert np.allclose(basis.T @ basis, np.eye(lift.dim - d), rtol=0.0, atol=1e-14)
+        points = origin[:, None] + basis @ rng.standard_normal((lift.dim - d, 50))
+        traces = points.reshape(d, lift.block, 50)[:, diagonal].sum(axis=1)
+        assert np.allclose(traces, 1.0, rtol=0.0, atol=1e-12)
+        sleeve = _slice_region_rows(origin, basis, r, d)
+        assert np.allclose(np.linalg.norm(sleeve[:, :-1], axis=1), 1.0, rtol=0.0, atol=1e-14)
+        for _ in range(50):
+            y = rng.standard_normal((r, d))
+            t = basis.T @ (lift.ext(y / np.linalg.norm(y, axis=0)) - origin)
+            assert np.all(sleeve[:, :-1] @ t + sleeve[:, -1] >= -1e-12)
+        fan = sleeve[: len(sleeve) // d - r * (r - 1)]
+        assert len(fan) == 12 * r * (r - 1) // 2 - r * (r - 2)
+        fan = fan / np.linalg.norm(fan, axis=1, keepdims=True)
+        assert np.max(np.triu(fan @ fan.T, 1)) < 1.0 - 1e-6
 
     def test_feasibility(self, rng):
         for _ in range(4):
