@@ -75,10 +75,11 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     pivot columns from the residual diagonal, O(n r^2) work after the O(n^2)
     input check and no n-by-n work array.  Each column subtracts the earlier
     ones in the order of the right-looking Schur update, whose factor it
-    returns bit for bit.  A row gets zeros in the later columns, as the
-    pivot's row does, once its residual relative to its own diagonal falls
-    to the pivot's rounding residue and to ``tol_rank``: duplicated features
-    get identical rows, and rows merely close to the pivot's keep theirs.
+    returns bit for bit, except that a row whose residual relative to its
+    own diagonal falls to the pivot's rounding residue gets zeros in the
+    later columns, as the pivot's row does: duplicated features get
+    identical rows, and rows merely close to the pivot's keep theirs.  The
+    residuals, and so the rank and the checks, are the right-looking ones.
     """
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
@@ -90,7 +91,7 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     stop = tol_rank * base
     neg = -tol_rank * base
     perm = np.arange(n)
-    spent = np.zeros(n, dtype=bool)  # earlier pivots and their twins
+    cut = np.full(n, n)  # a row is zero past this column
     columns: list[np.ndarray] = []
     for i in range(n):
         d = residual[perm[i:]]
@@ -107,14 +108,14 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
         for previous in columns:
             column -= previous * previous[p]
         column /= np.sqrt(pivot)
-        column[spent] = 0.0
+        column[perm[:i]] = 0.0
         residual -= column * column
         columns.append(column)
         # A twin of the pivot keeps the pivot's residual, a rounding residue.
-        spent |= residual * diagonal[p] <= diagonal * min(tol_rank * diagonal[p],
-                                                          abs(residual[p]))
-        spent[p] = True
+        twin = residual * diagonal[p] <= diagonal * abs(residual[p])
+        cut[twin & (cut > i)] = i
     factor = np.column_stack(columns) if columns else np.zeros((n, 0))
+    factor[np.arange(len(columns)) > cut[:, None]] = 0.0
     return PsdFactor(n=n, rank=len(columns), factor=factor)
 
 

@@ -205,7 +205,7 @@ _TANGENT_FAN = 12  # tangent halfspaces per coordinate pair in the clip region
 _PUSH_HALVINGS = 30  # halvings of a push across a facet before the walk fails
 
 
-def _slice_region_rows(origin, basis, r: int, d: int) -> np.ndarray:
+def _slice_region_rows(r: int, d: int) -> np.ndarray:
     """Chart halfspaces a.t + b >= 0, as (a, b) rows with unit a, that every
     lifted point satisfies.
 
@@ -214,9 +214,8 @@ def _slice_region_rows(origin, basis, r: int, d: int) -> np.ndarray:
     `MonomialBasis.row_block_coefficients` of v, holds for every direction v,
     and so does |y_k * y_kp| <= 1/2.  A fan of such tangents per coordinate
     pair and the +- bounds of each off-diagonal coordinate, in that order,
-    clip each block's chart (that of the first block) to a thin sleeve
-    around the realizable points.  Rows constant on the slice and fan rows
-    parallel to an earlier one are dropped.
+    clip each block's chart to a thin sleeve around the realizable points.
+    Fan rows parallel to an earlier one are dropped.
     """
     lift = MonomialBasis(r, 1)
     k, kp = np.triu_indices(r, 1)
@@ -227,13 +226,13 @@ def _slice_region_rows(origin, basis, r: int, d: int) -> np.ndarray:
     fan = lift.row_block_coefficients(directions.reshape(-1, r))
     units = np.eye(lift.block)[lift.off_diagonal]
     bounds = np.stack([units, -units], axis=1).reshape(-1, lift.block)
-    chart = np.column_stack([basis[: lift.block, : lift.block - 1], origin[: lift.block]])
-    rows = np.vstack([fan, bounds]) @ chart
+    origin, basis = _slice_geometry(r, 1)
+    rows = np.vstack([fan, bounds]) @ np.column_stack([basis, origin])
     rows[len(fan):, -1] += 0.5
-    keep = np.any(rows[:, :-1], axis=1)
     # Distinct fan tangents are far apart; repeated ones differ by rounding.
     unit = rows[: len(fan)] / np.linalg.norm(rows[: len(fan)], axis=1, keepdims=True)
-    keep[: len(fan)] &= ~np.triu(unit @ unit.T > 1.0 - 1e-9, 1).any(axis=0)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[: len(fan)] = ~np.triu(unit @ unit.T > 1.0 - 1e-9, 1).any(axis=0)
     rows = rows[keep] / np.linalg.norm(rows[keep, :-1], axis=1, keepdims=True)
     return np.column_stack([np.kron(np.eye(d), rows[:, :-1]), np.tile(rows[:, -1], d)])
 
@@ -268,7 +267,7 @@ def _walk_families(instance: SpcaDsInstance, planes: CircuitHyperplanes,
     m = basis.shape[1]
     affine = planes.arc_coeffs @ np.column_stack([basis, origin])
     affine = affine.reshape(d, n, m + 1)  # arc profits at t: affine @ (t, 1)
-    sleeve = _slice_region_rows(origin, basis, r, d)
+    sleeve = _slice_region_rows(r, d)
     counts = dict(circulation_solves=0, facet_lps=0)
 
     def flow_at(t0, direction, step):

@@ -255,6 +255,16 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["solve-spca", "solve-spca-ds"])
+    def test_indefinite_past_a_zero_residual(self, tmp_path, capsys, command):
+        # Eigenvalue 1 - sqrt(2), seen only at the second pivot, after row
+        # 1's residual has fallen to 0 as a twin's does.
+        kmatrix = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+        indefinite = _write(tmp_path, "ind.csv", kmatrix)
+        code = main([command, "--input", indefinite, "--d", "1", "--s", "1"])
+        capsys.readouterr()
+        assert code == 4
+
 
     def test_too_degenerate_tie(self, tmp_path, capsys):
         # 30 features tie at one vertex with 15 to fill: C(30, 15) fills.

@@ -28,9 +28,8 @@ from conftest import minor_rank, random_low_rank_psd
 def _right_looking_cholesky(kmatrix, tol_rank):
     """The right-looking form of `pivoted_cholesky`: n-by-n Schur updates
     with row and column swaps, and a row cut from the later columns once its
-    residual relative to its diagonal falls to the pivot's (and to
-    tol_rank).  The test reference for its factor, rank and errors, bit for
-    bit."""
+    residual relative to its diagonal falls to the pivot's.  The test
+    reference for its factor, rank and errors, bit for bit."""
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
     a = as_symmetric(kmatrix).copy()
@@ -41,6 +40,7 @@ def _right_looking_cholesky(kmatrix, tol_rank):
     neg = -tol_rank * base
     perm = np.arange(n)
     lower = np.zeros((n, n))
+    cut = np.full(n, n)
     rank = 0
     for i in range(n):
         d = np.diagonal(a)[i:]
@@ -61,19 +61,16 @@ def _right_looking_cholesky(kmatrix, tol_rank):
         lower[i:, i] = a[i:, i] / root
         a[i + 1 :, i + 1 :] -= np.outer(lower[i + 1 :, i], lower[i + 1 :, i])
         residue = a[i, i] - lower[i, i] * lower[i, i]
+        later = perm[i + 1 :]
+        twin = later[np.diagonal(a)[i + 1 :] * diagonal[perm[i]]
+                     <= diagonal[later] * abs(residue)]
+        cut[np.append(twin, perm[i])] = np.minimum(cut[np.append(twin, perm[i])], i)
         a[i:, i] = 0.0
         a[i, i:] = 0.0
-        later = perm[i + 1 :]
-        spent = i + 1 + np.flatnonzero(
-            np.diagonal(a)[i + 1 :] * diagonal[perm[i]]
-            <= diagonal[later] * min(tol_rank * diagonal[perm[i]], abs(residue)))
-        residual = a[spent, spent]
-        a[spent, :] = 0.0
-        a[:, spent] = 0.0
-        a[spent, spent] = residual
         rank += 1
     factor = np.zeros((n, rank))
     factor[perm, :] = lower[:, :rank]
+    factor[np.arange(rank) > cut[:, None]] = 0.0
     return factor
 
 
@@ -187,6 +184,10 @@ class TestPivotedCholesky:
             pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveSemidefinite):
             pivoted_cholesky(np.array([[0.0, 0.0], [0.0, -1.0]]))
+        # Eigenvalue 1 - sqrt(2): row 1's residual is 0 after the first
+        # pivot, as a twin's is, and -1 after the second.
+        with pytest.raises(NotPositiveSemidefinite):
+            pivoted_cholesky(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
 
     def test_asymmetric_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0 + 1e-7, 1.0]])

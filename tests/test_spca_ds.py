@@ -291,7 +291,7 @@ class TestSolveSpcaDs:
         points = origin[:, None] + basis @ rng.standard_normal((lift.dim - d, 50))
         traces = points.reshape(d, lift.block, 50)[:, diagonal].sum(axis=1)
         assert np.allclose(traces, 1.0, rtol=0.0, atol=1e-12)
-        sleeve = _slice_region_rows(origin, basis, r, d)
+        sleeve = _slice_region_rows(r, d)
         assert np.allclose(np.linalg.norm(sleeve[:, :-1], axis=1), 1.0, rtol=0.0, atol=1e-14)
         for _ in range(50):
             y = rng.standard_normal((r, d))
