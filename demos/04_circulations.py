@@ -2,9 +2,9 @@
 
 Features may each serve one component, components hold at most s features;
 the best assignment is a max-profit integer circulation.  Greedy assignment
-fails on coupled profits; one rectangular assignment solve with s slots per
-component does not, and optimality is certified by the absence of
-positive-profit residual circuits.
+fails on coupled profits; pushing flow around each positive-profit residual
+circuit that the optimality certificate finds repairs it, and the absence
+of such circuits certifies the result.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ print("profits:\n", profits)
 print("greedy would grab 9 first and finish with 9.")
 
 flow = solve_max_profit(inst)
-print(f"assignment solve: profit {flow.profit(inst):.1f}, "
+print(f"greedy start, then cycle canceling: profit {flow.profit(inst):.1f}, "
       f"supports {supports_from_circulation(inst, flow)}")
 
 reference = brute_force_max_profit(inst)

@@ -4,13 +4,13 @@ D has a hub vertex t, component vertices u_0..u_{d-1} and feature vertices
 w_0..w_{n-1}.  Arcs run t -> u_i (capacity s, profit 0), u_i -> w_j
 (capacity 1, profit p[i, j]) and w_j -> t (capacity 1, profit 0).  A
 feasible integer circulation is thus an assignment: each feature goes to
-one of the s slots of one component, or to none.  `solve_max_profit` solves it
-with one rectangular assignment (`scipy.optimize.linear_sum_assignment`,
-the Jonker-Volgenant method of Crouse, IEEE TAES 2016, imported on the first
-solve so that sparse PCA never loads `scipy`) and then certifies the result:
-a circulation is optimal exactly when its residual graph has no directed
-circuit of positive profit, which `is_optimal` checks with Bellman-Ford on
-negated profits and, on failure, returns the circuit found.
+one of the s slots of one component, or to none.  A circulation is optimal
+exactly when its residual graph has no directed circuit of positive profit
+(Klein 1967), which `is_optimal` checks with Bellman-Ford on negated
+profits and, on failure, returns the circuit found.  `solve_max_profit`
+cancels those circuits: from a greedy assignment it pushes one unit around
+each circuit `is_optimal` returns until none is left, so its exit test is
+the certificate itself and the module needs no `scipy`.
 `optimal_at_profits` reads a flow's residual circuits off D's signed
 circuit table, to mark every profit matrix where none of them gains.
 """
@@ -225,30 +225,53 @@ def optimal_at_profits(
     return optimal
 
 
+def _greedy_start(instance: CirculationInstance) -> Circulation:
+    """Features in descending order of their best profit (stable), each to
+    its most profitable component with a free slot, when that profit is
+    positive.  Optimal when every component has the same profit row."""
+    s = instance.s
+    rows = instance.profits.tolist()
+    a0 = np.zeros((instance.d, instance.n), dtype=int)
+    au = [0] * instance.d
+    for j in np.argsort(-instance.profits.max(axis=0), kind="stable").tolist():
+        free = [i for i in range(instance.d) if au[i] < s]
+        if not free:
+            break
+        i = max(free, key=lambda k: rows[k][j])
+        if rows[i][j] > 0.0:
+            a0[i, j] = 1
+            au[i] += 1
+    return Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
+
+
+def _push(f: Circulation, certificate: ResidualCircuit) -> Circulation:
+    """f with one more unit around the residual circuit: a forward key
+    raises its arc's flow by one, a backward key lowers it."""
+    flows = {"a0": f.a0.copy(), "au": f.au.copy(), "aw": f.aw.copy()}
+    for kind, *index, direction in certificate.arc_keys:
+        flows[kind][tuple(index)] += direction
+    return Circulation(**flows)
+
+
 def solve_max_profit(instance: CirculationInstance) -> Circulation:
-    """Maximum-profit integer circulation, solved as one assignment.
+    """Maximum-profit integer circulation by cycle canceling (Klein 1967).
 
-    Feature j is a row; each component owns min(s, n) slot columns carrying
-    its profits, and n zero-profit columns leave a feature unassigned.  Only
-    positive-profit assignments to component slots become flow.  Raises
-    `CertificateFailed` if the result fails the `is_optimal` check.
+    Starts from `_greedy_start`, optimal as it stands at rank <= 1, and
+    pushes one unit around each positive residual circuit `is_optimal`
+    returns until it certifies the flow.  Raises `CertificateFailed` when
+    `is_optimal` rejects a flow without a circuit, or after d * n pushes.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    d, n = instance.d, instance.n
-    slots = min(instance.s, n)
-    gain = np.hstack([np.repeat(instance.profits.T, slots, axis=1), np.zeros((n, n))])
-    rows, cols = linear_sum_assignment(gain, maximize=True)
-    a0 = np.zeros((d, n), dtype=int)
-    taken = (cols < d * slots) & (gain[rows, cols] > 0.0)
-    a0[cols[taken] // slots, rows[taken]] = 1
-    f = Circulation(a0=a0, au=a0.sum(axis=1), aw=a0.sum(axis=0))
-    optimal, certificate = is_optimal(instance, f)
-    if not optimal:
-        raise CertificateFailed(
-            f"assignment flow failed its optimality certificate: {certificate}"
-        )
-    return f
+    cap = instance.d * instance.n
+    f = _greedy_start(instance)
+    for pushes in range(cap + 1):
+        optimal, certificate = is_optimal(instance, f)
+        if optimal:
+            return f
+        if certificate is None or pushes == cap:
+            raise CertificateFailed(
+                f"flow not certified after {pushes} pushes: {certificate}"
+            )
+        f = _push(f, certificate)
 
 
 def supports_from_circulation(

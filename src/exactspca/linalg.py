@@ -21,6 +21,7 @@ from .errors import (
 )
 
 DEFAULT_RANK_TOL = 1e-10
+_GAP_ROWS = 64  # rows of K - R R^T checked at once
 
 
 def as_symmetric(a) -> np.ndarray:
@@ -80,6 +81,10 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
     later columns, as the pivot's row does: duplicated features get
     identical rows, and rows merely close to the pivot's keep theirs.  The
     residuals, and so the rank and the checks, are the right-looking ones.
+    Before that cut, K - R @ R.T is checked in blocks of `_GAP_ROWS` rows: an
+    entry above ``tol_rank`` times the largest diagonal, plus rounding, also
+    raises `NotPositiveSemidefinite`, as when a negative part hides in the
+    off-diagonal entries between rows of zero residual.
     """
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
@@ -115,6 +120,18 @@ def pivoted_cholesky(kmatrix, tol_rank: float = DEFAULT_RANK_TOL) -> PsdFactor:
         twin = residual * diagonal[p] <= diagonal * abs(residual[p])
         cut[twin & (cut > i)] = i
     factor = np.column_stack(columns) if columns else np.zeros((n, 0))
+    # K - R R^T is the dropped Schur complement, whose entries a PSD K
+    # bounds by its diagonal, at most `stop`, plus the rounding of r terms.
+    bound = stop + 2 * (len(columns) + 1) * np.finfo(float).eps * base
+    for start in range(0, n, _GAP_ROWS):
+        rows = slice(start, start + _GAP_ROWS)
+        gap = factor[rows] @ factor.T
+        np.subtract(a[rows], gap, out=gap)
+        worst = float(np.abs(gap, out=gap).max())
+        if worst > bound:
+            raise NotPositiveSemidefinite(
+                f"K - R R^T reaches {worst:.3e}, above the bound {bound:.3e}"
+            )
     factor[np.arange(len(columns)) > cut[:, None]] = 0.0
     return PsdFactor(n=n, rank=len(columns), factor=factor)
 

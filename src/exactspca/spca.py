@@ -59,7 +59,6 @@ from .extension import MonomialBasis
 from .linalg import (
     DEFAULT_RANK_TOL,
     PsdFactor,
-    as_symmetric,
     pivoted_cholesky,
     solve_pca,
     symmetrize,
@@ -89,7 +88,9 @@ class SpcaInstance:
     @classmethod
     def build(cls, kmatrix, d: int, s: int,
               tol_rank: float = DEFAULT_RANK_TOL) -> "SpcaInstance":
-        kmatrix = as_symmetric(kmatrix)
+        # The factor checks K once, so its errors come before the parameters'.
+        factor = pivoted_cholesky(kmatrix, tol_rank)
+        kmatrix = np.asarray(kmatrix, dtype=float)
         n = kmatrix.shape[0]
         if d < 1:
             raise InvalidParameters(f"need d >= 1, got d={d}")
@@ -100,7 +101,7 @@ class SpcaInstance:
             )
         if s > n:
             raise InvalidParameters(f"need s <= n, got s={s}, n={n}")
-        return cls(kmatrix=kmatrix, d=d, s=s, factor=pivoted_cholesky(kmatrix, tol_rank))
+        return cls(kmatrix=kmatrix, d=d, s=s, factor=factor)
 
     @property
     def n(self) -> int:

@@ -48,7 +48,7 @@ from .circulation import (
 )
 from .errors import CertificateFailed, InvalidParameters
 from .extension import MonomialBasis
-from .linalg import (DEFAULT_RANK_TOL, PsdFactor, as_symmetric, pivoted_cholesky, solve_pca,
+from .linalg import (DEFAULT_RANK_TOL, PsdFactor, pivoted_cholesky, solve_pca,
                      symmetrize, top_eigenvalue_sums)
 # No solve calls these; perfbench/tracing.py binds them under these names.
 from .reference import (build_arc_functional, build_circuit_functional,  # noqa: F401
@@ -68,7 +68,9 @@ class SpcaDsInstance:
     @classmethod
     def build(cls, kmatrix, d: int, s: int,
               tol_rank: float = DEFAULT_RANK_TOL) -> "SpcaDsInstance":
-        kmatrix = as_symmetric(kmatrix)
+        # The factor checks K once, so its errors come before the parameters'.
+        factor = pivoted_cholesky(kmatrix, tol_rank)
+        kmatrix = np.asarray(kmatrix, dtype=float)
         n = kmatrix.shape[0]
         if d < 1:
             raise InvalidParameters(f"need d >= 1, got d={d}")
@@ -78,7 +80,7 @@ class SpcaDsInstance:
             raise InvalidParameters(
                 f"d nonempty disjoint supports need d <= n, got d={d}, n={n}"
             )
-        return cls(kmatrix=kmatrix, d=d, s=s, factor=pivoted_cholesky(kmatrix, tol_rank))
+        return cls(kmatrix=kmatrix, d=d, s=s, factor=factor)
 
     @property
     def n(self) -> int:

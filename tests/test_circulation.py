@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,82 @@ class TestSolveMaxProfit:
             assert flow.profit(inst) == pytest.approx(report.objective, abs=1e-9)
             optimal, certificate = is_optimal(inst, flow)
             assert optimal and certificate is None
+
+    @pytest.mark.parametrize("kind", ["tied", "squared"])
+    def test_matches_bruteforce_on_ties(self, rng, kind):
+        # Small integer profits tie; squares of a rank-2 integer factor at
+        # d angles are the torus's arc profits, with R_1 = -R_0 tying rows.
+        for _ in range(60):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 8))
+            s = int(rng.integers(1, 4))
+            if kind == "tied":
+                profits = rng.integers(-2, 4, size=(d, n)).astype(float)
+            else:
+                factor = rng.integers(-2, 3, size=(n, 2)).astype(float)
+                if n > 1:
+                    factor[1] = -factor[0]
+                angles = rng.uniform(0.0, np.pi, d)
+                profits = (factor @ np.stack([np.cos(angles), np.sin(angles)])).T ** 2
+            inst = _instance(d, n, s, profits)
+            flow = solve_max_profit(inst)
+            assert flow.profit(inst) == pytest.approx(brute_force_max_profit(inst).objective, abs=1e-9)
+
+    def test_every_push_keeps_a_feasible_flow(self, rng, monkeypatch):
+        flows = []
+
+        def recording(instance, f):
+            check_circulation(instance, f)
+            flows.append(f.profit(instance))
+            return is_optimal(instance, f)
+
+        monkeypatch.setattr("exactspca.circulation.is_optimal", recording)
+        pushes = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 8))
+            s = int(rng.integers(1, 4))
+            inst = _instance(d, n, s, rng.integers(-2, 6, size=(d, n)).astype(float))
+            flows.clear()
+            solve_max_profit(inst)
+            # Each push gains the positive profit of its circuit.
+            assert np.all(np.diff(flows) > 0.0)
+            assert len(flows) - 1 <= d * n
+            pushes += len(flows) - 1
+        assert pushes > 0
+
+    def test_identical_rows_need_no_push(self, monkeypatch):
+        # Rank <= 1: every component has the same profit row, so the greedy
+        # start is optimal and the one certificate call accepts it.
+        calls = []
+
+        def counting(instance, f):
+            calls.append(f)
+            return is_optimal(instance, f)
+
+        monkeypatch.setattr("exactspca.circulation.is_optimal", counting)
+        row = np.random.default_rng(3).standard_normal(300) ** 2
+        inst = _instance(2, 300, 40, np.vstack([row, row]))
+        tick = time.perf_counter()
+        flow = solve_max_profit(inst)
+        assert time.perf_counter() - tick < 1.0
+        assert len(calls) == 1
+        assert flow.profit(inst) == pytest.approx(np.sort(row)[-80:].sum())
+
+    def test_push_cap_raises_typed_error(self, monkeypatch):
+        # A certificate that never runs out stops after d * n pushes.
+        inst = _instance(2, 3, 1, [[3.0, 5.0, 1.0], [2.0, 4.0, 6.0]])
+        circuit = is_optimal(inst, zero_circulation(inst))[1]
+        calls = []
+
+        def endless(instance, f):
+            calls.append(f)
+            return False, circuit
+
+        monkeypatch.setattr("exactspca.circulation.is_optimal", endless)
+        with pytest.raises(CertificateFailed, match="after 6 pushes"):
+            solve_max_profit(inst)
+        assert len(calls) == 2 * 3 + 1
 
     def test_failed_certificate_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(

@@ -266,6 +266,17 @@ class TestExitCodes:
         assert code == 4
 
 
+    @pytest.mark.parametrize("command", ["solve-spca", "solve-spca-ds"])
+    def test_indefinite_between_zero_residuals(self, tmp_path, capsys, command):
+        # Eigenvalue -1 in the off-diagonal entries between two rows whose
+        # residuals are 0 after the first pivot: rank 1 with objective 1.0
+        # unless K is compared with R R^T.
+        kmatrix = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        indefinite = _write(tmp_path, "ind.csv", kmatrix)
+        code = main([command, "--input", indefinite, "--d", "1", "--s", "1"])
+        assert "R R^T" in capsys.readouterr().err
+        assert code == 4
+
     def test_too_degenerate_tie(self, tmp_path, capsys):
         # 30 features tie at one vertex with 15 to fill: C(30, 15) fills.
         factor = np.zeros((36, 3))

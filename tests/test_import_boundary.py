@@ -1,6 +1,9 @@
-"""Sparse PCA, `factor` and the oracles run without loading `scipy`.
+"""Only the chart walk and `reference` load `scipy.optimize`.
 
-The pytest process has scipy loaded through other tests, so each probe runs
+Sparse PCA, `factor`, the oracles and the disjoint solves at rank <= 2
+(one region, or the torus at d = 2) run without loading `scipy`; the walk
+of a rank-3 disjoint solve loads `scipy.optimize` for its facet LPs.  The
+pytest process has scipy loaded through other tests, so each probe runs
 in a fresh interpreter against this checkout's sources.
 """
 
@@ -21,11 +24,15 @@ from exactspca import cli
 
 path = sys.argv[1]
 kmatrix = np.loadtxt(path, delimiter=",")
+rank_one = np.outer(kmatrix[0], kmatrix[0])
 exactspca.solve_spca(exactspca.SpcaInstance.build(kmatrix, d=1, s=2))
 exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=1, s=2))
+exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(rank_one, d=2, s=1))
 exactspca.brute_force_spca(kmatrix, d=1, s=2)
 exactspca.brute_force_spca_ds(kmatrix, d=2, s=1)
 for argv in (["solve-spca", "--d", "1", "--s", "2"], ["factor"],
+             ["solve-spca-ds", "--d", "2", "--s", "1"],
              ["oracle-spca", "--d", "1", "--s", "2"],
              ["oracle-spca-ds", "--d", "2", "--s", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -33,19 +40,20 @@ for argv in (["solve-spca", "--d", "1", "--s", "2"], ["factor"],
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
-_DS_SOLVE = """
+_WALK_SOLVE = """
 import sys
 import numpy as np
 import exactspca
 
 kmatrix = np.loadtxt(sys.argv[1], delimiter=",")
-exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+solution = exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+assert solution.diagnostics.rank == 3 and solution.diagnostics.facet_lps > 0
 print("scipy.optimize" in sys.modules)
 """
 
 
-def _probe(script, tmp_path):
-    factor = np.random.default_rng(0).standard_normal((4, 2))
+def _probe(script, tmp_path, rank):
+    factor = np.random.default_rng(0).standard_normal((4, rank))
     path = tmp_path / "k.csv"
     np.savetxt(path, factor @ factor.T, delimiter=",")
     env = dict(os.environ)
@@ -61,8 +69,8 @@ def _probe(script, tmp_path):
 
 
 def test_sparse_pca_factor_and_oracles_load_no_scipy(tmp_path):
-    assert _probe(_NO_SCIPY_PATHS, tmp_path) == "[]"
+    assert _probe(_NO_SCIPY_PATHS, tmp_path, rank=2) == "[]"
 
 
 def test_disjoint_solve_loads_scipy_optimize(tmp_path):
-    assert _probe(_DS_SOLVE, tmp_path) == "True"
+    assert _probe(_WALK_SOLVE, tmp_path, rank=3) == "True"

@@ -27,9 +27,10 @@ from conftest import minor_rank, random_low_rank_psd
 
 def _right_looking_cholesky(kmatrix, tol_rank):
     """The right-looking form of `pivoted_cholesky`: n-by-n Schur updates
-    with row and column swaps, and a row cut from the later columns once its
-    residual relative to its diagonal falls to the pivot's.  The test
-    reference for its factor, rank and errors, bit for bit."""
+    with row and column swaps, K checked against R R^T in one product, and
+    a row cut from the later columns once its residual relative to its
+    diagonal falls to the pivot's.  The test reference for its factor, rank
+    and errors, bit for bit."""
     if not 0.0 <= tol_rank < 1.0:
         raise InvalidParameters(f"need 0 <= tol_rank < 1, got tol_rank={tol_rank}")
     a = as_symmetric(kmatrix).copy()
@@ -70,6 +71,12 @@ def _right_looking_cholesky(kmatrix, tol_rank):
         rank += 1
     factor = np.zeros((n, rank))
     factor[perm, :] = lower[:, :rank]
+    bound = stop + 2 * (rank + 1) * np.finfo(float).eps * base
+    worst = float(np.abs(as_symmetric(kmatrix) - factor @ factor.T).max())
+    if worst > bound:
+        raise NotPositiveSemidefinite(
+            f"K - R R^T reaches {worst:.3e}, above the bound {bound:.3e}"
+        )
     factor[np.arange(rank) > cut[:, None]] = 0.0
     return factor
 
@@ -188,6 +195,10 @@ class TestPivotedCholesky:
         # pivot, as a twin's is, and -1 after the second.
         with pytest.raises(NotPositiveSemidefinite):
             pivoted_cholesky(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+        # Eigenvalues -1, 1, 1: every residual is 0 after the first pivot,
+        # so only K - R R^T sees the off-diagonal 1s the factor drops.
+        with pytest.raises(NotPositiveSemidefinite, match="R R"):
+            pivoted_cholesky(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
 
     def test_asymmetric_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0 + 1e-7, 1.0]])
@@ -206,6 +217,21 @@ class TestPivotedCholesky:
             SpcaInstance.build(kmatrix, 1, 1)
         with pytest.raises(NonFiniteInput):
             SpcaDsInstance.build(kmatrix, 1, 1)
+
+    def test_build_checks_k_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return as_symmetric(a)
+
+        monkeypatch.setattr("exactspca.linalg.as_symmetric", counting)
+        kmatrix = random_low_rank_psd(np.random.default_rng(0), 5, 2)
+        for build in (SpcaInstance.build, SpcaDsInstance.build):
+            calls.clear()
+            instance = build(kmatrix, 1, 2)
+            assert len(calls) == 1
+            assert instance.kmatrix is kmatrix and instance.rank == 2
 
     def test_reconstruction_and_rank_random(self, rng):
         for _ in range(40):
