@@ -7,20 +7,22 @@ has positive profit.  Each family of disjoint supports optimal somewhere on
 the realizable set is a candidate; the best under per-component PCA
 evaluation is globally optimal.
 
-Two shapes need no circuit.  One component (d = 1) is sparse PCA with
+Three shapes need no circuit.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
-unit-trace slice of the lifted space is a single point, so one circulation
-on the squared row norms is the only region.  Rank two with d = 2 cuts the
-regions of the circuit hyperplanes in closed form on the torus of block
-angles, one line per slab between crossings and tangents, whose arc signs
-are read by toggling curve bits at the sorted roots over the half
-phi1 <= phi2 only (swapping the components mirrors the rest), and solves
-one circulation per family.  There every arc
-profit is a square, so every optimal flow is a maximum flow, and only the
-circuits that can bound an optimal family are cut (`_separating_circuits`).
-Every other shape walks the families' optimality cones across the clipped
-chart of the slice, with every circuit: the chart's sleeve holds points
-that no unit vectors realize, where profits can be negative.
+unit-trace slice of the lifted space is a single point, and at s = 1 every
+support is one feature j, whose value K_jj = |R_j|^2 depends on no point of
+the slice: either way one circulation on the squared row norms, one region,
+is optimal.  Rank two with d = 2 and s >= 2 cuts the regions of the circuit
+hyperplanes in closed form on the torus of block angles, one line per slab
+between crossings and tangents, whose arc signs are read by toggling curve
+bits at the sorted roots over the half phi1 <= phi2 only (swapping the
+components mirrors the rest), and solves one circulation per family.  There
+every arc profit is a square, so every optimal flow is a maximum flow, and
+only the circuits that can bound an optimal family are cut
+(`_separating_circuits`).  Every other shape walks the families' optimality
+cones across the clipped chart of the slice, with every circuit: the chart's
+sleeve holds points that no unit vectors realize, where profits can be
+negative.
 
 Circulations may leave a component's support empty, while a unit-norm
 loading vector needs a nonempty one: `_complete_family` fills it without
@@ -823,17 +825,18 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     """Globally optimal disjoint-supports solution for the given instance.
 
     One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
-    unit-trace slice is a single point: one region, no circuit.  Rank two
-    with two components cuts its regions in closed form on the half
-    phi1 <= phi2 of the torus and solves one circulation per family,
-    covering the regions where none of its residual circuits gains; the
-    other half's families are the mirrored ones.  Its arc profits are
-    squares, so it cuts and covers with only the circuits that can bound an
-    optimal family (`_separating_circuits`; the diagnostics count the rest
-    in ``circuits_pruned``).  Every other shape walks
-    the families' optimality cones across the chart (`_walk_families`): its
-    work grows with the families and their residual circuits, not with the
-    regions.
+    unit-trace slice is a single point, and at s = 1 a support {j} is worth
+    K_jj everywhere on it: one region, no circuit, and the first component
+    takes the largest squared row norm.  Rank two with two components and
+    s >= 2 cuts its regions in closed form on the half phi1 <= phi2 of the
+    torus and solves one circulation per family, covering the regions
+    where none of its residual circuits gains; the other half's families
+    are the mirrored ones.  Its arc profits are squares, so it cuts and
+    covers with only the circuits that can bound an optimal family
+    (`_separating_circuits`; the diagnostics count the rest in
+    ``circuits_pruned``).  Every other shape walks the families' optimality
+    cones across the chart (`_walk_families`): its work grows with the
+    families and their residual circuits, not with the regions.
     """
     if instance.d == 1:
         return _solve_one_component(instance)
@@ -841,30 +844,34 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     factor = instance.factor
     stage_ms: dict = {}
 
+    one_region = r <= 1 or s == 1
+    torus = not one_region and (r, d) == (2, 2)
     tick = time.perf_counter()
     counts = {}
-    if r >= 2:
+    if not one_region:
         # Realizable profits are >= 0, so the torus cuts only the circuits
         # that can bound an optimal family; the walk's sleeve is not realizable.
         planes = build_circuit_hyperplanes(
-            instance, _separating_circuits(d, n, s) if (r, d) == (2, 2) else None)
+            instance, _separating_circuits(d, n, s) if torus else None)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
         counts.update(circuits_enumerated=planes.circuits_enumerated,
                       circuits_pruned=planes.circuits_pruned,
                       degenerate_circuits=planes.degenerate_circuits,
                       hyperplanes=len(planes.hyperplanes))
-    if r <= 1 or (r, d) == (2, 2):
-        if r <= 1:
-            # Every block of the slice is the point y_i^2 = 1: one region,
-            # where each component's arc profits are the squared row norms.
+    if one_region or torus:
+        if one_region:
+            # At rank <= 1 every block of the slice is the point y_i^2 = 1,
+            # and at s = 1 a support {j} is worth K_jj = |R_j|^2 wherever y
+            # is: one region, where each component's arc profits are the
+            # squared row norms.
             profits = np.tile(np.sum(factor.factor * factor.factor, axis=1), (1, d, 1))
         else:
             profits, swept = _region_profits(instance, planes)
             counts.update(swept)
         stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
-        families, solves = _families_by_covering(profits, s, planes.table if r == 2 else None)
+        families, solves = _families_by_covering(profits, s, planes.table if torus else None)
         stage_ms["circulations"] = (time.perf_counter() - tick) * 1000.0
         counts.update(cells_enumerated=profits.shape[0], circulation_solves=solves)
     else:
@@ -880,7 +887,7 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     # last bits do not choose; ties go to the smallest flattened support list.
     top = values.max() - 1e-12 * abs(values.max())
     tied = [completed[k] for k in np.flatnonzero(values >= top)]
-    if (r, d) == (2, 2):
+    if torus:
         # The torus half's mirrored families, equal in value (a sum of two
         # per-support values), were not swept.
         tied += [(family[::-1], completions) for family, completions in tied]

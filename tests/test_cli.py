@@ -118,7 +118,7 @@ class TestCommands:
         factor = np.random.default_rng(4).standard_normal((3, 2))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
-            capsys, ["solve-spca-ds", "--input", path, "--d", "2", "--s", "1"]
+            capsys, ["solve-spca-ds", "--input", path, "--d", "2", "--s", "2"]
         )
         assert code == 0
         diag = doc["diagnostics"]
@@ -129,11 +129,12 @@ class TestCommands:
                                            (3, 2, False)])
     def test_solve_spca_ds_reports_sweep_lines(self, tmp_path, capsys, r, d, swept):
         # Only rank 2 with two components sweeps the torus of block angles;
-        # rank 3 walks the chart, one facet LP at a time.
+        # rank 3 walks the chart, one facet LP at a time.  At s = 1 neither
+        # runs: every support is one feature, and there is one region.
         factor = np.random.default_rng(4).standard_normal((3, r))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
-            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "1"]
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "2"]
         )
         assert code == 0
         assert doc["problem"]["rank"] == r
@@ -143,11 +144,11 @@ class TestCommands:
     @pytest.mark.parametrize("r,d", [(2, 2), (2, 1), (1, 2)])
     def test_solve_spca_ds_reports_dropped_witnesses(self, tmp_path, capsys, r, d):
         # Torus sign keys whose arcs all fail the witness margin; only the
-        # rank-2, two-component sweep can drop any.
+        # rank-2, two-component sweep at s >= 2 can drop any.
         factor = np.random.default_rng(4).standard_normal((3, r))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
-            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "1"]
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "2"]
         )
         assert code == 0
         dropped = doc["diagnostics"]["dropped_witnesses"]

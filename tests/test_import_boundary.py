@@ -1,10 +1,10 @@
 """Only the chart walk and `reference` load `scipy.optimize`.
 
-Sparse PCA, `factor`, the oracles and the disjoint solves at rank <= 2
-(one region, or the torus at d = 2) run without loading `scipy`; the walk
-of a rank-3 disjoint solve loads `scipy.optimize` for its facet LPs.  The
-pytest process has scipy loaded through other tests, so each probe runs
-in a fresh interpreter against this checkout's sources.
+Sparse PCA, `factor`, the oracles and the disjoint solves at rank <= 2 or
+s = 1 (one region, or the torus at d = 2) run without loading `scipy`; the
+walk of a rank-3 disjoint solve at s >= 2 loads `scipy.optimize` for its
+facet LPs.  The pytest process has scipy loaded through other tests, so
+each probe runs in a fresh interpreter against this checkout's sources.
 """
 
 import os
@@ -25,14 +25,19 @@ from exactspca import cli
 path = sys.argv[1]
 kmatrix = np.loadtxt(path, delimiter=",")
 rank_one = np.outer(kmatrix[0], kmatrix[0])
+factor = np.random.default_rng(1).standard_normal((4, 3))
+rank_three = factor @ factor.T
 exactspca.solve_spca(exactspca.SpcaInstance.build(kmatrix, d=1, s=2))
 exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=1, s=2))
-exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+solution = exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=2))
+assert solution.diagnostics.sweep_lines > 0
 exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(rank_one, d=2, s=1))
+solution = exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(rank_three, d=2, s=1))
+assert solution.diagnostics.rank == 3 and solution.diagnostics.cells_enumerated == 1
 exactspca.brute_force_spca(kmatrix, d=1, s=2)
 exactspca.brute_force_spca_ds(kmatrix, d=2, s=1)
 for argv in (["solve-spca", "--d", "1", "--s", "2"], ["factor"],
-             ["solve-spca-ds", "--d", "2", "--s", "1"],
+             ["solve-spca-ds", "--d", "2", "--s", "2"],
              ["oracle-spca", "--d", "1", "--s", "2"],
              ["oracle-spca-ds", "--d", "2", "--s", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -46,7 +51,7 @@ import numpy as np
 import exactspca
 
 kmatrix = np.loadtxt(sys.argv[1], delimiter=",")
-solution = exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=1))
+solution = exactspca.solve_spca_ds(exactspca.SpcaDsInstance.build(kmatrix, d=2, s=2))
 assert solution.diagnostics.rank == 3 and solution.diagnostics.facet_lps > 0
 print("scipy.optimize" in sys.modules)
 """

@@ -53,6 +53,8 @@ def _spca_ds_path(diag, d, r):
         return "one-component"
     if r <= 1:
         return "rank-one"
+    if diag.cells_enumerated == 1 and diag.circuits_enumerated == 0:
+        return "singletons"
     if diag.sweep_lines > 0:
         return "torus"
     return "walk" if diag.facet_lps > 0 else "unknown"
@@ -67,7 +69,8 @@ def _spca_ds_path(diag, d, r):
     ("spca_ds", "one-component", 2, 5, 1, 2),
     ("spca_ds", "rank-one", 1, 4, 2, 2),
     ("spca_ds", "torus", 2, 4, 2, 2),
-    ("spca_ds", "walk", 3, 4, 2, 1),
+    ("spca_ds", "singletons", 3, 4, 2, 1),
+    ("spca_ds", "walk", 3, 4, 2, 2),
 ])
 def test_no_solve_reaches_the_reference(monkeypatch, problem, path, r, n, d, s):
     factor = np.random.default_rng(10 * r + n).standard_normal((n, r))

@@ -175,7 +175,7 @@ class TestSolveSpcaDs:
     def test_scaled_down_instance_matches_oracle(self, rng):
         # Optimality is invariant under positive scaling: at K * 1e-16 every
         # arc profit is below 1e-16, and the regions must still be told apart.
-        for s in (1, 2, 1, 2):
+        for s in (2, 3, 2, 3):
             kmatrix = 1e-16 * random_low_rank_psd(rng, 3, 2)
             solution = solve_spca_ds(_instance(kmatrix, 2, s))
             assert solution.diagnostics.candidates_evaluated > 1
@@ -187,7 +187,7 @@ class TestSolveSpcaDs:
     def test_tied_integer_torus_matches_oracle(self, scale):
         # Integer factors with R_1 = -R_0 tie arcs and cancel circuits.
         rng = np.random.default_rng(21)
-        for n, s in ((3, 1), (3, 2), (4, 1), (4, 3)):
+        for n, s in ((3, 2), (5, 2), (6, 2), (4, 3)):
             inst = None
             while inst is None or inst.rank != 2:
                 factor = rng.integers(-3, 4, size=(n, 2)).astype(float)
@@ -206,7 +206,7 @@ class TestSolveSpcaDs:
         # change the answer: ties go to the smallest flattened family.
         rng = np.random.default_rng(11)
         exact = spca_ds_module._family_values
-        for n, s in [(3, 1), (4, 1), (4, 2)] * 3:
+        for n, s in [(3, 2), (5, 2), (4, 2)] * 3:
             inst = None
             while inst is None or inst.rank != 2:
                 factor = rng.integers(-2, 3, size=(n, 2)).astype(float)
@@ -236,18 +236,19 @@ class TestSolveSpcaDs:
             assert counts["cells_enumerated"] == len(walked)
             assert counts["facet_lps"] > 0
 
-    # Every (n, s) at both shapes past the torus.  Gaussian draws walk up to
-    # 3,700 facet LPs (2-12 s a solve) at rank 2, d = 3 with n = 4 or s = 2,
-    # and about 500 at rank 3, d = 2, n = 4, s = 2, so those shapes take the
-    # integer draws only, and rank 2, n = 4, s = 2 no 1e-16 copy.
+    # Both shapes past the torus at n = 3 and 4, with s = 2 and 3 (s = 1 is
+    # one region).  Gaussian draws walk 700-3,800 facet LPs (2-12 s a solve)
+    # at rank 2, d = 3 with n = 4 or s = 2, and 500-800 at rank 3, d = 2,
+    # n = 4, so those shapes take the integer draws only, and rank 2, n = 4
+    # no 1e-16 copy.
     @pytest.mark.parametrize("r,d,n,s,kinds", [
-        (3, 2, 3, 1, ("gaussian", "integer", "tiny")),
+        (3, 2, 3, 3, ("gaussian", "integer", "tiny")),
         (3, 2, 3, 2, ("gaussian", "integer", "tiny")),
-        (3, 2, 4, 1, ("gaussian", "integer", "tiny")),
+        (3, 2, 4, 3, ("integer", "tiny")),
         (3, 2, 4, 2, ("integer", "tiny")),
-        (2, 3, 3, 1, ("gaussian", "integer", "tiny")),
+        (2, 3, 3, 3, ("gaussian", "integer", "tiny")),
         (2, 3, 3, 2, ("integer", "tiny")),
-        (2, 3, 4, 1, ("integer", "tiny")),
+        (2, 3, 4, 3, ("integer",)),
         (2, 3, 4, 2, ("integer",)),
     ])
     def test_walk_matches_oracle(self, r, d, n, s, kinds):
@@ -397,13 +398,13 @@ class TestSolveSpcaDs:
             SpcaDsInstance.build(kmatrix, 1, 0)
 
     def test_diagnostics_counts(self, rng):
-        kmatrix = random_low_rank_psd(rng, 4, 2)
-        solution = solve_spca_ds(_instance(kmatrix, 2, 1))
+        kmatrix = random_low_rank_psd(rng, 5, 2)
+        solution = solve_spca_ds(_instance(kmatrix, 2, 2))
         diag = solution.diagnostics
-        assert diag.circuits_enumerated == 78
-        # n = 4 > d * s: the torus leaves out the 24 circuits t-u-w-u-w-t,
+        assert diag.circuits_enumerated == 145
+        # n = 5 > d * s: the torus leaves out the 40 circuits t-u-w-u-w-t,
         # which change the flow's value; the single arcs stay as touch cuts.
-        assert diag.circuits_pruned == 24
+        assert diag.circuits_pruned == 40
         # One solve per family; the other regions are certified in batch.
         assert 1 <= diag.candidates_evaluated <= diag.circulation_solves < diag.cells_enumerated
         assert set(diag.stage_ms) >= {"regions", "circulations"}
@@ -444,6 +445,41 @@ class TestReductions:
             assert solution.objective == pytest.approx(
                 brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=1e-8
             )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+    def test_single_feature_supports_are_one_region(self, monkeypatch, r, d):
+        # At s = 1 a support {j} is worth K_jj = |R_j|^2 at any rank, so every
+        # component has the same profit row: one region, one assignment on
+        # the squared row norms, no circuit, no torus and no walk.  The first
+        # component takes the largest K_jj, at every rank.
+        def refuse(*args, **kwargs):
+            raise AssertionError("s = 1 cut or walked the regions")
+
+        for name in ("build_circuit_hyperplanes", "_torus_sweep", "_walk_families"):
+            monkeypatch.setattr(spca_ds_module, name, refuse)
+        rng = np.random.default_rng(10 * r + d)
+        for n in range(d, 7):
+            tied = rng.integers(-3, 4, size=(n, r)).astype(float)
+            tied[1] = -tied[0]
+            zero_row = rng.standard_normal((n, r))
+            zero_row[rng.integers(n)] = 0.0
+            factors = {"gaussian": rng.standard_normal((n, r)), "tied": tied,
+                       "zero-row": zero_row, "binary": rng.integers(0, 2, size=(n, r)) * 1.0}
+            for kind, factor in factors.items():
+                for scale in (1.0, 1e-16):
+                    kmatrix = scale * symmetrize(factor @ factor.T)
+                    solution = solve_spca_ds(_instance(kmatrix, d, 1))
+                    diag = solution.diagnostics
+                    assert diag.cells_enumerated == diag.circulation_solves == 1
+                    assert diag.sweep_lines == diag.facet_lps == diag.circuits_enumerated == 0
+                    assert [len(support) for support in solution.supports] == [1] * d
+                    if kind == "gaussian":
+                        top = np.argsort(-np.diag(kmatrix), kind="stable")[:d]
+                        assert solution.supports == tuple((j,) for j in top)
+                    assert solution.objective == pytest.approx(
+                        brute_force_spca_ds(kmatrix, d, 1).objective, rel=1e-9, abs=0.0
+                    )
 
     def test_rank_one_builds_no_circuit_table(self, monkeypatch):
         # At rank <= 1 the one region needs no circuit: a wide rank-1 shape
@@ -766,7 +802,7 @@ def test_generic_torus_drops_no_witness(rng, n, draws):
     # and is not keyed, so on generic factors every key finds its witness.
     for _ in range(draws):
         factor = rng.standard_normal((n, 2))
-        solution = solve_spca_ds(_instance(symmetrize(factor @ factor.T), 2, 1))
+        solution = solve_spca_ds(_instance(symmetrize(factor @ factor.T), 2, 2))
         assert solution.diagnostics.sweep_lines > 0
         assert solution.diagnostics.dropped_witnesses == 0
 
@@ -852,13 +888,14 @@ def test_dropped_circuits_never_gain_at_optimal_flows(rng, n):
                 assert np.all(gains < -1e-9 * profits.max())
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("s", [2, 3])
 def test_pruned_torus_matches_oracle(n, s):
     # Each regime: n < d * s (some slot stays free), n = d * s and n > d * s
-    # (some feature stays unused).  Gaussian factors, integer factors with
-    # R_1 = -R_0, which tie features exactly, a zero row, whose feature has
-    # zero profit everywhere, and their 1e-16 copies.
+    # (some feature stays unused; n >= 5 at s = 2, as s = 1 is one region).
+    # Gaussian factors, integer factors with R_1 = -R_0, which tie features
+    # exactly, a zero row, whose feature has zero profit everywhere, and
+    # their 1e-16 copies.
     rng = np.random.default_rng(100 * n + s)
     factors = [_torus_factor(rng, n, integer) for integer in (False, True, False, True)]
     factors.append(rng.standard_normal((n, 2)) * (np.arange(n) > 0)[:, None])
