@@ -22,7 +22,9 @@ from exactspca.spca_ds import (
     SpcaDsInstance,
     _block_swap,
     _circle_solutions,
+    _complete_family,
     _families_by_covering,
+    _family_values,
     _in_half,
     _mod_pi,
     _pair_crossings,
@@ -888,22 +890,38 @@ def test_dropped_circuits_never_gain_at_optimal_flows(rng, n):
                 assert np.all(gains < -1e-9 * profits.max())
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("s", [2, 3])
+def _pruned_torus(inst):
+    """Best family value and pruned-circuit count of the pruned torus
+    stages run directly: the solver sends s = 1 to its one-region branch."""
+    n, s = inst.n, inst.s
+    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n, s))
+    profits, _ = _region_profits(inst, planes)
+    families, _ = _families_by_covering(profits, s, planes.table)
+    completed = [_complete_family(family, inst.factor, s)[0] for family in families]
+    return _family_values(completed, inst.factor).max(), planes.circuits_pruned
+
+
+@pytest.mark.parametrize("s, n", [(s, n) for s in (1, 2, 3) for n in (3, 4, 5, 6)
+                                  if (s, n) != (1, 6)])
 def test_pruned_torus_matches_oracle(n, s):
     # Each regime: n < d * s (some slot stays free), n = d * s and n > d * s
-    # (some feature stays unused; n >= 5 at s = 2, as s = 1 is one region).
-    # Gaussian factors, integer factors with R_1 = -R_0, which tie features
-    # exactly, a zero row, whose feature has zero profit everywhere, and
-    # their 1e-16 copies.
+    # (some feature stays unused).  Gaussian factors, integer factors with
+    # R_1 = -R_0, which tie features exactly, a zero row, whose feature has
+    # zero profit everywhere, and their 1e-16 copies.  At s = 1 the solver
+    # takes its one region, and the pruned torus is run stage by stage.
     rng = np.random.default_rng(100 * n + s)
     factors = [_torus_factor(rng, n, integer) for integer in (False, True, False, True)]
     factors.append(rng.standard_normal((n, 2)) * (np.arange(n) > 0)[:, None])
     for factor in factors:
         for scale in (1.0, 1e-16):
             kmatrix = scale * symmetrize(factor @ factor.T)
-            solution = solve_spca_ds(_instance(kmatrix, 2, s))
-            assert solution.diagnostics.circuits_pruned > 0
-            assert solution.objective == pytest.approx(
-                brute_force_spca_ds(kmatrix, 2, s).objective, rel=1e-9, abs=0.0
-            )
+            inst = _instance(kmatrix, 2, s)
+            solution = solve_spca_ds(inst)
+            expected = brute_force_spca_ds(kmatrix, 2, s).objective
+            if s == 1:
+                objective, pruned = _pruned_torus(inst)
+                assert objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+            else:
+                pruned = solution.diagnostics.circuits_pruned
+            assert pruned > 0
+            assert solution.objective == pytest.approx(expected, rel=1e-9, abs=0.0)
