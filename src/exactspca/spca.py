@@ -31,7 +31,8 @@ solver gathers candidate top-s sets and scores them all:
     the null vector of the k - 1 differences of a k-subset, and its
     negation, 2 C(n, k) points.  At k = n - 1 that is the braid arrangement
     (every strict order is a region), so every support is a candidate and
-    the supports are generated directly.
+    the supports are generated directly.  `Lift` holds this read; the
+    disjoint solver reads its top sets of other functionals with it.
 
   For d = 1 the space with fewer predicted candidate rows (points times
   C(g, g // 2), g = r or k) is read.  Features that share one functional,
@@ -317,6 +318,64 @@ def _read_vertices(blocks, features: np.ndarray, lift: bool, norms: np.ndarray, 
         yield _top_masks(norms[None, :], s)
 
 
+@dataclass(frozen=True)
+class Lift:
+    """Linear functionals c_j in the span of their differences, read for
+    their top sets (the lift of the module docstring).
+
+    Features that share one functional (for c_j = (R_j @ y)**2, R_j = +-R_k)
+    are one class, and so are the rows adding less than half the tie band to
+    any score, whose functionals are read as zero: exact for the functionals
+    without them, so within the size times that band of the optimum.
+    """
+
+    coeffs: np.ndarray  # (n, q) functionals, faint rows zeroed
+    span: np.ndarray  # (k, q) orthonormal rows spanning the c_j - c_0
+    heads: np.ndarray  # each feature's first classmate
+    norms: np.ndarray  # squared row norms: the top sets when no vertex is read
+    duplicates: tuple[tuple[int, int], ...]  # pairs sharing one functional
+
+    @classmethod
+    def build(cls, coeffs: np.ndarray, norms: np.ndarray) -> "Lift":
+        n = len(coeffs)
+        same = (coeffs[:, None] == coeffs).all(axis=2)
+        first, second = np.nonzero(same & (np.arange(n)[:, None] < np.arange(n)))
+        faint = norms <= _TIE_TOL / 2 * norms.max()
+        heads = np.argmax(same | (faint[:, None] & faint), axis=0)
+        coeffs = np.where(faint[:, None], 0.0, coeffs)
+        _, sv, vt = np.linalg.svd(coeffs[1:] - coeffs[0], full_matrices=False)
+        k = int(np.count_nonzero(sv > sv[0] * max(coeffs.shape) * np.finfo(float).eps))
+        return cls(coeffs=coeffs, span=vt[:k], heads=heads, norms=norms,
+                   duplicates=tuple(zip(first.tolist(), second.tolist())))
+
+    @property
+    def dim(self) -> int:
+        return len(self.span)
+
+    @property
+    def pairs(self) -> int:
+        """Feature pairs with distinct functionals: the hyperplanes."""
+        n = len(self.coeffs)
+        return n * (n - 1) // 2 - len(self.duplicates)
+
+    @property
+    def points(self) -> int:
+        """Vertices read per size, 2 C(n, k): 2n on the braid."""
+        return 2 * comb(len(self.coeffs), self.dim)
+
+    def top_sets(self, size: int) -> Iterator[np.ndarray]:
+        """Deduplicated top-``size`` sets, as blocks of (m, n) boolean masks."""
+        n, k = len(self.coeffs), self.dim
+        if k == n - 1:
+            # The braid: the fills of its 2n vertices are every support.
+            return (_index_masks(subsets, n) for subsets in _subsets(n, size, _VERTEX_BLOCK))
+        lifted = (self.coeffs - self.coeffs[0]) @ self.span.T  # c_j - c_0 in their span
+        # The k - 1 differences of every k-subset.
+        systems = ((lifted[t[:, 1:]] - lifted[t[:, :1]], t)
+                   for t in _subsets(n, k, _VERTEX_BLOCK // 2))
+        return _read_vertices(systems, lifted, True, self.norms, size, self.heads)
+
+
 def _candidate_blocks(instance: SpcaInstance) -> tuple[dict, Iterator[np.ndarray]]:
     """The enumeration counts, known before any vertex is read, and the
     deduplicated candidate supports as blocks of (m, n) boolean masks."""
@@ -328,38 +387,18 @@ def _candidate_blocks(instance: SpcaInstance) -> tuple[dict, Iterator[np.ndarray
         counts = dict(cells_enumerated=1, hyperplanes=0, extended_dim=0,
                       predicted_cells=1, duplicate_feature_pairs=())
         return counts, iter([_top_masks(norms[None, :], s)])
-    coeffs = MonomialBasis(r, 1).row_block_coefficients(rows)  # c_j @ ext(y) == (R_j @ y)**2
-    # c_j = c_k (R_j = +-R_k): the two features share one functional, so no
-    # hyperplane separates them.
-    same = (coeffs[:, None] == coeffs).all(axis=2)
-    first, second = np.nonzero(same & (np.arange(n)[:, None] < np.arange(n)))
-    pairs = n * (n - 1) // 2 - len(first)
-    # Rows adding less than half the tie band to any score form one class,
-    # and the lift reads them as zero rows: exact for K without them, so
-    # within s times that band of the optimum.
-    faint = norms <= _TIE_TOL / 2 * norms.max()
-    heads = np.argmax(same | (faint[:, None] & faint), axis=0)  # each feature's first classmate
-    coeffs[faint] = 0.0
-    _, sv, vt = np.linalg.svd(coeffs[1:] - coeffs[0], full_matrices=False)
-    k = int(np.count_nonzero(sv > sv[0] * max(coeffs.shape) * np.finfo(float).eps))
+    # c_j @ ext(y) == (R_j @ y)**2
+    lift = Lift.build(MonomialBasis(r, 1).row_block_coefficients(rows), norms)
+    k = lift.dim
     span_points = comb(n, r) * 2 ** (r - 1) + comb(n, r - 1)
-    if d == 1 and span_points * comb(r, r // 2) < 2 * comb(n, k) * comb(k, k // 2):
-        dim, points, hyperplanes = r, span_points, 2 * pairs
-        blocks = _read_vertices(_spannogram_systems(rows), rows, False, norms, s, heads)
-    elif k == n - 1:
-        # The braid: the fills of its 2n vertices are every support.
-        dim, points, hyperplanes = k, 2 * n, pairs
-        blocks = (_index_masks(subsets, n) for subsets in _subsets(n, s, _VERTEX_BLOCK))
+    if d == 1 and span_points * comb(r, r // 2) < lift.points * comb(k, k // 2):
+        dim, points, hyperplanes = r, span_points, 2 * lift.pairs
+        blocks = _read_vertices(_spannogram_systems(rows), rows, False, norms, s, lift.heads)
     else:
-        dim, points, hyperplanes = k, 2 * comb(n, k), pairs
-        lifted = (coeffs - coeffs[0]) @ vt[:k].T  # c_j - c_0 in their span
-        # The k - 1 differences of every k-subset.
-        systems = ((lifted[t[:, 1:]] - lifted[t[:, :1]], t)
-                   for t in _subsets(n, k, _VERTEX_BLOCK // 2))
-        blocks = _read_vertices(systems, lifted, True, norms, s, heads)
-    duplicates = tuple(zip(first.tolist(), second.tolist()))
+        dim, points, hyperplanes = k, lift.points, lift.pairs
+        blocks = lift.top_sets(s)
     return dict(cells_enumerated=points, hyperplanes=hyperplanes, extended_dim=dim,
-                predicted_cells=points, duplicate_feature_pairs=duplicates), blocks
+                predicted_cells=points, duplicate_feature_pairs=lift.duplicates), blocks
 
 
 def enumerate_candidate_supports(instance: SpcaInstance) -> CandidateSupports:

@@ -7,12 +7,16 @@ has positive profit.  Each family of disjoint supports optimal somewhere on
 the realizable set is a candidate; the best under per-component PCA
 evaluation is globally optimal.
 
-Three shapes need no circuit.  One component (d = 1) is sparse PCA with
+Four shapes need no circuit.  One component (d = 1) is sparse PCA with
 support size min(s, n) and is handed to `solve_spca`.  At rank <= 1 the
 unit-trace slice of the lifted space is a single point, and at s = 1 every
 support is one feature j, whose value K_jj = |R_j|^2 depends on no point of
 the slice: either way one circulation on the squared row norms, one region,
-is optimal.  Rank two with d = 2 and s >= 2 cuts the regions of the circuit
+is optimal.  Two components with n <= 2s assign every feature, so the first
+support is a top set of the differences (R_j . y_1)^2 - (R_j . y_2)^2,
+linear in one trace-free matrix, and those sets are read at the vertices of
+their arrangement as sparse PCA reads its candidates (`spca.Lift`).  Rank
+two with d = 2, s >= 2 and n > 2s cuts the regions of the circuit
 hyperplanes in closed form on the torus of block angles, one line per slab
 between crossings and tangents, whose arc signs are read by toggling curve
 bits at the sorted roots over the half phi1 <= phi2 only (swapping the
@@ -55,7 +59,7 @@ from .linalg import (DEFAULT_RANK_TOL, PsdFactor, pivoted_cholesky, solve_pca,
 # No solve calls these; perfbench/tracing.py binds them under these names.
 from .reference import (build_arc_functional, build_circuit_functional,  # noqa: F401
                         enumerate_affine_cells)
-from .spca import SpcaInstance, solve_spca
+from .spca import Lift, SpcaInstance, solve_spca
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ def _shape_circuit_table(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _separating_circuits(d: int, n: int, s: int) -> np.ndarray:
+def _separating_circuits(d: int, n: int) -> np.ndarray:
     """Mask of the rows of `_shape_circuit_table` that can bound a family
     optimal at profits >= 0, as on the realizable set.
 
@@ -126,21 +130,20 @@ def _separating_circuits(d: int, n: int, s: int) -> np.ndarray:
     component arc and a feature arc changes the flow's value, so at an
     optimal flow its residual direction lowers the value and gains < 0:
     it is dropped, unless it is a single arc, whose plane p_ij = 0 keeps
-    witnesses off the touch curves.  Circuits missing the hub and those
-    through two component arcs keep the value and are kept.  Those through
-    two feature arcs swap an unused feature in, and are kept only when
-    n > d * s: otherwise every feature is used.  A flow optimal among the
-    maximum flows, at profits > 0, is optimal, so the kept circuits decide
-    optimality there.  (A feature with a zero factor row has zero profit
-    everywhere; no optimal flow needs it, and the argument holds without
-    it.)  The selection is closed under permuting the components.  Cached,
-    so read-only.
+    witnesses off the touch curves.  Every other circuit keeps the value
+    and is kept: those missing the hub, those through two component arcs,
+    and those through two feature arcs, which swap an unused feature in
+    (the torus runs at n > d * s, where a maximum flow leaves one unused).
+    A flow optimal among the maximum flows, at profits > 0, is optimal, so
+    the kept circuits decide optimality there.  (A feature with a zero
+    factor row has zero profit everywhere; no optimal flow needs it, and the
+    argument holds without it.)  The selection is closed under permuting the
+    components.  Cached, so read-only.
     """
     table = _shape_circuit_table(d, n)
     component_arcs = np.count_nonzero(table[:, d * n : d * n + d], axis=1)
-    feature_arcs = np.count_nonzero(table[:, d * n + d :], axis=1)
     single_arc = np.count_nonzero(table[:, : d * n], axis=1) == 1
-    keep = (component_arcs != 1) & ((feature_arcs == 0) | (n > d * s)) | single_arc
+    keep = (component_arcs != 1) | single_arc
     keep.flags.writeable = False
     return keep
 
@@ -821,22 +824,59 @@ def _families_by_covering(profits: np.ndarray, s: int,
     return families, solves
 
 
+def _top_set_families(instance: SpcaDsInstance) -> tuple[set, dict]:
+    """Every family (S_1, complement) with S_1 a top-k set of the difference
+    functionals, k in [max(1, n - s), min(s, n - 1)], and the counts of the
+    read: two components with n <= 2s.
+
+    There every feature fits, and adding one never lowers a support's value,
+    so some optimal family assigns them all, both supports nonempty.  At its
+    optimal y_1, y_2 it scores the sum of (R_j . y_2)^2 plus the sum over
+    S_1 of delta_j = <R_j R_j^T, y_1 y_1^T - y_2 y_2^T>, and swapping a
+    feature of S_2 with a smaller delta in S_1 would gain: S_1 is a top-k set
+    of delta.  delta is linear in the trace-free part of the lifted point, so
+    the `Lift` of the trace-free parts of the row functionals reads every
+    such set, each size at its own top sets.
+    """
+    n, s, r = instance.n, instance.s, instance.rank
+    rows = instance.factor.factor
+    basis = MonomialBasis(r, 1)
+    coeffs = basis.row_block_coefficients(rows)
+    diagonal = ~basis.off_diagonal
+    coeffs[:, diagonal] -= coeffs[:, diagonal].mean(axis=1, keepdims=True)
+    lift = Lift.build(coeffs, np.sum(rows * rows, axis=1))
+    sizes = range(max(1, n - s), min(s, n - 1) + 1)
+    families = set()
+    for size in sizes:
+        for masks in lift.top_sets(size):
+            first = np.nonzero(masks)[1].reshape(-1, size).tolist()
+            second = np.nonzero(~masks)[1].reshape(-1, n - size).tolist()
+            families.update(zip(map(tuple, first), map(tuple, second)))
+    return families, dict(cells_enumerated=len(sizes) * lift.points, extended_dim=lift.dim,
+                          hyperplanes=lift.pairs)
+
+
 def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     """Globally optimal disjoint-supports solution for the given instance.
 
     One component (d = 1) is solved as sparse PCA.  At rank <= 1 the
     unit-trace slice is a single point, and at s = 1 a support {j} is worth
     K_jj everywhere on it: one region, no circuit, and the first component
-    takes the largest squared row norm.  Rank two with two components and
-    s >= 2 cuts its regions in closed form on the half phi1 <= phi2 of the
-    torus and solves one circulation per family, covering the regions
-    where none of its residual circuits gains; the other half's families
-    are the mirrored ones.  Its arc profits are squares, so it cuts and
-    covers with only the circuits that can bound an optimal family
-    (`_separating_circuits`; the diagnostics count the rest in
-    ``circuits_pruned``).  Every other shape walks the families' optimality
-    cones across the chart (`_walk_families`): its work grows with the
-    families and their residual circuits, not with the regions.
+    takes the largest squared row norm.  Two components with n <= 2s read
+    the first support as a top set of the difference functionals
+    (`_top_set_families`): no circuit and no circulation, and the
+    diagnostics count the vertices read in ``cells_enumerated``, the
+    dimension of the trace-free span in ``extended_dim`` and the distinct
+    functional pairs in ``hyperplanes``.  Rank two with two components,
+    s >= 2 and n > 2s cuts its regions in closed form on the half
+    phi1 <= phi2 of the torus and solves one circulation per family,
+    covering the regions where none of its residual circuits gains; the
+    other half's families are the mirrored ones.  Its arc profits are
+    squares, so it cuts and covers with only the circuits that can bound an
+    optimal family (`_separating_circuits`; the diagnostics count the rest
+    in ``circuits_pruned``).  Every other shape walks the families'
+    optimality cones across the chart (`_walk_families`): its work grows
+    with the families and their residual circuits, not with the regions.
     """
     if instance.d == 1:
         return _solve_one_component(instance)
@@ -845,21 +885,26 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     stage_ms: dict = {}
 
     one_region = r <= 1 or s == 1
-    torus = not one_region and (r, d) == (2, 2)
+    top_sets = not one_region and d == 2 and n <= 2 * s
+    torus = not (one_region or top_sets) and (r, d) == (2, 2)
     tick = time.perf_counter()
-    counts = {}
-    if not one_region:
+    counts = dict(extended_dim=d * r * (r + 1) // 2)
+    if not (one_region or top_sets):
         # Realizable profits are >= 0, so the torus cuts only the circuits
         # that can bound an optimal family; the walk's sleeve is not realizable.
         planes = build_circuit_hyperplanes(
-            instance, _separating_circuits(d, n, s) if torus else None)
+            instance, _separating_circuits(d, n) if torus else None)
         stage_ms["hyperplanes"] = (time.perf_counter() - tick) * 1000.0
         tick = time.perf_counter()
         counts.update(circuits_enumerated=planes.circuits_enumerated,
                       circuits_pruned=planes.circuits_pruned,
                       degenerate_circuits=planes.degenerate_circuits,
                       hyperplanes=len(planes.hyperplanes))
-    if one_region or torus:
+    if top_sets:
+        families, read = _top_set_families(instance)
+        counts.update(read)
+        stage_ms["regions"] = (time.perf_counter() - tick) * 1000.0
+    elif one_region or torus:
         if one_region:
             # At rank <= 1 every block of the slice is the point y_i^2 = 1,
             # and at s = 1 a support {j} is worth K_jj = |R_j|^2 wherever y
@@ -909,7 +954,7 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     stage_ms["recovery"] = (time.perf_counter() - tick) * 1000.0
 
     diagnostics = SpcaDsDiagnostics(
-        rank=r, extended_dim=d * r * (r + 1) // 2, candidates_evaluated=len(families),
+        rank=r, candidates_evaluated=len(families),
         stage_ms=stage_ms, completions_in_best=completions, **counts,
     )
     return SpcaDsSolution(

@@ -115,7 +115,8 @@ class TestCommands:
         assert doc["diagnostics"]["circulation_solves"] >= 1
 
     def test_solve_spca_ds_solves_per_family(self, tmp_path, capsys):
-        factor = np.random.default_rng(4).standard_normal((3, 2))
+        # The torus at n > 2s: one circulation per family covers its regions.
+        factor = np.random.default_rng(4).standard_normal((5, 2))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
             capsys, ["solve-spca-ds", "--input", path, "--d", "2", "--s", "2"]
@@ -129,9 +130,9 @@ class TestCommands:
                                            (3, 2, False)])
     def test_solve_spca_ds_reports_sweep_lines(self, tmp_path, capsys, r, d, swept):
         # Only rank 2 with two components sweeps the torus of block angles;
-        # rank 3 walks the chart, one facet LP at a time.  At s = 1 neither
-        # runs: every support is one feature, and there is one region.
-        factor = np.random.default_rng(4).standard_normal((3, r))
+        # rank 3 walks the chart, one facet LP at a time.  Both run at n > 2s
+        # only: below, two components are read as top sets.
+        factor = np.random.default_rng(4).standard_normal((5, r))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
             capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "2"]
@@ -156,11 +157,12 @@ class TestCommands:
         if (r, d) != (2, 2):
             assert dropped == 0
 
-    @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (3, 2, 6)])
+    @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (5, 2, 6), (3, 2, 2)])
     def test_solve_spca_ds_reports_extended_dim(self, tmp_path, capsys, n, d, dim):
         # At rank 2, d = 1 is sparse PCA: the sectors of R^2 from n = 5 and
         # the braid of the lift, R^3, below; d = 2 cuts the lift of both
-        # columns, R^6.
+        # columns, R^6, at n > 2s, and reads top sets in the trace-free
+        # plane, R^2, at n <= 2s.
         factor = np.random.default_rng(4).standard_normal((n, 2))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(

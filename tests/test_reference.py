@@ -55,6 +55,8 @@ def _spca_ds_path(diag, d, r):
         return "rank-one"
     if diag.cells_enumerated == 1 and diag.circuits_enumerated == 0:
         return "singletons"
+    if diag.circulation_solves == 0:
+        return "top-sets"
     if diag.sweep_lines > 0:
         return "torus"
     return "walk" if diag.facet_lps > 0 else "unknown"
@@ -68,9 +70,11 @@ def _spca_ds_path(diag, d, r):
     ("spca", "braid", 3, 6, 2, 3),
     ("spca_ds", "one-component", 2, 5, 1, 2),
     ("spca_ds", "rank-one", 1, 4, 2, 2),
-    ("spca_ds", "torus", 2, 4, 2, 2),
+    ("spca_ds", "torus", 2, 5, 2, 2),
     ("spca_ds", "singletons", 3, 4, 2, 1),
-    ("spca_ds", "walk", 3, 4, 2, 2),
+    ("spca_ds", "top-sets", 2, 4, 2, 2),
+    ("spca_ds", "top-sets", 3, 4, 2, 2),
+    ("spca_ds", "walk", 2, 3, 3, 2),
 ])
 def test_no_solve_reaches_the_reference(monkeypatch, problem, path, r, n, d, s):
     factor = np.random.default_rng(10 * r + n).standard_normal((n, r))

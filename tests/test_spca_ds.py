@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,10 @@ class TestSolveSpcaDs:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-16])
     def test_tied_integer_torus_matches_oracle(self, scale):
-        # Integer factors with R_1 = -R_0 tie arcs and cancel circuits.
+        # Integer factors with R_1 = -R_0 tie arcs and cancel circuits.  The
+        # torus runs at n > 2s only: below, the solver reads top sets.
         rng = np.random.default_rng(21)
-        for n, s in ((3, 2), (5, 2), (6, 2), (4, 3)):
+        for n, s in ((5, 2), (6, 2), (7, 3)):
             inst = None
             while inst is None or inst.rank != 2:
                 factor = rng.integers(-3, 4, size=(n, 2)).astype(float)
@@ -242,7 +245,9 @@ class TestSolveSpcaDs:
     # one region).  Gaussian draws walk 700-3,800 facet LPs (2-12 s a solve)
     # at rank 2, d = 3 with n = 4 or s = 2, and 500-800 at rank 3, d = 2,
     # n = 4, so those shapes take the integer draws only, and rank 2, n = 4
-    # no 1e-16 copy.
+    # no 1e-16 copy.  Rank 3, d = 2 has n <= 2s here, which the solver reads
+    # as top sets, so its walk runs stage by stage (n = 5 walks about 1,500
+    # LPs, 4.5 s a solve).
     @pytest.mark.parametrize("r,d,n,s,kinds", [
         (3, 2, 3, 3, ("gaussian", "integer", "tiny")),
         (3, 2, 3, 2, ("gaussian", "integer", "tiny")),
@@ -272,14 +277,20 @@ class TestSolveSpcaDs:
         for kind in kinds:
             factor = factors["integer" if kind == "tiny" else kind]
             kmatrix = symmetrize(factor @ factor.T) * (1e-16 if kind == "tiny" else 1.0)
-            solution = solve_spca_ds(_instance(kmatrix, d, s))
+            inst = _instance(kmatrix, d, s)
+            expected = brute_force_spca_ds(kmatrix, d, s).objective
+            solution = solve_spca_ds(inst)
+            assert solution.objective == pytest.approx(expected, rel=1e-8, abs=0.0)
+            if d == 2 and n <= 2 * s:
+                objective, families, counts = _walked(inst)
+                assert inst.rank == r and counts["facet_lps"] > 0
+                assert counts["cells_enumerated"] == families
+                assert objective == pytest.approx(expected, rel=1e-8, abs=0.0)
+                continue
             diag = solution.diagnostics
             assert diag.rank == r and diag.sweep_lines == 0 and diag.facet_lps > 0
             assert diag.cells_enumerated == diag.candidates_evaluated
             assert set(diag.stage_ms) >= {"regions", "circulations"}
-            assert solution.objective == pytest.approx(
-                brute_force_spca_ds(kmatrix, d, s).objective, rel=1e-8, abs=0.0
-            )
 
     @pytest.mark.parametrize("r,d", [(2, 2), (2, 3), (3, 2), (4, 2)])
     def test_walk_chart_and_sleeve(self, rng, r, d):
@@ -676,7 +687,7 @@ def test_separating_circuits_cover_grid_assignments(rng, n, s):
     # points need only clear those curves.
     factor = rng.standard_normal((n, 2))
     inst = _instance(symmetrize(factor @ factor.T), 2, s)
-    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n, s))
+    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n))
     assert planes.circuits_pruned > 0
     _assert_cover_holds_grid_assignments(inst, planes)
 
@@ -802,11 +813,13 @@ def test_torus_witnesses_keep_regions_beside_the_wrap(draw, point):
 def test_generic_torus_drops_no_witness(rng, n, draws):
     # An arc no wider than the witness margin beside a root cannot clear it
     # and is not keyed, so on generic factors every key finds its witness.
+    # The sweep runs stage by stage: the solver reads n <= 2s as top sets.
     for _ in range(draws):
         factor = rng.standard_normal((n, 2))
-        solution = solve_spca_ds(_instance(symmetrize(factor @ factor.T), 2, 2))
-        assert solution.diagnostics.sweep_lines > 0
-        assert solution.diagnostics.dropped_witnesses == 0
+        inst = _instance(symmetrize(factor @ factor.T), 2, 2)
+        _, swept = _region_profits(inst, build_circuit_hyperplanes(inst, _separating_circuits(2, n)))
+        assert swept["sweep_lines"] > 0
+        assert swept["dropped_witnesses"] == 0
 
 
 @pytest.mark.parametrize("n,integer,draws", [(3, False, 8), (3, True, 8), (4, False, 2)])
@@ -833,26 +846,32 @@ def test_half_slab_events_find_the_regions_of_every_event(monkeypatch, rng, n, i
         assert half == region_signs(normals)
 
 
-@pytest.mark.parametrize("d,n,s,kept", [(2, 4, 1, 54), (2, 4, 2, 18)])
-def test_separating_circuits_counts(d, n, s, kept):
-    # At n > d * s the 24 circuits t-u-w-u-w-t are left out; at n = d * s
-    # also the 36 that swap an unused feature in.
-    selection = _separating_circuits(d, n, s)
-    assert selection.size == len(enumerate_undirected_circuits(d, n)) == 78
+@pytest.mark.parametrize("d,n,total,kept", [(2, 3, 36, 24), (2, 4, 78, 54), (3, 3, 150, 78)])
+def test_separating_circuits_counts(d, n, total, kept):
+    # The circuits t-u-w-u-w-t, through one component arc and one feature
+    # arc, are left out: 24 of the 78 at (d, n) = (2, 4).
+    selection = _separating_circuits(d, n)
+    assert selection.size == len(enumerate_undirected_circuits(d, n)) == total
     assert np.count_nonzero(selection) == kept
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_separating_circuits_closed_under_swapping_components(n, s):
+def test_separating_circuits_closed_under_swapping_components(rng, n, s):
     # The half sweep mirrors the kept circuits: swapping u_0 and u_1 maps
-    # the kept rows of the table onto themselves, up to traversal sign.
+    # the kept rows of the table onto themselves, up to traversal sign.  The
+    # selection takes no s, so at every s the rows it leaves out must gain
+    # less than zero, where residual, at a flow optimal at positive profits.
     table = _shape_circuit_table(2, n)
-    keep = _separating_circuits(2, n, s)
+    keep = _separating_circuits(2, n)
     swapped = table[:, : 2 * n].reshape(-1, 2, n)[:, ::-1].reshape(-1, 2 * n)
     rows = {row.tobytes() for row in table[keep, : 2 * n]}
     for row in swapped[keep]:
         assert row.tobytes() in rows or (-row + 0.0).tobytes() in rows
+    for profits in rng.uniform(0.1, 1.0, size=(10, 2, n)):
+        circ = CirculationInstance(2, n, s, profits)
+        gains = residual_circuits(circ, solve_max_profit(circ), table[~keep]) @ profits.ravel()
+        assert np.all(gains < 0.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -863,8 +882,8 @@ def test_dropped_circuits_never_gain_at_optimal_flows(rng, n):
     # than zero in its residual direction.  Random points, and points on
     # each dropped circuit's own curve, where it gains zero both ways and so
     # must not be residual at all.
+    dropped = np.asarray(_shape_circuit_table(2, n))[~_separating_circuits(2, n)]
     for s in (1, 2, 3):
-        dropped = np.asarray(_shape_circuit_table(2, n))[~_separating_circuits(2, n, s)]
         for _ in range(2):
             inst = _instance(random_low_rank_psd(rng, n, 2), 2, s)
             factor, arc_coeffs = inst.factor.factor, build_circuit_hyperplanes(inst).arc_coeffs
@@ -892,9 +911,10 @@ def test_dropped_circuits_never_gain_at_optimal_flows(rng, n):
 
 def _pruned_torus(inst):
     """Best family value and pruned-circuit count of the pruned torus
-    stages run directly: the solver sends s = 1 to its one-region branch."""
+    stages run directly: the solver sends s = 1 to its one-region branch
+    and n <= 2s to its top sets."""
     n, s = inst.n, inst.s
-    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n, s))
+    planes = build_circuit_hyperplanes(inst, _separating_circuits(2, n))
     profits, _ = _region_profits(inst, planes)
     families, _ = _families_by_covering(profits, s, planes.table)
     completed = [_complete_family(family, inst.factor, s)[0] for family in families]
@@ -908,7 +928,9 @@ def test_pruned_torus_matches_oracle(n, s):
     # (some feature stays unused).  Gaussian factors, integer factors with
     # R_1 = -R_0, which tie features exactly, a zero row, whose feature has
     # zero profit everywhere, and their 1e-16 copies.  At s = 1 the solver
-    # takes its one region, and the pruned torus is run stage by stage.
+    # takes its one region, and at n <= 2s it reads top sets: there the
+    # pruned torus is run stage by stage, on the unscaled factors only (the
+    # n > 2s rows hold it to the 1e-16 copies).
     rng = np.random.default_rng(100 * n + s)
     factors = [_torus_factor(rng, n, integer) for integer in (False, True, False, True)]
     factors.append(rng.standard_normal((n, 2)) * (np.arange(n) > 0)[:, None])
@@ -918,10 +940,67 @@ def test_pruned_torus_matches_oracle(n, s):
             inst = _instance(kmatrix, 2, s)
             solution = solve_spca_ds(inst)
             expected = brute_force_spca_ds(kmatrix, 2, s).objective
-            if s == 1:
-                objective, pruned = _pruned_torus(inst)
-                assert objective == pytest.approx(expected, rel=1e-9, abs=0.0)
-            else:
-                pruned = solution.diagnostics.circuits_pruned
-            assert pruned > 0
             assert solution.objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+            if s > 1 and n > 2 * s:
+                assert solution.diagnostics.circuits_pruned > 0
+            elif s == 1 or scale == 1.0:
+                objective, pruned = _pruned_torus(inst)
+                assert pruned > 0
+                assert objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+                if s > 1:  # two independent routes: the torus and the top sets
+                    top_sets = _family_values([solution.supports], inst.factor)[0]
+                    assert top_sets == pytest.approx(objective, rel=1e-12, abs=0.0)
+
+def _walked(inst):
+    """Best family value, family count and counts of the chart walk run
+    stage by stage: the solver reads two components with n <= 2s as top
+    sets."""
+    families, counts = _walk_families(inst, build_circuit_hyperplanes(inst), {"circulations": 0.0})
+    completed = [_complete_family(family, inst.factor, inst.s)[0] for family in families]
+    return _family_values(completed, inst.factor).max(), len(families), counts
+
+
+def _top_set_factors(rng, n, r):
+    """Gaussian, tied integer (R_1 = -R_0), zero-row, R_1 = -R_0 beside a
+    zero row, and faint-row (norm 1e-12) factors."""
+    tied = rng.integers(-2, 3, size=(n, r)).astype(float)
+    tied[1] = -tied[0]
+    zero_row = rng.standard_normal((n, r))
+    zero_row[-1] = 0.0
+    faint = rng.standard_normal((n, r))
+    faint[-1] *= 1e-12 / np.linalg.norm(faint[-1])
+    return {"gaussian": rng.standard_normal((n, r)), "tied": tied, "zero-row": zero_row,
+            "negated-zero": np.vstack([tied[:2], zero_row[-1:], rng.standard_normal((n - 3, r))]),
+            "faint": faint}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_top_sets_match_oracle(monkeypatch, r):
+    # Two components with n <= 2s: every family (S_1, complement) with S_1 a
+    # top set of the trace-free difference functionals, with no circuit,
+    # circulation, torus or walk.  Each size k in [max(1, n - s), min(s, n - 1)]
+    # reads 2 C(n, k') vertices, k' the dimension of the functionals' span.
+    def refuse(*args, **kwargs):
+        raise AssertionError("n <= 2s cut, swept, walked or solved a circulation")
+
+    for name in ("build_circuit_hyperplanes", "_torus_sweep", "_walk_families", "solve_max_profit"):
+        monkeypatch.setattr(spca_ds_module, name, refuse)
+    rng = np.random.default_rng(40 + r)
+    for n in range(3, 7):
+        # The smallest window, [n - s, s], and the widest, [1, n - 1].
+        for s in sorted({-(-n // 2), n - 1}):
+            for kind, factor in _top_set_factors(rng, n, r).items():
+                kmatrix = symmetrize(factor @ factor.T)
+                if np.linalg.matrix_rank(factor) < 2:
+                    continue
+                expected = brute_force_spca_ds(kmatrix, 2, s).objective
+                for scale in (1.0, 1e-16, 1e8):
+                    solution = solve_spca_ds(_instance(scale * kmatrix, 2, s))
+                    diag = solution.diagnostics
+                    assert diag.sweep_lines == diag.facet_lps == 0
+                    assert diag.circulation_solves == diag.completions_in_best == 0
+                    sizes = min(s, n - 1) - max(1, n - s) + 1
+                    assert diag.cells_enumerated == sizes * 2 * comb(n, diag.extended_dim)
+                    assert diag.extended_dim <= min(n - 1, diag.rank * (diag.rank + 1) // 2 - 1)
+                    assert solution.objective == pytest.approx(
+                        scale * expected, rel=1e-9, abs=0.0), (kind, n, s, scale)
