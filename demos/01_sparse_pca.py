@@ -4,12 +4,13 @@ Builds a random covariance of rank two, asks for two components supported on
 at most three shared features, and compares the exact solver with the
 enumeration oracle.  With as many components as the rank, every support
 scores trace(K_SS), so the solver takes the closed form and reads no
-arrangement; one component at the same rank reads the candidates at the
-vertices of the rank-two spannogram, where two features tie.  On the first
-four features alone (n - 1 <= r(r+1)/2) the lifted differences are
-independent and form the braid arrangement: every strict order is a
-region, so every support is a candidate and the supports are generated
-directly.
+arrangement.  One component at the same rank and four features reads the
+candidates at the 64 vertices of the rank-two spannogram, where two features
+tie, since the C(8, 4) = 70 supports are more; at three features the
+C(8, 3) = 56 supports are fewer, and all of them are generated (the braid).
+On the first four features alone (n - 1 <= r(r+1)/2) the lifted differences
+are independent and form the braid arrangement: every strict order is a
+region, so every support is a candidate.
 """
 
 import numpy as np
@@ -37,19 +38,21 @@ def describe(diag, features):
     elif diag.extended_dim == r:
         space = f"vertices of the spannogram in R^{r}"
     elif diag.extended_dim == features - 1:
-        space = f"braid of the lift in R^{diag.extended_dim}, every support generated"
+        space = f"braid in R^{diag.extended_dim}, every support generated"
     else:
         space = f"vertices of the lift in R^{diag.extended_dim}"
+    read = "supports" if diag.extended_dim == features - 1 else "vertices"
     return (
-        f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} vertices "
+        f"{space}: {diag.hyperplanes} hyperplanes, {diag.cells_enumerated} {read} "
         f"(predicted {diag.predicted_cells}), "
         f"{diag.candidates_evaluated} distinct candidates"
     )
 
 
 print(f"\ncandidate construction, d={d}: {describe(solution.diagnostics, n)}")
-one = solve_spca(SpcaInstance.build(kmatrix, 1, s))
-print(f"candidate construction, d=1: {describe(one.diagnostics, n)}")
+for size in (s + 1, s):
+    one = solve_spca(SpcaInstance.build(kmatrix, 1, size))
+    print(f"candidate construction, d=1, s={size}: {describe(one.diagnostics, n)}")
 few = solve_spca(SpcaInstance.build(kmatrix[:4, :4], 1, 2))
 print(f"candidate construction, d=1, first 4 features: {describe(few.diagnostics, 4)}")
 

@@ -8,6 +8,14 @@ solver gathers candidate top-s sets and scores them all:
 - **d >= r (or s = n): closed form.**  Every support S then scores
   trace(K_SS), so the s features with the largest squared row norms are the
   one candidate.
+- **Otherwise, when few enough: every support (the braid).**  When the
+  n - 1 differences c_j - c_0 of the lifted functionals below can be
+  independent (n - 1 <= r(r+1)/2), the lift is the braid arrangement, where
+  every strict order of the features is a region, so every support is a
+  top-s set.  Every support is also generated when the C(n, s) of them are
+  no more than the vertices the arrangement read would visit (for d = 1 the
+  spannogram's, else the lift's at its generic dimension), decided before
+  the lift is built (`reads_braid`).
 - **Otherwise: the vertices of an arrangement.**  The top-s set changes only
   where features at positions s and s + 1 tie.  Next to a point where a
   group of features ties across position s, the top-s sets are the features
@@ -26,12 +34,10 @@ solver gathers candidate top-s sets and scores them all:
     reaches 0; there r (or r - 1 at 0) features tie, with the set a fill.
   - *The lift (any d).*  The values are linear functionals c_j of the
     r(r+1)/2 pairwise products of each column, ordered by their differences
-    alone.  In the k-dimensional span of the c_j - c_0, a region is a
-    pointed convex cone whose extreme rays are where k of the features tie:
-    the null vector of the k - 1 differences of a k-subset, and its
-    negation, 2 C(n, k) points.  At k = n - 1 that is the braid arrangement
-    (every strict order is a region), so every support is a candidate and
-    the supports are generated directly.  `Lift` holds this read; the
+    alone.  In the k-dimensional span of the c_j - c_0 (k < n - 1 here), a
+    region is a pointed convex cone whose extreme rays are where k of the
+    features tie: the null vector of the k - 1 differences of a k-subset,
+    and its negation, 2 C(n, k) points.  `Lift` holds this read; the
     disjoint solver reads its top sets of other functionals with it.
 
   For d = 1 the space with fewer predicted candidate rows (points times
@@ -134,8 +140,9 @@ def _index_masks(subsets: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CandidateSupports:
     """Deduplicated, sorted candidate supports plus enumeration bookkeeping:
-    the dimension of the space read (0 for the closed form), the vertices
-    read and their count, computed before any is read."""
+    the dimension of the space read (0 for the closed form, n - 1 for the
+    braid), the vertices (or braid supports) read and their count, computed
+    before any is read."""
 
     supports: tuple[tuple[int, ...], ...]
     cells_enumerated: int
@@ -318,6 +325,28 @@ def _read_vertices(blocks, features: np.ndarray, lift: bool, norms: np.ndarray, 
         yield _top_masks(norms[None, :], s)
 
 
+def reads_braid(n: int, size: int, dim: int, vertices: int | None = None) -> bool:
+    """Whether every ``size``-subset is read (the braid) rather than an
+    arrangement's vertices: the lift's generic dimension ``dim`` is n - 1,
+    or the C(n, size) supports are no more than the ``vertices`` the read
+    would visit (by default the lift's 2 C(n, dim))."""
+    return dim == n - 1 or comb(n, size) <= (2 * comb(n, dim) if vertices is None else vertices)
+
+
+def braid_masks(n: int, size: int) -> Iterator[np.ndarray]:
+    """Every ``size``-subset, in lex order, as blocks of (m, n) masks."""
+    return (_index_masks(subsets, n) for subsets in _subsets(n, size, _VERTEX_BLOCK))
+
+
+def shared_functionals(coeffs: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """(n, n) booleans marking the features with one functional (rows of
+    ``coeffs``), and its pairs j < k."""
+    n = len(coeffs)
+    same = (coeffs[:, None] == coeffs).all(axis=2)
+    first, second = np.nonzero(same & (np.arange(n)[:, None] < np.arange(n)))
+    return same, tuple(zip(first.tolist(), second.tolist()))
+
+
 @dataclass(frozen=True)
 class Lift:
     """Linear functionals c_j in the span of their differences, read for
@@ -337,16 +366,13 @@ class Lift:
 
     @classmethod
     def build(cls, coeffs: np.ndarray, norms: np.ndarray) -> "Lift":
-        n = len(coeffs)
-        same = (coeffs[:, None] == coeffs).all(axis=2)
-        first, second = np.nonzero(same & (np.arange(n)[:, None] < np.arange(n)))
+        same, duplicates = shared_functionals(coeffs)
         faint = norms <= _TIE_TOL / 2 * norms.max()
         heads = np.argmax(same | (faint[:, None] & faint), axis=0)
         coeffs = np.where(faint[:, None], 0.0, coeffs)
         _, sv, vt = np.linalg.svd(coeffs[1:] - coeffs[0], full_matrices=False)
         k = int(np.count_nonzero(sv > sv[0] * max(coeffs.shape) * np.finfo(float).eps))
-        return cls(coeffs=coeffs, span=vt[:k], heads=heads, norms=norms,
-                   duplicates=tuple(zip(first.tolist(), second.tolist())))
+        return cls(coeffs=coeffs, span=vt[:k], heads=heads, norms=norms, duplicates=duplicates)
 
     @property
     def dim(self) -> int:
@@ -360,15 +386,13 @@ class Lift:
 
     @property
     def points(self) -> int:
-        """Vertices read per size, 2 C(n, k): 2n on the braid."""
+        """Vertices read per size, 2 C(n, k)."""
         return 2 * comb(len(self.coeffs), self.dim)
 
     def top_sets(self, size: int) -> Iterator[np.ndarray]:
-        """Deduplicated top-``size`` sets, as blocks of (m, n) boolean masks."""
+        """Deduplicated top-``size`` sets, as blocks of (m, n) boolean masks.
+        Read below the braid (k < n - 1), which `reads_braid` takes first."""
         n, k = len(self.coeffs), self.dim
-        if k == n - 1:
-            # The braid: the fills of its 2n vertices are every support.
-            return (_index_masks(subsets, n) for subsets in _subsets(n, size, _VERTEX_BLOCK))
         lifted = (self.coeffs - self.coeffs[0]) @ self.span.T  # c_j - c_0 in their span
         # The k - 1 differences of every k-subset.
         systems = ((lifted[t[:, 1:]] - lifted[t[:, :1]], t)
@@ -387,10 +411,15 @@ def _candidate_blocks(instance: SpcaInstance) -> tuple[dict, Iterator[np.ndarray
         counts = dict(cells_enumerated=1, hyperplanes=0, extended_dim=0,
                       predicted_cells=1, duplicate_feature_pairs=())
         return counts, iter([_top_masks(norms[None, :], s)])
-    # c_j @ ext(y) == (R_j @ y)**2
-    lift = Lift.build(MonomialBasis(r, 1).row_block_coefficients(rows), norms)
-    k = lift.dim
+    coeffs = MonomialBasis(r, 1).row_block_coefficients(rows)  # c_j @ ext(y) == (R_j @ y)**2
     span_points = comb(n, r) * 2 ** (r - 1) + comb(n, r - 1)
+    if reads_braid(n, s, min(n - 1, r * (r + 1) // 2), span_points if d == 1 else None):
+        _, duplicates = shared_functionals(coeffs)
+        return dict(cells_enumerated=comb(n, s), hyperplanes=comb(n, 2) - len(duplicates),
+                    extended_dim=n - 1, predicted_cells=comb(n, s),
+                    duplicate_feature_pairs=duplicates), braid_masks(n, s)
+    lift = Lift.build(coeffs, norms)
+    k = lift.dim
     if d == 1 and span_points * comb(r, r // 2) < lift.points * comb(k, k // 2):
         dim, points, hyperplanes = r, span_points, 2 * lift.pairs
         blocks = _read_vertices(_spannogram_systems(rows), rows, False, norms, s, lift.heads)
@@ -465,10 +494,13 @@ def solve_spca(instance: SpcaInstance) -> SpcaSolution:
     stage_ms["candidates"] = (time.perf_counter() - tick) * 1000.0
 
     # The blocks are generated as they are scored, so "evaluation" carries
-    # the vertex read.
+    # the vertex read.  The closed form's one candidate needs no score.
     tick = time.perf_counter()
-    best_support, scored = _best_support(blocks, instance.factor.factor,
-                                         instance.num_components_reduced, s)
+    if counts["extended_dim"]:
+        best_support, scored = _best_support(blocks, instance.factor.factor,
+                                             instance.num_components_reduced, s)
+    else:
+        best_support, scored = tuple(np.flatnonzero(next(blocks)[0]).tolist()), 1
     stage_ms["evaluation"] = (time.perf_counter() - tick) * 1000.0
 
     tick = time.perf_counter()

@@ -14,19 +14,20 @@ support is one feature j, whose value K_jj = |R_j|^2 depends on no point of
 the slice: either way one circulation on the squared row norms, one region,
 is optimal.  Two components with n <= 2s assign every feature, so the first
 support is a top set of the differences (R_j . y_1)^2 - (R_j . y_2)^2,
-linear in one trace-free matrix, and those sets are read at the vertices of
-their arrangement as sparse PCA reads its candidates (`spca.Lift`).  Rank
-two with d = 2, s >= 2 and n > 2s cuts the regions of the circuit
-hyperplanes in closed form on the torus of block angles, one line per slab
-between crossings and tangents, whose arc signs are read by toggling curve
-bits at the sorted roots over the half phi1 <= phi2 only (swapping the
-components mirrors the rest), and solves one circulation per family.  There
-every arc profit is a square, so every optimal flow is a maximum flow, and
-only the circuits that can bound an optimal family are cut
-(`_separating_circuits`).  Every other shape walks the families' optimality
-cones across the clipped chart of the slice, with every circuit: the chart's
-sleeve holds points that no unit vectors realize, where profits can be
-negative.
+linear in one trace-free matrix, and those sets are read as sparse PCA reads
+its candidates: every subset of a size where the subsets are no more than
+the vertices of their arrangement (the braid), else at those vertices
+(`spca.Lift`).  Rank two with d = 2, s >= 2 and n > 2s cuts the regions of
+the circuit hyperplanes in closed form on the torus of block angles, one
+line per slab between crossings and tangents, whose arc signs are read by
+toggling curve bits at the sorted roots over the half phi1 <= phi2 only
+(swapping the components mirrors the rest), and solves one circulation per
+family.  There every arc profit is a square, so every optimal flow is a
+maximum flow, and only the circuits that can bound an optimal family are
+cut (`_separating_circuits`).  Every other shape walks the families'
+optimality cones across the clipped chart of the slice, with every circuit:
+the chart's sleeve holds points that no unit vectors realize, where profits
+can be negative.
 
 Circulations may leave a component's support empty, while a unit-norm
 loading vector needs a nonempty one: `_complete_family` fills it without
@@ -39,6 +40,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from .linalg import (DEFAULT_RANK_TOL, PsdFactor, pivoted_cholesky, solve_pca,
 # No solve calls these; perfbench/tracing.py binds them under these names.
 from .reference import (build_arc_functional, build_circuit_functional,  # noqa: F401
                         enumerate_affine_cells)
-from .spca import Lift, SpcaInstance, solve_spca
+from .spca import Lift, SpcaInstance, braid_masks, reads_braid, shared_functionals, solve_spca
 
 
 @dataclass(frozen=True)
@@ -836,7 +838,9 @@ def _top_set_families(instance: SpcaDsInstance) -> tuple[set, dict]:
     feature of S_2 with a smaller delta in S_1 would gain: S_1 is a top-k set
     of delta.  delta is linear in the trace-free part of the lifted point, so
     the `Lift` of the trace-free parts of the row functionals reads every
-    such set, each size at its own top sets.
+    such set, each size at its own top sets, and a size with no more
+    supports than the lift's vertices (`spca.reads_braid`, at the generic
+    dimension of that part) takes every support instead.
     """
     n, s, r = instance.n, instance.s, instance.rank
     rows = instance.factor.factor
@@ -844,16 +848,20 @@ def _top_set_families(instance: SpcaDsInstance) -> tuple[set, dict]:
     coeffs = basis.row_block_coefficients(rows)
     diagonal = ~basis.off_diagonal
     coeffs[:, diagonal] -= coeffs[:, diagonal].mean(axis=1, keepdims=True)
-    lift = Lift.build(coeffs, np.sum(rows * rows, axis=1))
     sizes = range(max(1, n - s), min(s, n - 1) + 1)
+    braid = {size for size in sizes if reads_braid(n, size, min(n - 1, r * (r + 1) // 2 - 1))}
+    lift = None if len(braid) == len(sizes) else Lift.build(coeffs, np.sum(rows * rows, axis=1))
     families = set()
     for size in sizes:
-        for masks in lift.top_sets(size):
+        for masks in braid_masks(n, size) if size in braid else lift.top_sets(size):
             first = np.nonzero(masks)[1].reshape(-1, size).tolist()
             second = np.nonzero(~masks)[1].reshape(-1, n - size).tolist()
             families.update(zip(map(tuple, first), map(tuple, second)))
-    return families, dict(cells_enumerated=len(sizes) * lift.points, extended_dim=lift.dim,
-                          hyperplanes=lift.pairs)
+    duplicates = shared_functionals(coeffs)[1] if lift is None else lift.duplicates
+    return families, dict(
+        cells_enumerated=sum(comb(n, size) if size in braid else lift.points for size in sizes),
+        extended_dim=n - 1 if lift is None else lift.dim,
+        hyperplanes=comb(n, 2) - len(duplicates))
 
 
 def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
@@ -864,11 +872,13 @@ def solve_spca_ds(instance: SpcaDsInstance) -> SpcaDsSolution:
     K_jj everywhere on it: one region, no circuit, and the first component
     takes the largest squared row norm.  Two components with n <= 2s read
     the first support as a top set of the difference functionals
-    (`_top_set_families`): no circuit and no circulation, and the
-    diagnostics count the vertices read in ``cells_enumerated``, the
-    dimension of the trace-free span in ``extended_dim`` and the distinct
-    functional pairs in ``hyperplanes``.  Rank two with two components,
-    s >= 2 and n > 2s cuts its regions in closed form on the half
+    (`_top_set_families`): every subset of each size where `spca.reads_braid`
+    picks the braid, else the vertices of the lift.  No circuit and no
+    circulation, and the diagnostics count the vertices and braid supports
+    read in ``cells_enumerated``, the dimension of the trace-free span in
+    ``extended_dim`` (n - 1 when every size reads the braid) and the
+    distinct functional pairs in ``hyperplanes``.  Rank two with two
+    components, s >= 2 and n > 2s cuts its regions in closed form on the half
     phi1 <= phi2 of the torus and solves one circulation per family,
     covering the regions where none of its residual circuits gains; the
     other half's families are the mirrored ones.  Its arc profits are

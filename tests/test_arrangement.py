@@ -144,7 +144,7 @@ def test_braid_parity_with_insertion(rng, r, n):
     # With n - 1 <= r(r+1)/2 generic functionals the difference arrangement
     # of the lift is the braid arrangement: one cell per strict order, so
     # every support is the top-s set of a cell, and the solver generates
-    # them all from the 2n vertices without cutting.
+    # them all without cutting.
     factor = rng.standard_normal((n, r))
     coeffs = _lifted(factor)
     first, second = np.triu_indices(n, 1)
@@ -160,17 +160,19 @@ def test_braid_parity_with_insertion(rng, r, n):
     solution = spca.solve_spca(spca.SpcaInstance.build(symmetrize(factor @ factor.T), 1, 2))
     diag = solution.diagnostics
     assert diag.extended_dim == n - 1
-    assert diag.cells_enumerated == 2 * n
+    assert diag.cells_enumerated == math.comb(n, 2)
     assert diag.candidates_evaluated == math.comb(n, 2)
     assert solution.support in {_top_set(v, 2) for v in values.values()}
 
 
 @pytest.mark.parametrize("r,d,n", [(3, 2, 6), (4, 1, 6), (4, 3, 5)])
-def test_tied_lift_takes_insertion(rng, r, d, n):
+def test_tied_lift_takes_insertion(rng, monkeypatch, r, d, n):
     # R_1 = -R_0 gives two features one functional, so the differences are
-    # dependent and the solver reads the vertices of a smaller lift.  The
-    # lift cut by insertion is the reference: every top-s set of its cells
-    # must be a candidate.
+    # dependent and, with the braid rule off (n - 1 <= r(r+1)/2 here), the
+    # solver reads the vertices of a smaller lift.  The lift cut by
+    # insertion is the reference: every top-s set of its cells must be a
+    # candidate.
+    monkeypatch.setattr(spca, "reads_braid", lambda *args: False)
     for trial in range(3):
         while True:
             factor = rng.integers(-2, 3, size=(n, r)).astype(float)

@@ -77,21 +77,23 @@ class TestCommands:
 
     def test_predicted_cells_bound_cells(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
-        factor = rng.standard_normal((5, 2))
+        factor = rng.standard_normal((8, 2))
         path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
-        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
+        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "4"])
         assert code == 0
-        # The vertex count is computed before any vertex is read.
+        # The vertex count is computed before any vertex is read; the 64
+        # vertices are fewer than the C(8, 4) = 70 supports.
         assert 1 <= doc["diagnostics"]["cells"] == doc["diagnostics"]["predicted_cells"]
         assert doc["diagnostics"]["extended_dim"] == 2
         assert doc["solver"]["mode"] == "exact"
 
     def test_extended_dim_rank3_spannogram(self, tmp_path, capsys):
-        # From n = 8 on, rank 3 is past the braid (n - 1 <= 6) and cuts R^3.
+        # Rank 3 reads the spannogram in R^3 from n = 8 on (n - 1 > 6) where
+        # its vertices are fewer than the supports: 1,222 against C(13, 5).
         rng = np.random.default_rng(4)
-        factor = rng.standard_normal((8, 3))
+        factor = rng.standard_normal((13, 3))
         path = _write(tmp_path, "k.csv", (factor @ factor.T + (factor @ factor.T).T) / 2)
-        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "2"])
+        code, doc = _run(capsys, ["solve-spca", "--input", path, "--d", "1", "--s", "5"])
         assert code == 0
         assert doc["problem"]["rank"] == 3
         assert doc["diagnostics"]["extended_dim"] == 3
@@ -157,16 +159,18 @@ class TestCommands:
         if (r, d) != (2, 2):
             assert dropped == 0
 
-    @pytest.mark.parametrize("n,d,dim", [(6, 1, 2), (5, 1, 2), (4, 1, 3), (5, 2, 6), (3, 2, 2)])
+    @pytest.mark.parametrize("n,d,dim", [(8, 1, 2), (9, 1, 2), (4, 1, 3), (5, 2, 6), (3, 2, 2)])
     def test_solve_spca_ds_reports_extended_dim(self, tmp_path, capsys, n, d, dim):
-        # At rank 2, d = 1 is sparse PCA: the sectors of R^2 from n = 5 and
-        # the braid of the lift, R^3, below; d = 2 cuts the lift of both
-        # columns, R^6, at n > 2s, and reads top sets in the trace-free
-        # plane, R^2, at n <= 2s.
+        # At rank 2, d = 1 is sparse PCA: the sectors of R^2 where the n^2
+        # vertices are fewer than the C(n, s) supports (n = 8, 9 at s = 4)
+        # and the braid of the lift, R^3, at n = 4; d = 2 cuts the lift of
+        # both columns, R^6, at n > 2s, and reads top sets at n <= 2s, here
+        # every support of the braid in R^(n-1).
+        s = 4 if n > 7 else 2
         factor = np.random.default_rng(4).standard_normal((n, 2))
         path = _write(tmp_path, "k.csv", factor @ factor.T)
         code, doc = _run(
-            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", "2"]
+            capsys, ["solve-spca-ds", "--input", path, "--d", str(d), "--s", str(s)]
         )
         assert code == 0
         assert doc["problem"]["rank"] == 2

@@ -62,12 +62,14 @@ def _spca_ds_path(diag, d, r):
     return "walk" if diag.facet_lps > 0 else "unknown"
 
 
-# (problem, path, rank, n, d, s): one shape per solve path.
+# (problem, path, rank, n, d, s): one shape per solve path.  The spannogram
+# and lift rows have more supports than vertices, past the braid.
 @pytest.mark.parametrize("problem,path,r,n,d,s", [
     ("spca", "closed-form", 2, 6, 2, 3),
-    ("spca", "spannogram", 3, 12, 1, 4),
-    ("spca", "lift", 3, 8, 2, 3),
+    ("spca", "spannogram", 3, 13, 1, 5),
+    ("spca", "lift", 3, 8, 2, 4),
     ("spca", "braid", 3, 6, 2, 3),
+    ("spca", "braid", 2, 8, 1, 3),
     ("spca_ds", "one-component", 2, 5, 1, 2),
     ("spca_ds", "rank-one", 1, 4, 2, 2),
     ("spca_ds", "torus", 2, 5, 2, 2),

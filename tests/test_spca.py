@@ -235,15 +235,28 @@ class TestSolveSpca:
         with pytest.raises(InvalidParameters):
             SpcaInstance.build(kmatrix, 0, 1)  # d < 1
 
+    @pytest.mark.parametrize("n,r,d,s", [(5, 2, 2, 3), (5, 1, 1, 2), (5, 3, 1, 5), (4, 0, 1, 2)])
+    def test_closed_form_scores_nothing(self, rng, monkeypatch, n, r, d, s):
+        # r <= d or s = n: the one candidate is returned unscored.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form scored its candidate")
+
+        monkeypatch.setattr(spca_module, "_best_support", refuse)
+        kmatrix = random_low_rank_psd(rng, n, r)
+        solution = solve_spca(_instance(kmatrix, d, s))
+        assert solution.diagnostics.extended_dim == 0
+        assert solution.diagnostics.candidates_evaluated == 1
+        _assert_optimal(kmatrix, d, s, solution)
+
     def test_candidates_bounded_by_cells_below_rank(self, rng):
         kmatrix = random_low_rank_psd(rng, 6, 3)
         solution = solve_spca(_instance(kmatrix, 2, 3))
         diag = solution.diagnostics
-        # Five independent lifted differences: the braid, whose 2n vertices
-        # each tie n - 1 features, and their fills are every support.
+        # Five independent lifted differences: the braid, where every strict
+        # order is a region, so its C(6, 3) supports are generated.
         assert diag.extended_dim == 5
         assert diag.hyperplanes == 15
-        assert diag.cells_enumerated == 12
+        assert diag.cells_enumerated == 20
         assert diag.candidates_evaluated == math.comb(6, 3)
         assert diag.candidates_evaluated <= diag.cells_enumerated * math.comb(5, 2)
         bound = expected_generic_cell_count(diag.hyperplanes, diag.extended_dim)
@@ -269,8 +282,16 @@ def _lift_rank(factor):
 
 
 def _expected_dim(factor, space):
-    """The ``extended_dim`` of a shape: 0, r on the spannogram, k in the lift."""
-    return {"closed": 0, "spannogram": factor.shape[1], "lift": _lift_rank(factor)}[space]
+    """The ``extended_dim`` of a shape: 0, r on the spannogram, k in the lift,
+    n - 1 on the braid."""
+    n, r = factor.shape
+    return {"closed": 0, "spannogram": r, "lift": _lift_rank(factor), "braid": n - 1}[space]
+
+
+def _without_braid_rule(monkeypatch):
+    """Read every shape's arrangement, as if no support count were below its
+    vertices: small shapes then reach the lift and the spannogram."""
+    monkeypatch.setattr(spca_module, "reads_braid", lambda *args: False)
 
 
 def _variant_factor(rng, n, r, variant):
@@ -292,31 +313,41 @@ def _assert_optimal(kmatrix, d, s, solution):
     assert value == pytest.approx(report.objective, rel=1e-8, abs=0.0)
 
 
-# (n, r, d, space read): the closed form (r <= d), the spannogram in R^r, and
-# the lift in the k-dimensional span of the lifted differences.  For d = 1
-# the space with fewer predicted candidate rows is read.  The Gaussian
-# trials of the lifted and braid shapes have k = n - 1, the braid, whose
-# supports are generated; their integer trials (R_1 = -R_0) read the
-# vertices of a smaller lift.
+# (n, r, d, space read, sizes): the closed form (r <= d), the spannogram in
+# R^r, the lift in the k-dimensional span of the lifted differences, and the
+# braid, whose supports are generated.  The braid is read when n - 1 <=
+# r(r+1)/2 or when the C(n, s) supports are no more than the vertices
+# (`spca.reads_braid`), so the spannogram and lift rows take sizes past
+# that.  For d = 1 the lift is read only where it is not the braid, on
+# factors of fewer independent lifted differences than generic ones:
+# ``lifted-d1`` reads it with the rule off, on the braid's k = n - 1 of its
+# Gaussian trials and the smaller k of its integer ones (R_1 = -R_0).
 PATHS = [
-    pytest.param(6, 1, 1, "closed", id="closed-form-rank1"),
-    pytest.param(6, 2, 2, "closed", id="closed-form-rank2"),
-    pytest.param(7, 2, 1, "spannogram", id="spannogram-r2"),
-    pytest.param(8, 3, 1, "spannogram", id="spannogram-r3"),
-    pytest.param(6, 4, 1, "lift", id="lifted-d1"),
-    pytest.param(6, 3, 2, "lift", id="lifted-block"),
-    pytest.param(5, 4, 3, "lift", id="braid"),
+    pytest.param(6, 1, 1, "closed", (1, 2, 3), id="closed-form-rank1"),
+    pytest.param(6, 2, 2, "closed", (2, 3, 4), id="closed-form-rank2"),
+    pytest.param(9, 2, 1, "spannogram", (3, 4, 5), id="spannogram-r2"),
+    pytest.param(13, 3, 1, "spannogram", (5, 6, 7), id="spannogram-r3"),
+    pytest.param(6, 4, 1, "lift", (1, 2, 3), id="lifted-d1"),
+    pytest.param(8, 3, 2, "lift", (4, 4, 4), id="lifted-block"),
+    pytest.param(5, 4, 3, "braid", (3, 4, 3), id="braid"),
+    pytest.param(8, 2, 1, "braid", (3, 5, 1), id="braid-by-count"),
 ]
+
+
+def _pin_space(monkeypatch, n, r, space):
+    """Switch the braid rule off for a lift row at n - 1 <= r(r+1)/2."""
+    if space == "lift" and n - 1 <= r * (r + 1) // 2:
+        _without_braid_rule(monkeypatch)
 
 
 class TestPaths:
     @pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "integer"])
-    @pytest.mark.parametrize("n,r,d,space", PATHS)
-    def test_matches_oracle(self, rng, n, r, d, space, integer):
-        for trial in range(3):
+    @pytest.mark.parametrize("n,r,d,space,sizes", PATHS)
+    def test_matches_oracle(self, rng, monkeypatch, n, r, d, space, sizes, integer):
+        _pin_space(monkeypatch, n, r, space)
+        for s in sizes:
             factor = _factor_for_path(rng, n, r, integer)
             kmatrix = symmetrize(factor @ factor.T)
-            s = d + trial % (n - d)
             solution = solve_spca(_instance(kmatrix, d, s))
             assert solution.diagnostics.extended_dim == _expected_dim(factor, space)
             report = brute_force_spca(kmatrix, d, s)
@@ -326,80 +357,91 @@ class TestPaths:
             assert solution.support in report.argmax_supports
 
     @pytest.mark.parametrize("variant", ["near-tie", "tiny"])
-    @pytest.mark.parametrize("n,r,d,space", PATHS)
-    def test_matches_oracle_near_ties_and_tiny(self, rng, n, r, d, space, variant):
-        for trial in range(3):
+    @pytest.mark.parametrize("n,r,d,space,sizes", PATHS)
+    def test_matches_oracle_near_ties_and_tiny(self, rng, monkeypatch, n, r, d, space, sizes,
+                                               variant):
+        _pin_space(monkeypatch, n, r, space)
+        for s in sizes:
             factor, scale = _variant_factor(rng, n, r, variant)
             kmatrix = symmetrize(scale * (factor @ factor.T))
-            s = d + trial % (n - d)
             _assert_optimal(kmatrix, d, s, solve_spca(_instance(kmatrix, d, s)))
 
-    @pytest.mark.parametrize("n,r,d,space", PATHS)
-    def test_cells_within_prediction(self, rng, n, r, d, space):
-        for _ in range(3):
+    @pytest.mark.parametrize("n,r,d,space,sizes", PATHS)
+    def test_cells_within_prediction(self, rng, monkeypatch, n, r, d, space, sizes):
+        _pin_space(monkeypatch, n, r, space)
+        for s in sizes:
             factor = _factor_for_path(rng, n, r, False)
             kmatrix = symmetrize(factor @ factor.T)
-            result = enumerate_candidate_supports(_instance(kmatrix, d, d + 1))
+            result = enumerate_candidate_supports(_instance(kmatrix, d, s))
             assert result.extended_dim == _expected_dim(factor, space)
             # The vertex count is known before any vertex is read.
             assert 1 <= result.cells_enumerated == result.predicted_cells
 
-    @pytest.mark.parametrize("n,r,d,space", [p for p in PATHS if p.values[3] != "closed"])
-    def test_every_ranking_has_its_candidate(self, rng, n, r, d, space):
+    @pytest.mark.parametrize("n,r,d,space,sizes", [p for p in PATHS if p.values[3] != "closed"])
+    def test_every_ranking_has_its_candidate(self, rng, monkeypatch, n, r, d, space, sizes):
         # Every region of constant top-s set has a straddling vertex, so the
         # top-s set at any sampled Y is one of the candidates.
+        _pin_space(monkeypatch, n, r, space)
+        s = sizes[1]
         factor = _factor_for_path(rng, n, r, False)
-        inst = _instance(symmetrize(factor @ factor.T), d, 3)
+        inst = _instance(symmetrize(factor @ factor.T), d, s)
         result = enumerate_candidate_supports(inst)
         assert result.extended_dim == _expected_dim(factor, space)
         rows = inst.factor.factor
         for _ in range(2000):
             values = np.sum((rows @ rng.standard_normal((r, d))) ** 2, axis=1)
-            top = tuple(sorted(np.argsort(-values)[:3].tolist()))
+            top = tuple(sorted(np.argsort(-values)[:s].tolist()))
             assert top in result.supports
 
     def test_space_choice_for_one_component(self, rng):
-        # d = 1 reads the space with fewer predicted candidate rows, vertices
-        # times C(g, g // 2).  Up to n = r(r+1)/2 + 1 generic features that is
-        # the braid of the lift (k = n - 1), above it the spannogram in R^r;
-        # rank 5 at n = 20 reads the spannogram's 252,909 vertices, not the
-        # lift's 31,008 that each tie 15 features.
-        for n, r, dim in ((4, 2, 3), (5, 2, 2), (7, 2, 2), (7, 3, 6), (8, 3, 3),
-                          (9, 3, 3), (11, 4, 10), (12, 4, 4)):
+        # d = 1 reads the braid up to n = r(r+1)/2 + 1 generic features
+        # (k = n - 1) and wherever the C(n, s) supports are no more than the
+        # spannogram's vertices (C(8, 3) = 56 against 64, C(9, 4) = 126
+        # against 372).  Past both it reads the space with fewer predicted
+        # candidate rows, vertices times C(g, g // 2): the spannogram in R^r
+        # on generic features.  Rank 5 at n = 20 reads the spannogram's
+        # 252,909 vertices, not the lift's 31,008 that each tie 15 features.
+        for n, r, s, dim in ((4, 2, 3, 3), (8, 2, 3, 7), (9, 2, 4, 2), (10, 2, 5, 2),
+                             (7, 3, 3, 6), (9, 3, 4, 8), (13, 3, 5, 3), (14, 3, 6, 3),
+                             (11, 4, 3, 10), (18, 4, 9, 4)):
             kmatrix = random_low_rank_psd(rng, n, r)
-            assert solve_spca(_instance(kmatrix, 1, 3)).diagnostics.extended_dim == dim
+            assert solve_spca(_instance(kmatrix, 1, s)).diagnostics.extended_dim == dim
 
     def test_rank3_spannogram_reach(self, rng):
-        # 132 planes in R^3: by insertion this shape took half a minute.
-        kmatrix = random_low_rank_psd(rng, 12, 3)
-        solution = solve_spca(_instance(kmatrix, 1, 4))
+        # 156 planes in R^3 read at their 1,222 vertices, past the braid's
+        # C(13, 6) = 1,716 supports; by insertion n = 12 took half a minute.
+        kmatrix = random_low_rank_psd(rng, 13, 3)
+        solution = solve_spca(_instance(kmatrix, 1, 6))
         assert solution.diagnostics.extended_dim == 3
         assert solution.diagnostics.cells_enumerated <= solution.diagnostics.predicted_cells
-        report = brute_force_spca(kmatrix, 1, 4)
+        report = brute_force_spca(kmatrix, 1, 6)
         assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
         assert solution.support in report.argmax_supports
 
     @pytest.mark.parametrize("n,r,d", [(9, 4, 1), (11, 4, 3), (7, 3, 2), (4, 2, 1)])
     def test_braid_cuts_nothing(self, rng, n, r, d):
         # By insertion rank 4, d = 1 took 5.6 s at n = 8 and 53 s at n = 9
-        # (2-vCPU VM).  With k = n - 1 independent lifted differences the
-        # fills of the 2n vertices are every support, generated directly.
+        # (2-vCPU VM).  With k = n - 1 independent lifted differences every
+        # strict order is a region, so every support is generated, counted
+        # before the read.
         kmatrix = random_low_rank_psd(rng, n, r)
         s = d + 1
         solution = solve_spca(_instance(kmatrix, d, s))
         diag = solution.diagnostics
         assert diag.extended_dim == n - 1
-        assert diag.cells_enumerated == diag.predicted_cells == 2 * n
+        assert diag.cells_enumerated == diag.predicted_cells == math.comb(n, s)
         assert diag.hyperplanes == n * (n - 1) // 2
         assert diag.candidates_evaluated == math.comb(n, s)
         report = brute_force_spca(kmatrix, d, s)
         assert solution.objective == pytest.approx(report.objective, rel=1e-8, abs=1e-8)
         assert solution.support in report.argmax_supports
 
-    @pytest.mark.parametrize("n,s", [(16, 4), (16, 8)])
+    @pytest.mark.parametrize("n,s", [(17, 8), (18, 9)])
     def test_rank4_reach(self, rng, n, s):
         # By insertion rank 4, d = 1 did not finish n = 12 in 600 s; the
         # spannogram's C(n, 4) 8 + C(n, 3) vertices are read in blocks.
+        # They are fewer than the supports here (19,720 against 24,310 and
+        # 25,296 against 48,620); with more, the braid would be read.
         kmatrix = random_low_rank_psd(rng, n, 4)
         solution = solve_spca(_instance(kmatrix, 1, s))
         diag = solution.diagnostics
@@ -409,10 +451,11 @@ class TestPaths:
         _assert_optimal(kmatrix, 1, s, solution)
 
     @pytest.mark.parametrize("r,n", [(3, 7), (4, 6)])
-    def test_vertices_cover_the_cut_spannogram(self, rng, r, n):
+    def test_vertices_cover_the_cut_spannogram(self, rng, monkeypatch, r, n):
         # Insertion parity for d = 1: every top-s set of a cell of the cut
         # spannogram is a vertex candidate, on tied integer factors whose
-        # lift (k < n - 1) is not the braid.
+        # lift (k < n - 1) is not the braid, read with the braid rule off.
+        _without_braid_rule(monkeypatch)
         factor = _factor_for_path(rng, n, r, True)
         inst = _instance(symmetrize(factor @ factor.T), 1, 1)
         rows = inst.factor.factor
@@ -426,10 +469,12 @@ class TestPaths:
                 assert tuple(top) in candidates
 
     @pytest.mark.parametrize("scale", [1.0, 1e-16])
-    def test_one_dimensional_lift_reads_both_rays(self, scale):
+    def test_one_dimensional_lift_reads_both_rays(self, monkeypatch, scale):
         # R_1 = -R_0 and R_2 orthogonal: two functionals, so k = 1 and the
         # regions are the rays +-w.  On one of them {0, 1} is the top-2 set
         # with no tie at position 2, and it is the optimum (2 against 1.5).
+        # The braid rule is off: its C(3, 2) supports would be generated.
+        _without_braid_rule(monkeypatch)
         factor = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, np.sqrt(1.5)]])
         kmatrix = symmetrize(scale * (factor @ factor.T))
         solution = solve_spca(_instance(kmatrix, 1, 2))
@@ -440,17 +485,66 @@ class TestPaths:
     def test_spannogram_records_opposite_rows(self, rng):
         # Rows 5 and 6 are small, so pivoting never picks them and their
         # factor rows come out exactly opposite: one functional, no plane.
-        factor = rng.standard_normal((7, 2))
+        # C(9, 4) = 126 supports outnumber the 81 vertices.
+        factor = rng.standard_normal((9, 2))
         factor[5] = 0.1 * factor[5]
         factor[6] = -factor[5]
         kmatrix = symmetrize(factor @ factor.T)
-        inst = _instance(kmatrix, 1, 2)
+        inst = _instance(kmatrix, 1, 4)
         assert np.array_equal(inst.factor.row(6), -inst.factor.row(5))
         result = enumerate_candidate_supports(inst)
         assert result.extended_dim == 2
         assert (5, 6) in result.duplicate_feature_pairs
-        report = brute_force_spca(kmatrix, 1, 2)
+        report = brute_force_spca(kmatrix, 1, 4)
         assert solve_spca(inst).support in report.argmax_supports
+
+
+def _reads_braid(n, r, d, s):
+    """The braid rule, restated: n - 1 <= r(r+1)/2, or C(n, s) no more than
+    the vertices (the spannogram's at d = 1, else the lift's 2 C(n, g) at its
+    generic dimension g)."""
+    g = min(n - 1, r * (r + 1) // 2)
+    if d == 1:
+        vertices = math.comb(n, r) * 2 ** (r - 1) + math.comb(n, r - 1)
+    else:
+        vertices = 2 * math.comb(n, g)
+    return g == n - 1 or math.comb(n, s) <= vertices
+
+
+class TestBraidBoundary:
+    """The braid is read exactly when the rule says, before any lift."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_braid_read_exactly_by_the_rule(self, monkeypatch, r):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the braid built a lift or read vertices")
+
+        rng = np.random.default_rng(60 + r)
+        for n in range(r + 1, 13):
+            gaussian = rng.standard_normal((n, r))
+            kinds = {"gaussian": (gaussian, 1.0), "tied": (_factor_for_path(rng, n, r, True), 1.0),
+                     "tiny": (gaussian, 1e-16)}
+            for kind, (factor, scale) in kinds.items():
+                kmatrix = symmetrize(scale * (factor @ factor.T))
+                for d in range(1, r):
+                    for s in range(d, n):
+                        braid = _reads_braid(n, r, d, s)
+                        with monkeypatch.context() as patch:
+                            if braid:
+                                patch.setattr(spca_module.Lift, "build", refuse)
+                                patch.setattr(spca_module, "_read_vertices", refuse)
+                            solution = solve_spca(_instance(kmatrix, d, s))
+                        diag = solution.diagnostics
+                        assert (diag.extended_dim == n - 1) == braid, (kind, n, d, s)
+                        assert 1 <= diag.cells_enumerated == diag.predicted_cells
+                        if braid:
+                            assert diag.cells_enumerated == math.comb(n, s)
+                            assert diag.candidates_evaluated == math.comb(n, s)
+                        if kind == "tied":
+                            assert (0, 1) in diag.duplicate_feature_pairs
+                        report = brute_force_spca(kmatrix, d, s)
+                        assert solution.objective == pytest.approx(
+                            report.objective, rel=1e-9, abs=0.0), (kind, n, d, s)
 
 
 def _spannogram_lines(rows):
@@ -468,7 +562,7 @@ class TestPlaneSectors:
     @pytest.mark.parametrize("n", [8, 12, 30])
     def test_reads_no_arrangement(self, rng, n):
         kmatrix = random_low_rank_psd(rng, n, 2)
-        s = max(2, n // 4)
+        s = max(4, n // 4)  # C(n, s) > n^2: past the braid
         inst = _instance(kmatrix, 1, s)
         solution = solve_spca(inst)
         diag = solution.diagnostics

@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import exactspca.spca as spca_module
 import exactspca.spca_ds as spca_ds_module
 from exactspca.arrangement import dedup_hyperplanes
 from exactspca.circulation import (
@@ -979,16 +980,21 @@ def test_top_sets_match_oracle(monkeypatch, r):
     # Two components with n <= 2s: every family (S_1, complement) with S_1 a
     # top set of the trace-free difference functionals, with no circuit,
     # circulation, torus or walk.  Each size k in [max(1, n - s), min(s, n - 1)]
-    # reads 2 C(n, k') vertices, k' the dimension of the functionals' span.
+    # reads 2 C(n, k') vertices, k' the dimension of the functionals' span,
+    # or generates its C(n, k) supports when those are no more than the
+    # vertices at the generic dimension g = min(n - 1, r(r+1)/2 - 1); then
+    # ``extended_dim`` is n - 1.  Rank 2 at n = 8 (the widest window only)
+    # reads the lift at k = 4 (70 supports against 56 vertices) and the
+    # braid at the other sizes.
     def refuse(*args, **kwargs):
         raise AssertionError("n <= 2s cut, swept, walked or solved a circulation")
 
     for name in ("build_circuit_hyperplanes", "_torus_sweep", "_walk_families", "solve_max_profit"):
         monkeypatch.setattr(spca_ds_module, name, refuse)
     rng = np.random.default_rng(40 + r)
-    for n in range(3, 7):
+    for n in (3, 4, 5, 6, 8) if r == 2 else range(3, 7):
         # The smallest window, [n - s, s], and the widest, [1, n - 1].
-        for s in sorted({-(-n // 2), n - 1}):
+        for s in sorted({-(-n // 2), n - 1}) if n < 8 else [n - 1]:
             for kind, factor in _top_set_factors(rng, n, r).items():
                 kmatrix = symmetrize(factor @ factor.T)
                 if np.linalg.matrix_rank(factor) < 2:
@@ -999,8 +1005,38 @@ def test_top_sets_match_oracle(monkeypatch, r):
                     diag = solution.diagnostics
                     assert diag.sweep_lines == diag.facet_lps == 0
                     assert diag.circulation_solves == diag.completions_in_best == 0
-                    sizes = min(s, n - 1) - max(1, n - s) + 1
-                    assert diag.cells_enumerated == sizes * 2 * comb(n, diag.extended_dim)
-                    assert diag.extended_dim <= min(n - 1, diag.rank * (diag.rank + 1) // 2 - 1)
+                    sizes = range(max(1, n - s), min(s, n - 1) + 1)
+                    generic = min(n - 1, diag.rank * (diag.rank + 1) // 2 - 1)
+                    braid = [k for k in sizes
+                             if generic == n - 1 or comb(n, k) <= 2 * comb(n, generic)]
+                    if len(braid) < len(sizes):
+                        assert diag.extended_dim <= generic < n - 1
+                    else:
+                        assert diag.extended_dim == n - 1
+                    assert diag.cells_enumerated == sum(
+                        comb(n, k) if k in braid else 2 * comb(n, diag.extended_dim) for k in sizes)
                     assert solution.objective == pytest.approx(
                         scale * expected, rel=1e-9, abs=0.0), (kind, n, s, scale)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_top_sets_of_the_braid_build_no_lift(monkeypatch, tied):
+    # Rank 2, d = 2, n = 3: the trace-free functionals span at most the
+    # plane, n - 1 = 2, so each size generates its supports with no lift
+    # (no SVD) and no vertex read; R_1 = -R_0 leaves two distinct pairs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the braid built a lift")
+
+    monkeypatch.setattr(spca_module.Lift, "build", refuse)
+    factor = np.random.default_rng(5).standard_normal((3, 2))
+    if tied:
+        factor[1] = -factor[0]
+    kmatrix = symmetrize(factor @ factor.T)
+    solution = solve_spca_ds(_instance(kmatrix, 2, 2))
+    diag = solution.diagnostics
+    assert diag.extended_dim == 2
+    assert diag.cells_enumerated == comb(3, 1) + comb(3, 2)
+    assert diag.hyperplanes == (2 if tied else 3)
+    assert diag.circulation_solves == 0
+    expected = brute_force_spca_ds(kmatrix, 2, 2).objective
+    assert solution.objective == pytest.approx(expected, rel=1e-9, abs=0.0)
